@@ -2,13 +2,15 @@
 counting, and the exact search for the minimal invariant generating set.
 
 The search runs over unions of orbits (exactly the invariant subsets),
-branch-and-bound in ascending orbit-size order, pruned by the mod-p rank
-deficit; candidate unions are certified by the lift-to-Z span test.
+branch-and-bound in ascending orbit-size order over F_p echelon bases,
+pruned by a fractional bound on the cost of the mod-p rank deficit; the
+witness it returns is certified by the lift-to-Z span test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,9 +19,10 @@ from .lattice import (
     LatticeSpec,
     Weight,
     WeightSet,
+    basis_coordinates,
+    echelon_mod_p,
     in_p_multiple,
     prime_power_root,
-    rank_mod_p,
     spans,
 )
 from .permgroup import PermGroupSpec, act, orbit, sylow_subgroup
@@ -116,19 +119,47 @@ def lattice_elements(spec: LatticeSpec) -> List[Weight]:
 
 def orbit_decomposition(group: PermGroupSpec, spec: LatticeSpec) -> List[WeightSet]:
     """P_n-orbits of the finite lattice, sorted by (size, representative)."""
-    remaining = set(lattice_elements(spec))
+    seen = set()
     orbits = []
-    while remaining:
-        seed = min(remaining)
-        orb = orbit(group, seed)
-        orbits.append(orb)
-        remaining -= set(orb.elements)
+    # lattice_elements is lexicographic, so each unseen element is the least
+    # element of its orbit
+    for w in lattice_elements(spec):
+        if w not in seen:
+            orb = orbit(group, w)
+            orbits.append(orb)
+            seen.update(orb.elements)
     orbits.sort(key=lambda o: (len(o), o.elements))
     return orbits
 
 
-def _search_space_size(n: int, q: int) -> int:
-    return q ** (n - 1)
+def _rank_cover_bounds(sizes: Sequence[int], ranks: Sequence[int],
+                       target: int) -> List[Tuple[float, ...]]:
+    """Entry [i][d] is a lower bound on the total size of orbits i, i+1, ...
+    that raise the F_p rank by d: the fractional knapsack in which orbit j
+    covers at most ranks[j], filled in ascending size/rank order (inf when
+    the ranks cannot add up to d).  The cover never needs more than target
+    orbits, since every useful orbit has rank at least 1."""
+    # float ratios order exactly here: distinct size/rank ratios of small
+    # integers never round to the same double
+    cheapest: List[Tuple[float, int, int]] = []
+    bounds = [(0,) + (math.inf,) * target]
+    for size, rank in zip(reversed(sizes), reversed(ranks)):
+        if rank:
+            cheapest = sorted(cheapest + [(size / rank, size, rank)])[:target]
+        row = [0]
+        for deficit in range(1, target + 1):
+            cost, need = 0, deficit
+            for _, s, r in cheapest:
+                if r >= need:
+                    cost += -(-s * need // r)
+                    need = 0
+                    break
+                cost += s
+                need -= r
+            row.append(math.inf if need else cost)
+        bounds.append(tuple(row))
+    bounds.reverse()
+    return bounds
 
 
 def min_invariant_generating_size(
@@ -139,10 +170,17 @@ def min_invariant_generating_size(
     group: Optional[PermGroupSpec] = None,
 ) -> SearchResult:
     """Exact minimum size of an invariant generating subset of the zero-sum
-    lattice mod q, certified optimal by exhausting all cheaper orbit unions."""
+    lattice mod q, certified optimal by exhausting all cheaper orbit unions.
+
+    By Nakayama a union generates the Z/q-lattice iff its chart coordinates
+    have full F_p rank, so the search runs entirely over F_p; the witness it
+    returns is certified once over Z by the Smith normal form span test.
+    """
+    if prime_power_root(p) != p:
+        raise BoundsError(f"p={p} is not a prime")
     if prime_power_root(q) != p:
         raise BoundsError(f"q={q} is not a power of p={p}")
-    if _search_space_size(n, q) > 2 ** 20:
+    if q ** (n - 1) > 2 ** 20:
         raise BoundsError(f"search space q^(n-1) = {q ** (n - 1)} too large")
     start = time.perf_counter()
     spec = LatticeSpec(n, q)
@@ -150,91 +188,60 @@ def min_invariant_generating_size(
         group = sylow_subgroup(n, p)
     orbits = [o for o in orbit_decomposition(group, spec)
               if not (len(o) == 1 and o.elements[0].is_zero())]
-    target_rank = spec.rank
+    target = spec.rank
     sizes = [len(o) for o in orbits]
-    suffix_pool: List[List[Weight]] = [[] for _ in range(len(orbits) + 1)]
-    for i in range(len(orbits) - 1, -1, -1):
-        suffix_pool[i] = suffix_pool[i + 1] + list(orbits[i].elements)
+    orbit_spans = [echelon_mod_p((basis_coordinates(w) for w in o), p) for o in orbits]
+    # suffix[i]: F_p span of orbits i, i+1, ...; full spans are shared
+    suffix = [{}]
+    for span in reversed(orbit_spans):
+        rest = suffix[-1]
+        suffix.append(rest if len(rest) == target else echelon_mod_p(span.values(), p, rest))
+    suffix.reverse()
+    if len(suffix[0]) < target:
+        raise BoundsError("no invariant generating subset exists")
+    lower = _rank_cover_bounds(sizes, [len(s) for s in orbit_spans], target)
 
-    # greedy seed: cheap upper bound so pruning bites from the start
-    best_size = sum(sizes) + 1
-    best_choice: Optional[Tuple[int, ...]] = None
-    greedy: List[Weight] = []
-    greedy_size = 0
-    for i, orb in enumerate(orbits):
-        if rank_mod_p(greedy, p, target_rank) == target_rank:
-            break
-        extended = greedy + list(orb.elements)
-        if rank_mod_p(extended, p, target_rank) > rank_mod_p(greedy, p, target_rank):
-            greedy = extended
-            greedy_size += sizes[i]
-    if greedy and rank_mod_p(greedy, p, target_rank) == target_rank and spans(
-            WeightSet.of(greedy, spec)):
-        best_size = greedy_size + 1  # strict-improvement search below re-finds it
+    # Depth-first over include/exclude decisions, orbit i at depth i, with
+    # include explored first: unions are met in canonical inclusion order,
+    # and only strict improvements are kept, so the final choice is the first
+    # generating union of optimal size in that order.  The first descent is
+    # the greedy union, which seeds the bound.  A node carries the echelon
+    # basis of its chosen orbits, copied only when an orbit is added.
+    best = math.inf
     nodes = 0
-
-    def dfs(i: int, chosen: Tuple[int, ...], size: int, members: List[Weight]) -> None:
-        nonlocal best_size, best_choice, nodes
+    choice: Tuple[int, ...] = ()
+    stack = [(0, {}, 0, ())]
+    while stack:
+        i, basis, size, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
             raise BudgetExhausted(f"node budget {budget} exhausted")
-        rank = rank_mod_p(members, p, target_rank)
-        # every further element adds at most one to the mod-p rank
-        if size + (target_rank - rank) >= best_size:
-            return
-        if rank == target_rank:
-            if not spans(WeightSet.of(members, spec)):
-                # cannot happen for free modules over Z/p^e (Nakayama)
-                raise BoundsError("mod-p rank full but lift-to-Z span test failed")
-            best_size = size
-            best_choice = chosen
-            return
-        if i == len(orbits):
-            return
-        # joint rank of chosen + all remaining must be able to reach full rank
-        if rank_mod_p(members + suffix_pool[i], p, target_rank) < target_rank:
-            return
-        dfs(i + 1, chosen + (i,), size + sizes[i], members + list(orbits[i].elements))
-        dfs(i + 1, chosen, size, members)
+        deficit = target - len(basis)
+        if size + lower[i][deficit] >= best:
+            continue
+        if not deficit:
+            best, choice = size, chosen
+            continue
+        # leaving orbit i out, the later orbits must still complete the rank
+        rest = suffix[i + 1]
+        if len(rest) == target or len(echelon_mod_p(rest.values(), p, basis)) == target:
+            stack.append((i + 1, basis, size, chosen))
+        # an orbit inside the current span only adds size
+        grown = echelon_mod_p(orbit_spans[i].values(), p, basis)
+        if len(grown) > len(basis):
+            stack.append((i + 1, grown, size + sizes[i], chosen + (i,)))
 
-    try:
-        dfs(0, (), 0, [])
-    except RecursionError as exc:  # orbit counts stay tiny at desk scale
-        raise BoundsError("orbit count too large for recursive search") from exc
-    if best_choice is None:
-        raise BoundsError("no invariant generating subset exists")
-
-    # deterministic witness: first generating union of total size best_size in
-    # canonical inclusion order
-    witness = None
-    for picks in _exact_size_unions(sizes, best_size):
-        members = [w for i in picks for w in orbits[i].elements]
-        ws = WeightSet.of(members, spec)
-        if rank_mod_p(members, p, target_rank) == target_rank and spans(ws):
-            witness = ws
-            break
-    assert witness is not None
+    witness = WeightSet.of([w for i in choice for w in orbits[i].elements], spec)
+    if not spans(witness):
+        # cannot happen for free modules over Z/p^e (Nakayama)
+        raise BoundsError("mod-p rank full but lift-to-Z span test failed")
     return SearchResult(
-        minimum=best_size,
+        minimum=best,
         witness=witness,
         nodes_explored=nodes,
         orbit_count=len(orbits),
         elapsed=time.perf_counter() - start,
     )
-
-
-def _exact_size_unions(sizes: Sequence[int], total: int):
-    """Index subsets with the given total size, lexicographic by index set."""
-    def rec(i: int, left: int, acc: Tuple[int, ...]):
-        if left == 0:
-            yield acc
-            return
-        if i == len(sizes) or sum(sizes[i:]) < left:
-            return
-        if sizes[i] <= left:
-            yield from rec(i + 1, left - sizes[i], acc + (i,))
-        yield from rec(i + 1, left, acc)
-    yield from rec(0, total, ())
 
 
 def naive_min_invariant_generating_size(
@@ -290,6 +297,8 @@ def naive_min_by_subsets(n: int, p: int, q: int) -> int:
 
 def predicted_bound(n: int, p: int, q: int) -> dict:
     """The applicable published lower bound and its hypothesis status."""
+    if prime_power_root(p) != p:
+        raise BoundsError(f"p={p} is not a prime")
     e_q = 0
     m = q
     while m % p == 0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 
 class LatticeError(ValueError):
@@ -307,7 +307,7 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, I
     )
 
 
-def _basis_coordinates(w: Weight) -> Tuple[int, ...]:
+def basis_coordinates(w: Weight) -> Tuple[int, ...]:
     """Coordinates of an (exactly lifted) weight in the canonical chart.
 
     Zero-sum lattices use the basis a[1,2], ..., a[n-1,n]; the coordinate
@@ -330,7 +330,7 @@ def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
     elements of Lambda, lifted to Z; mod-q sets get q times each basis vector
     appended so integer surjectivity matches surjectivity over Z/q."""
     rank = lam.spec.rank
-    cols = [_basis_coordinates(w) for w in lam.elements]
+    cols = [basis_coordinates(w) for w in lam.elements]
     if lam.spec.modulus:
         q = lam.spec.modulus
         for i in range(rank):
@@ -387,26 +387,44 @@ def kernel_generators_mod(lam: WeightSet) -> KernelDescription:
     return KernelDescription(tuple(gens))
 
 
-def rank_mod_p(lam: Iterable[Weight], p: int, rank: int) -> int:
-    """F_p-rank of the chart coordinates of the given weights (Gaussian
-    elimination, exact)."""
-    pivots: dict = {}
-    for w in lam:
-        v = [c % p for c in _basis_coordinates(w)]
-        while True:
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is None:
-                break
-            if lead in pivots:
-                f = v[lead]
-                v = [(x - f * y) % p for x, y in zip(v, pivots[lead])]
-            else:
-                inv = pow(v[lead], -1, p)
-                pivots[lead] = [x * inv % p for x in v]
-                break
-        if len(pivots) == rank:
+def echelon_mod_p(
+    vectors: Iterable[Sequence[int]],
+    p: int,
+    basis: Optional[Dict[int, Tuple[int, ...]]] = None,
+) -> Dict[int, Tuple[int, ...]]:
+    """Reduced row-echelon basis over F_p of the span of ``basis`` and
+    ``vectors``, as a new dict from pivot column to row.
+
+    ``basis`` must itself come from this function and is left unchanged.
+    Each row is 1 at its own pivot and 0 at every other pivot, so one pass
+    over the rows, in any order, reduces a vector.
+    """
+    out = dict(basis) if basis else {}
+    for vec in vectors:
+        v = [x % p for x in vec]
+        for col, row in out.items():
+            f = v[col]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        new = tuple(x * inv % p for x in v)
+        for col, row in list(out.items()):
+            f = row[lead]
+            if f:
+                out[col] = tuple((a - f * b) % p for a, b in zip(row, new))
+        out[lead] = new
+        if len(out) == len(new):
             break
-    return len(pivots)
+    return out
+
+
+def rank_mod_p(lam: Iterable[Weight], p: int, rank: int) -> int:
+    """F_p-rank of the chart coordinates of the given weights, capped at
+    ``rank`` (Gaussian elimination, exact)."""
+    return min(rank, len(echelon_mod_p((basis_coordinates(w) for w in lam), p)))
 
 
 def in_p_multiple(w: Weight, p: int) -> bool:

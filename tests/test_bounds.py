@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -139,6 +140,8 @@ class TestSearch:
         (4, 2, 4, 8),
         (6, 2, 2, 8),
         (5, 5, 5, 5),
+        (3, 3, 81, 3),
+        (6, 3, 3, 9),
     ])
     def test_exact_minima(self, n, p, q, expected):
         result = min_invariant_generating_size(n, p, q)
@@ -165,7 +168,8 @@ class TestSearch:
                     == naive_min_by_subsets(n, p, q))
 
     def test_naive_orbit_union_agreement(self):
-        for n, p, q in [(4, 2, 4), (6, 2, 2), (3, 3, 3)]:
+        for n, p, q in [(4, 2, 4), (6, 2, 2), (3, 3, 3), (7, 2, 2), (8, 2, 2),
+                        (4, 3, 3), (2, 2, 16)]:
             assert (min_invariant_generating_size(n, p, q).minimum
                     == naive_min_invariant_generating_size(n, p, q)[0])
 
@@ -187,6 +191,40 @@ class TestSearch:
     def test_q_mismatch_rejected(self):
         with pytest.raises(BoundsError):
             min_invariant_generating_size(4, 2, 9)
+
+    @pytest.mark.parametrize("n,p,q,witness", [
+        (4, 2, 8, [[0, 1, 0, 7], [0, 1, 7, 0], [0, 7, 0, 1], [0, 7, 1, 0],
+                   [1, 0, 0, 7], [1, 0, 7, 0], [7, 0, 0, 1], [7, 0, 1, 0]]),
+        (4, 2, 4, [[0, 1, 0, 3], [0, 1, 3, 0], [0, 3, 0, 1], [0, 3, 1, 0],
+                   [1, 0, 0, 3], [1, 0, 3, 0], [3, 0, 0, 1], [3, 0, 1, 0]]),
+        (5, 5, 5, [[0, 0, 0, 1, 4], [0, 0, 1, 4, 0], [0, 1, 4, 0, 0], [1, 4, 0, 0, 0],
+                   [4, 0, 0, 0, 1]]),
+        (3, 3, 27, [[0, 1, 26], [1, 26, 0], [26, 0, 1]]),
+        (6, 2, 2, [[0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0],
+                   [0, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0],
+                   [1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0]]),
+    ])
+    def test_pinned_witness(self, n, p, q, witness):
+        # the first generating union of optimal size in canonical inclusion
+        # order; pinned so a change of search strategy cannot move it
+        assert min_invariant_generating_size(n, p, q).witness.to_json() == witness
+
+    def test_witness_is_first_optimal_union_in_canonical_order(self):
+        # unions of equal total size are never prefixes of one another, so
+        # canonical inclusion order among them is lexicographic order of the
+        # sorted orbit-index tuples
+        for n, p, q in [(4, 2, 4), (6, 2, 2), (7, 2, 2), (8, 2, 2), (4, 3, 3), (2, 2, 16)]:
+            spec = LatticeSpec(n, q)
+            orbits = [o for o in orbit_decomposition(sylow_subgroup(n, p), spec)
+                      if not (len(o) == 1 and o.elements[0].is_zero())]
+            result = min_invariant_generating_size(n, p, q)
+            first = min(
+                combo
+                for k in range(1, len(orbits) + 1)
+                for combo in itertools.combinations(range(len(orbits)), k)
+                if sum(len(orbits[i]) for i in combo) == result.minimum
+                and spans(WeightSet.of([w for i in combo for w in orbits[i]], spec)))
+            assert result.witness == WeightSet.of([w for i in first for w in orbits[i]], spec)
 
     def test_witness_deterministic(self):
         a = min_invariant_generating_size(4, 2, 4).witness

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,21 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--p", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--prop", "7.2", "--p", "1", "--r", "2"),
+        ("verify", "--lemma", "8.2", "--p", "1", "--n", "6"),
+        ("verify", "--prop", "7.2", "--p", "0", "--r", "2"),
+    ])
+    def test_non_prime_p_rejected(self, argv):
+        # in a subprocess with a timeout: p = 1 used to loop forever
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "essdim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "is not a prime" in done.stderr
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "9")

@@ -8,8 +8,12 @@ from essdim.lattice import (
     LatticeSpec,
     Weight,
     WeightSet,
+    basis_coordinates,
+    coordinate_matrix,
+    echelon_mod_p,
     in_p_multiple,
     kernel_basis,
+    rank_mod_p,
     smith_normal_form,
     spans,
     standard_weight,
@@ -116,6 +120,28 @@ class TestSpans:
                 ws = WeightSet.of(lam)
                 assert spans(ws)
                 assert spans(ws.reduce(q))
+
+
+    def test_rank_mod_p_against_smith_normal_form(self):
+        # the F_p rank is the number of SNF invariants prime to p, and by
+        # Nakayama full F_p rank is the same as spanning mod p^e
+        rng = random.Random(11)
+        for _ in range(200):
+            n, p, q = rng.choice([(3, 2, 4), (4, 2, 8), (3, 3, 9), (4, 3, 3), (3, 5, 25)])
+            spec = LatticeSpec(n, q)
+            lam = []
+            for _ in range(rng.randint(1, n)):
+                ent = [rng.randrange(q) for _ in range(n - 1)]
+                lam.append(Weight.of(ent + [-sum(ent)], spec))
+            ws = WeightSet.of(lam, spec)
+            basis = echelon_mod_p((basis_coordinates(w) for w in ws), p)
+            for col, row in basis.items():
+                assert row[col] == 1
+                assert all(row[other] == 0 for other in basis if other != col)
+            diag, _, _ = smith_normal_form(coordinate_matrix(ws))
+            assert len(basis) == sum(1 for d in diag.diagonal() if d % p)
+            assert rank_mod_p(ws, p, n - 1) == len(basis)
+            assert (len(basis) == n - 1) == spans(ws)
 
 
 class TestKernelBasis:
