@@ -24,7 +24,7 @@ from .bounds import (
     predicted_bound,
     verify_lower_bound,
 )
-from .constructions import build_plan, kernel_witness
+from .constructions import build_plan, kernel_witness_coefficients
 from .edcalc import ed_value
 from .genfree import check_lemma32, check_lemma34
 from .lattice import LatticeSpec, Weight
@@ -38,10 +38,6 @@ EXIT_BUDGET = 4
 
 def emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
-
-
-def _weights_ascii(weights) -> List[str]:
-    return [str(list(w)) for w in weights]
 
 
 def cmd_construct(args) -> int:
@@ -82,8 +78,7 @@ def cmd_check_genfree(args) -> int:
     payload = {"case": plan.case_tag, "n": plan.n, "p": plan.p}
     payload.update(verdict.to_json())
     if plan.case_tag in ("c", "d"):
-        coeffs, _ = kernel_witness(plan.case_tag, plan.n, plan.p)
-        payload["explicit_kernel_witness"] = list(coeffs)
+        payload["explicit_kernel_witness"] = list(kernel_witness_coefficients(plan))
     if args.json:
         emit_json(payload)
     else:
@@ -358,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce-all", help="run the verification matrix")
     sp.add_argument("--profile", type=str, default="quick")
     sp.add_argument("--report", type=str, default="reproduce-report.json")
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_reproduce_all)
 
     return parser

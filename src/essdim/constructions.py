@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .lattice import LatticeSpec, Weight, WeightSet, standard_weight, zero_weight
+from .lattice import (
+    LatticeSpec, Weight, WeightSet, prime_power_root, standard_weight, zero_weight)
 from .permgroup import act, orbit, p_adic_digits, sylow_subgroup
 
 
@@ -134,6 +135,8 @@ def lambda_d(n: int, p: int) -> RepPlan:
 
 def build_plan(case_tag: str, n: int, p: int) -> RepPlan:
     """Dispatch to the constructor matching the case tag, validating (n, p)."""
+    if prime_power_root(p) != p:
+        raise ConstructionError(f"p={p} is not a prime")
     if case_tag == "a":
         return lambda_a(n, p)
     if case_tag == "b":
@@ -162,16 +165,17 @@ def kernel_witness(case_tag: str, n: int, p: int) -> Tuple[Tuple[int, ...], RepP
     the rotation of the first block.
     """
     plan = build_plan(case_tag, n, p)
+    return kernel_witness_coefficients(plan), plan
+
+
+def kernel_witness_coefficients(plan: RepPlan) -> Tuple[int, ...]:
+    """The coefficient vector of kernel_witness for an already built plan."""
+    case_tag, n, p = plan.case_tag, plan.n, plan.p
     lam = plan.torus_weights
     spec = lam.spec
     coeffs = [0] * len(lam)
     if case_tag == "c":
-        r = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            r += 1
-        big = p ** (r - 1)
+        big = n // p  # p^(r-1), as n = p^r
         # a[1, big+1] + a[big+1, 2*big+1] + ... + a[(p-1)*big+1, 1]
         for t in range(p):
             i = t * big + 1
@@ -187,15 +191,20 @@ def kernel_witness(case_tag: str, n: int, p: int) -> Tuple[Tuple[int, ...], RepP
             coeffs[lam.index(standard_weight(i, j, spec))] += c
     else:
         raise ConstructionError("kernel witness exists only for cases (c) and (d)")
-    return tuple(coeffs), plan
+    return tuple(coeffs)
+
+
+def index_image(g, lam: WeightSet) -> List[int]:
+    """Position in lam of g(lambda), for each lambda of lam in order."""
+    return [lam.index(act(g, w)) for w in lam.elements]
 
 
 def permute_coefficients(g, lam: WeightSet, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
     """Induced action on Z[Lambda]: the basis vector at lambda moves to the
     one at g(lambda)."""
     out = [0] * len(lam)
-    for idx, w in enumerate(lam.elements):
-        out[lam.index(act(g, w))] = coeffs[idx]
+    for c, target in zip(coeffs, index_image(g, lam)):
+        out[target] = c
     return tuple(out)
 
 

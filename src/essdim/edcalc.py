@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import build_plan
+from .lattice import prime_power_root
 
 
 FIELD_HYPOTHESIS = "char(k) != p and k contains a primitive p-th root of unity"
@@ -61,6 +62,8 @@ def ed_value(n: int, p: int) -> EdReport:
     the constructed witness dimension."""
     if n < 1:
         raise EdError("n must be positive")
+    if prime_power_root(p) != p:
+        raise EdError(f"p={p} is not a prime")
     case = detect_case(n, p)
     pe = 1
     while n % (pe * p) == 0:

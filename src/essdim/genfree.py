@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .constructions import RepPlan, dual_basis_weights, permute_coefficients
+from .constructions import RepPlan, dual_basis_weights, index_image
 from .lattice import WeightSet, kernel_generators_mod, spans
 from .permgroup import (
     Perm,
@@ -55,10 +55,9 @@ class GenFreeVerdict:
 
 
 def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
-    members = set(lam.elements)
     for g in group.generators:
         for w in lam.elements:
-            if act(g, w) not in members:
+            if act(g, w) not in lam:
                 raise GenFreeError(
                     f"weight set is not invariant: generator {g.cycle_string()} "
                     f"moves {w.entries} outside the set")
@@ -89,11 +88,11 @@ def kernel_action_faithful(
     witnesses = []
     faithful = True
     for g in elements:
-        moved = None
-        for vec in gens:
-            if permute_coefficients(g, lam, vec) != vec:
-                moved = vec
-                break
+        # g moves vec iff permute_coefficients(g, lam, vec) != vec, that is
+        # iff vec differs somewhere from its value at the image position
+        image = index_image(g, lam)
+        moved = next((vec for vec in gens
+                      if any(vec[i] != vec[j] for i, j in enumerate(image))), None)
         if moved is None:
             faithful = False
         else:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class LatticeError(ValueError):
@@ -91,24 +93,18 @@ class Weight:
             raise LatticeError("mixed lattice specs")
         return Weight.of([a + b for a, b in zip(self.entries, other.entries)], self.spec)
 
-    def __neg__(self) -> "Weight":
-        return Weight.of([-a for a in self.entries], self.spec)
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
     def lift(self) -> Tuple[int, ...]:
         """Integer representative; for zero-sum mod-q weights the last entry
         absorbs the defect so the lift sums to zero exactly."""
-        if not self.modulus_q():
+        if not self.spec.modulus:
             return self.entries
         ent = list(self.entries)
         if self.spec.zero_sum:
             ent[-1] -= sum(ent)
         return tuple(ent)
-
-    def modulus_q(self) -> int:
-        return self.spec.modulus
 
     def reduce(self, q: int) -> "Weight":
         """Entrywise reduction into the mod-q lattice of the same length."""
@@ -124,7 +120,8 @@ class WeightSet:
 
     @classmethod
     def of(cls, weights: Iterable[Weight], spec: Optional[LatticeSpec] = None) -> "WeightSet":
-        ws = sorted(set(weights))
+        # one spec per set, so ordering by entries is the Weight order
+        ws = sorted(set(weights), key=attrgetter("entries"))
         if ws:
             specs = {w.spec for w in ws}
             if len(specs) > 1:
@@ -143,11 +140,30 @@ class WeightSet:
     def __iter__(self) -> Iterator[Weight]:
         return iter(self.elements)
 
+    @cached_property
+    def _positions(self) -> Dict[Weight, int]:
+        return {w: i for i, w in enumerate(self.elements)}
+
     def __contains__(self, w: Weight) -> bool:
-        return w in set(self.elements)
+        return w in self._positions
 
     def index(self, w: Weight) -> int:
-        return self.elements.index(w)
+        try:
+            return self._positions[w]
+        except KeyError:
+            raise ValueError(f"{w.entries} is not in the weight set") from None
+
+    @cached_property
+    def _smith(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+        """The diagonal of the Smith normal form of coordinate_matrix(self),
+        and the columns of its right transform past the rank, which generate
+        the integer kernel.  Computed once, for spans and the kernel."""
+        diag, _, right = smith_normal_form(coordinate_matrix(self))
+        d = diag.diagonal()
+        del right[:sum(1 for x in d if x)]
+        # pop as we copy, so a column is never held twice
+        kernel = [tuple(right.pop()) for _ in range(len(right))]
+        return d, tuple(reversed(kernel))
 
     def reduce(self, q: int) -> "WeightSet":
         return WeightSet.of([w.reduce(q) for w in self.elements])
@@ -174,10 +190,6 @@ class IntegerMatrix:
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls.of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise LatticeError("dimension mismatch in matrix product")
@@ -187,9 +199,6 @@ class IntegerMatrix:
             for i in range(self.rows)
         ]
         return IntegerMatrix.of(grid) if grid else IntegerMatrix(0, other.cols, ())
-
-    def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
 
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -219,13 +228,14 @@ def standard_weight(i: int, j: int, spec: LatticeSpec) -> Weight:
     return Weight.of(ent, spec)
 
 
-def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[List[int]]]:
     """Return (diagonal, left, right) with left*m*right = diagonal,
-    left/right unimodular and non-negative diagonal d1 | d2 | ... ."""
+    left/right unimodular and non-negative diagonal d1 | d2 | ... ;
+    ``right`` is given as the list of its columns."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    right = [[0] * j + [1] + [0] * (cols - j - 1) for j in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -234,8 +244,7 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, I
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in right:
-            r[i], r[j] = r[j], r[i]
+        right[i], right[j] = right[j], right[i]
 
     def add_row(src, dst, f):  # row dst += f * row src
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
@@ -244,8 +253,7 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, I
     def add_col(src, dst, f):
         for r in a:
             r[dst] += f * r[src]
-        for r in right:
-            r[dst] += f * r[src]
+        right[dst] = [x + f * y for x, y in zip(right[dst], right[src])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -253,16 +261,17 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, I
 
     t = 0
     while t < rows and t < cols:
-        # pick smallest nonzero pivot in the remaining block
+        # pivot: the row-major first entry of least nonzero |value| in the block
         piv = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+            size = min(map(abs, filter(None, a[i][t:])), default=0)
+            if size and (piv is None or size < piv[0]):
+                piv = (size, i)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        size, i = piv
+        swap_rows(t, i)
+        swap_cols(t, next(j for j in range(t, cols) if abs(a[t][j]) == size))
         while True:
             dirty = False
             for i in range(t + 1, rows):
@@ -273,37 +282,33 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, I
                         dirty = True
                 elif a[i][t]:
                     add_row(t, i, -(a[i][t] // a[t][t]))
+            row = a[t]
             for j in range(t + 1, cols):
-                if a[t][j] % a[t][t]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
+                if row[j] % row[t]:
+                    add_col(t, j, -(row[j] // row[t]))
+                    if row[j]:
                         swap_cols(t, j)
                         dirty = True
-                elif a[t][j]:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
+                elif row[j]:
+                    add_col(t, j, -(row[j] // row[t]))
             if dirty:
                 continue
             # pivot must divide the rest of the block
+            d = a[t][t]
             offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if abs(d) != 1:
+                offender = next((i for i in range(t + 1, rows)
+                                 if any(map(d.__rmod__, a[i][t + 1:]))), None)
             if offender is None:
                 break
             add_row(offender, t, 1)
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-    # move zero diagonal entries to the end (divisibility then holds)
-    diag = IntegerMatrix.of(a) if rows else IntegerMatrix(0, cols, ())
     return (
-        diag,
-        IntegerMatrix.of(left) if rows else IntegerMatrix(0, 0, ()),
-        IntegerMatrix.of(right) if cols else IntegerMatrix(0, 0, ()),
+        IntegerMatrix(rows, cols, tuple(map(tuple, a))),
+        IntegerMatrix(rows, rows, tuple(map(tuple, left))),
+        right,
     )
 
 
@@ -335,8 +340,7 @@ def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
         q = lam.spec.modulus
         for i in range(rank):
             cols.append(tuple(q if j == i else 0 for j in range(rank)))
-    grid = [[c[i] for c in cols] for i in range(rank)]
-    return IntegerMatrix.of(grid) if rank else IntegerMatrix(0, len(cols), ())
+    return IntegerMatrix(rank, len(cols), tuple(zip(*cols)) if cols else ((),) * rank)
 
 
 def spans(lam: WeightSet) -> bool:
@@ -346,9 +350,7 @@ def spans(lam: WeightSet) -> bool:
         return True
     if not lam.elements and not lam.spec.modulus:
         return False
-    mat = coordinate_matrix(lam)
-    diag, _, _ = smith_normal_form(mat)
-    d = diag.diagonal()
+    d = lam._smith[0]
     return len(d) == rank and all(x == 1 for x in d)
 
 
@@ -356,13 +358,7 @@ def kernel_basis(lam: WeightSet) -> KernelDescription:
     """Integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} (modulus 0)."""
     if lam.spec.modulus:
         raise LatticeError("kernel_basis requires modulus 0; see kernel_generators_mod")
-    s = len(lam)
-    mat = coordinate_matrix(lam)
-    diag, _, right = smith_normal_form(mat)
-    d = diag.diagonal()
-    r = sum(1 for x in d if x != 0)
-    basis = tuple(right.column(j) for j in range(r, s))
-    return KernelDescription(basis)
+    return KernelDescription(lam._smith[1])
 
 
 def kernel_generators_mod(lam: WeightSet) -> KernelDescription:
@@ -375,11 +371,8 @@ def kernel_generators_mod(lam: WeightSet) -> KernelDescription:
     if not q:
         return kernel_basis(lam)
     s = len(lam)
-    mat = coordinate_matrix(lam)  # already has q*I columns appended
-    diag, _, right = smith_normal_form(mat)
-    d = diag.diagonal()
-    r = sum(1 for x in d if x != 0)
-    gens = [right.column(j)[:s] for j in range(r, mat.cols)]
+    # the columns of coordinate_matrix past s are the appended q*I
+    gens = [col[:s] for col in lam._smith[1]]
     # q * e_i always lies in the kernel; make sure generation is not lost to
     # projection by including them explicitly.
     for i in range(s):

@@ -9,9 +9,11 @@ the recursive wreath structure uses consecutive sub-blocks of size p^(r-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .lattice import Weight, WeightSet
+from .lattice import Weight, WeightSet, prime_power_root
 
 
 class PermError(ValueError):
@@ -64,6 +66,14 @@ class Perm:
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
+
+    @cached_property
+    def gather(self) -> Callable[[Sequence], tuple]:
+        """Map a length-n sequence to the tuple with its i-th entry at
+        position self(i), by indexing through the inverse."""
+        if self.n < 2:
+            return tuple
+        return itemgetter(*(i - 1 for i in self.inverse().images))
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Composition: (self * other)(i) = self(other(i))."""
@@ -121,12 +131,6 @@ class BlockStructure:
     digits: Tuple[Tuple[int, int], ...]  # (multiplicity n_i, exponent e_i), e_i >= 1
     blocks: Tuple[Tuple[int, int], ...]  # inclusive 1-based intervals, increasing size
     fixed_points: int  # count of leading positions fixed by the whole group
-
-    def block_of(self, pos: int) -> Optional[int]:
-        for idx, (lo, hi) in enumerate(self.blocks):
-            if lo <= pos <= hi:
-                return idx
-        return None
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,8 @@ def sylow_subgroup(n: int, p: int) -> PermGroupSpec:
     wreath products, one per base-p digit unit of n."""
     if n < 1:
         raise PermError("n must be positive")
+    if prime_power_root(p) != p:
+        raise PermError(f"p={p} is not a prime")
     fixed, digits = p_adic_digits(n, p)
     blocks: List[Tuple[int, int]] = []
     pos = fixed
@@ -229,19 +235,16 @@ def act(g: Perm, w: Weight) -> Weight:
     """Permute entries: the image has w's i-th entry at position g(i)."""
     if g.n != w.spec.n:
         raise PermError(f"degree {g.n} vs lattice length {w.spec.n}")
-    ent = [0] * g.n
-    for i in range(1, g.n + 1):
-        ent[g(i) - 1] = w.entries[i - 1]
-    return Weight.of(ent, w.spec)
+    return Weight(g.gather(w.entries), w.spec)  # a permuted valid weight is valid
 
 
 def orbit(group: PermGroupSpec, w: Weight) -> WeightSet:
-    """Closure of {w} under the generators (breadth-first, sorted frontier)."""
+    """Closure of {w} under the generators (breadth-first)."""
     seen = {w}
     frontier = [w]
     while frontier:
         nxt = []
-        for x in sorted(frontier):
+        for x in frontier:
             for g in group.generators:
                 y = act(g, x)
                 if y not in seen:
@@ -272,7 +275,6 @@ def center_order_p_elements(group: PermGroupSpec) -> Tuple[Perm, ...]:
         raise PermError("group has fixed points; center elements require p | n")
     rotations = [_block_rotation(b, st.p, st.n) for b in st.blocks]
     out: List[Perm] = []
-    exps = [0] * len(rotations)
     total = st.p ** len(rotations)
     for code in range(1, total):
         c = code

@@ -53,6 +53,60 @@ class TestCheckGenfree:
         assert json.loads(out)["overall"] is True
 
 
+# Full check-genfree --json payloads recorded before the Smith normal form kept
+# its right transform as columns: they pin the SNF pivot order, which picks the
+# kernel generators, and the first moved generator reported for each element.
+PINNED_GENFREE = {
+    ("--case", "c", "--r", "3", "--p", "2"): {
+        "case": "c", "detail": "", "kernel_faithful": True, "method": "center-reduction",
+        "n": 8, "overall": True, "p": 2, "spans_ok": True,
+        "explicit_kernel_witness": [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                    0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+        "witnesses": [
+            {"element": "(1 2)(3 4)(5 6)(7 8)",
+             "kernel_vector": [-1, 0, 1, 0, 1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                               0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]},
+        ],
+    },
+    ("--case", "c", "--r", "2", "--p", "3"): {
+        "case": "c", "detail": "", "kernel_faithful": True, "method": "center-reduction",
+        "n": 9, "overall": True, "p": 3, "spans_ok": True,
+        "explicit_kernel_witness": [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+                                    0, 0, 0, 0, 0, 1, 0, 0],
+        "witnesses": [
+            {"element": element,
+             "kernel_vector": [1, 0, -1, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                               0, 0, 0, 0, 0, 0, 0, 0]}
+            for element in ("(1 2 3)(4 5 6)(7 8 9)", "(1 3 2)(4 6 5)(7 9 8)")
+        ],
+    },
+    ("--case", "d", "--n", "12", "--p", "3"): {
+        "case": "d", "detail": "", "kernel_faithful": True, "method": "center-reduction",
+        "n": 12, "overall": True, "p": 3, "spans_ok": True,
+        "explicit_kernel_witness": [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 1,
+                                    -1, 0, 0, 0, 0, 0, 0, 0],
+        "witnesses": [
+            {"element": element,
+             "kernel_vector": [0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0,
+                               0, 0, 0, 0, 0, 0, 0, 0]}
+            for element in ("(4 5 6)(7 8 9)(10 11 12)", "(4 6 5)(7 9 8)(10 12 11)",
+                            "(1 2 3)", "(1 2 3)(4 5 6)(7 8 9)(10 11 12)",
+                            "(1 2 3)(4 6 5)(7 9 8)(10 12 11)", "(1 3 2)",
+                            "(1 3 2)(4 5 6)(7 8 9)(10 11 12)",
+                            "(1 3 2)(4 6 5)(7 9 8)(10 12 11)")
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_GENFREE))
+def test_check_genfree_payload_pinned(capsys, args):
+    code, out, _ = run(capsys, "check-genfree", *args, "--json")
+    assert code == 0
+    expected = json.dumps(PINNED_GENFREE[args], sort_keys=True, separators=(", ", ": "))
+    assert out == expected + "\n"
+
+
 class TestOrbit:
     def test_orbit_json(self, capsys):
         code, out, _ = run(capsys, "orbit", "--n", "4", "--p", "2",
@@ -152,9 +206,17 @@ class TestUsageErrors:
         ("verify", "--prop", "7.2", "--p", "1", "--r", "2"),
         ("verify", "--lemma", "8.2", "--p", "1", "--n", "6"),
         ("verify", "--prop", "7.2", "--p", "0", "--r", "2"),
+        ("ed", "--n", "12", "--p", "1"),
+        ("ed", "--n", "12", "--p", "0"),
+        ("ed", "--n", "12", "--p", "-2"),
+        ("ed", "--n", "12", "--p", "4"),
+        ("construct", "--case", "d", "--n", "12", "--p", "0"),
+        ("orbit", "--n", "4", "--p", "0", "--weight", "1,-1,0,0"),
+        ("check-genfree", "--case", "c", "--r", "2", "--p", "4"),
     ])
     def test_non_prime_p_rejected(self, argv):
-        # in a subprocess with a timeout: p = 1 used to loop forever
+        # in a subprocess with a timeout: p = 1 used to loop forever, p = 0
+        # and p = -2 raised tracebacks, and p = 4 gave a meaningless verdict
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))

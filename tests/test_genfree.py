@@ -15,8 +15,14 @@ from essdim.genfree import (
     check_lemma34,
     kernel_action_faithful,
 )
-from essdim.lattice import LatticeSpec, WeightSet, standard_weight
-from essdim.permgroup import orbit, symmetric_group, sylow_subgroup
+from essdim.lattice import LatticeSpec, WeightSet, kernel_generators_mod, standard_weight
+from essdim.permgroup import (
+    center_order_p_elements,
+    enumerate_elements,
+    orbit,
+    symmetric_group,
+    sylow_subgroup,
+)
 
 
 def random_invariant_set(rng, group, spec, max_orbits=3):
@@ -109,6 +115,28 @@ class TestOracleAgreement:
             assert method_slow == "full-enumeration"
             assert fast == slow, (n, p, lam.to_json())
             checked += 1
+
+    def test_witnesses_match_per_vector_definition(self):
+        # the first kernel generator g moves, by permute_coefficients, for
+        # each tested element, over Z and over Z/q
+        rng = random.Random(20240819)
+        cases = [(4, 2, 0), (6, 2, 0), (3, 3, 0), (6, 3, 0), (4, 2, 4), (6, 2, 2), (3, 3, 9)]
+        for _ in range(40):
+            n, p, q = rng.choice(cases)
+            group = sylow_subgroup(n, p)
+            lam = random_invariant_set(rng, group, LatticeSpec(n, q))
+            gens = kernel_generators_mod(lam).basis
+            for method, elements in [
+                    ("center-reduction", center_order_p_elements(group)),
+                    ("full-enumeration",
+                     [g for g in enumerate_elements(group, 10_000) if not g.is_identity()])]:
+                moved = [next((v for v in gens if permute_coefficients(g, lam, v) != v), None)
+                         for g in elements]
+                expected = tuple((g.cycle_string(), v)
+                                 for g, v in zip(elements, moved) if v is not None)
+                faithful, _, witnesses = kernel_action_faithful(lam, group, method)
+                assert faithful == (None not in moved)
+                assert witnesses == expected, (n, p, q, method, lam.to_json())
 
     def test_explicit_witness_consistent_with_verdict(self):
         # the hand-built kernel vector is itself moved by some tested element

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from essdim.constructions import build_plan
 from essdim.lattice import (
     IntegerMatrix,
     LatticeError,
@@ -23,6 +24,11 @@ from essdim.lattice import (
 
 def chain_basis(spec):
     return [standard_weight(i, i + 1, spec) for i in range(1, spec.n)]
+
+
+def from_columns(columns):
+    """The matrix whose columns are given, as smith_normal_form returns right."""
+    return IntegerMatrix.of([list(row) for row in zip(*columns)])
 
 
 class TestStandardWeight:
@@ -60,7 +66,7 @@ class TestSmithNormalForm:
         m = IntegerMatrix.of([[2, 0], [0, 3]])
         d, left, right = smith_normal_form(m)
         assert d.diagonal() == (1, 6)
-        assert (left @ m @ right).entries == d.entries
+        assert (left @ m @ from_columns(right)).entries == d.entries
 
     def test_zero_matrix(self):
         d, _, _ = smith_normal_form(IntegerMatrix.of([[0, 0, 0], [0, 0, 0]]))
@@ -74,7 +80,7 @@ class TestSmithNormalForm:
             m = IntegerMatrix.of(
                 [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
             d, left, right = smith_normal_form(m)
-            assert (left @ m @ right).entries == d.entries
+            assert (left @ m @ from_columns(right)).entries == d.entries
             diag = [x for x in d.diagonal()]
             assert all(x >= 0 for x in diag)
             nz = [x for x in diag if x]
@@ -85,6 +91,34 @@ class TestSmithNormalForm:
                 for j in range(d.cols):
                     if i != j:
                         assert d.entries[i][j] == 0
+
+
+class TestSmithNormalFormOracle:
+    """Our SNF against sympy's, which is installed for the tests only."""
+
+    @staticmethod
+    def check(m):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+        d, left, right = smith_normal_form(m)
+        ref = sympy_snf(sympy.Matrix([list(r) for r in m.entries]), domain=sympy.ZZ)
+        assert d.diagonal() == tuple(abs(ref[i, i]) for i in range(min(m.rows, m.cols)))
+        right = from_columns(right)
+        assert (left @ m @ right).entries == d.entries
+        for t in (left, right):
+            assert abs(sympy.Matrix([list(r) for r in t.entries]).det()) == 1
+
+    def test_random_matrices(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            self.check(IntegerMatrix.of(
+                [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]))
+
+    def test_witness_coordinate_matrices(self):
+        for case, n, p in [("c", 4, 2), ("c", 9, 3), ("c", 8, 2),
+                           ("d", 6, 2), ("d", 12, 2), ("d", 12, 3)]:
+            self.check(coordinate_matrix(build_plan(case, n, p).torus_weights))
 
 
 class TestSpans:
