@@ -17,13 +17,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import (
     LatticeSpec,
-    Weight,
     WeightSet,
     basis_coordinates,
     echelon_mod_p,
     in_p_multiple,
     prime_power_root,
     spans,
+    vp,
 )
 from .permgroup import PermGroupSpec, act, orbit, sylow_subgroup
 
@@ -54,16 +54,17 @@ class SearchResult:
         }
 
 
-def sigma_map(w: Weight, p: int) -> Weight:
-    """Block-sum homomorphism: entry i of the image is the sum of w's entries
-    over the i-th consecutive p-run."""
-    n = w.spec.n
+def sigma_map(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> Tuple[int, ...]:
+    """Block-sum homomorphism from spec to the lattice of length n/p with
+    the same modulus: entry i of the image is the sum of w's entries over
+    the i-th consecutive p-run."""
+    n = spec.n
     if n % p != 0:
         raise BoundsError(f"p={p} does not divide n={n}")
     sums = [
-        sum(w.entries[(i - 1) * p: i * p]) for i in range(1, n // p + 1)
+        sum(w[(i - 1) * p: i * p]) for i in range(1, n // p + 1)
     ]
-    return Weight.of(sums, LatticeSpec(n // p, w.spec.modulus, w.spec.zero_sum))
+    return LatticeSpec(n // p, spec.modulus, spec.zero_sum).weight(sums)
 
 
 def nakayama_filter(lam: WeightSet, p: int) -> WeightSet:
@@ -74,7 +75,7 @@ def nakayama_filter(lam: WeightSet, p: int) -> WeightSet:
     if not spans(lam):
         raise BoundsError("input set does not generate the lattice")
     kept = WeightSet.of(
-        [w for w in lam.elements if not in_p_multiple(w, p)], lam.spec)
+        [w for w in lam.elements if not in_p_multiple(w, p, lam.spec)], lam.spec)
     assert spans(kept), "Nakayama filtering lost generation"
     return kept
 
@@ -82,11 +83,12 @@ def nakayama_filter(lam: WeightSet, p: int) -> WeightSet:
 def fiber_check(lam: WeightSet, p: int) -> dict:
     """Count preimages in Lambda over each non-p-multiple block-sum image;
     the fiber-counting argument needs every count >= p^2."""
-    images: Dict[Weight, int] = {}
+    images: Dict[Tuple[int, ...], int] = {}
     for w in lam.elements:
-        s = sigma_map(w, p)
+        s = sigma_map(w, p, lam.spec)
         images[s] = images.get(s, 0) + 1
-    tested = {s: c for s, c in images.items() if not in_p_multiple(s, p)}
+    # in_p_multiple reads only the modulus, which sigma_map keeps
+    tested = {s: c for s, c in images.items() if not in_p_multiple(s, p, lam.spec)}
     if not tested:
         return {
             "tested_fibers": 0,
@@ -95,17 +97,17 @@ def fiber_check(lam: WeightSet, p: int) -> dict:
             "violation": False,
             "note": "no fibers tested: every block-sum image lies in p*X",
         }
-    smin = min(tested, key=lambda s: (tested[s], s.entries))
+    smin = min(tested, key=lambda s: (tested[s], s))
     return {
         "tested_fibers": len(tested),
         "minimum_count": tested[smin],
-        "attained_at": list(smin.entries),
+        "attained_at": list(smin),
         "violation": tested[smin] < p * p,
         "required": p * p,
     }
 
 
-def lattice_elements(spec: LatticeSpec) -> List[Weight]:
+def lattice_elements(spec: LatticeSpec) -> List[Tuple[int, ...]]:
     """All q^(n-1) elements of the zero-sum mod-q lattice, lexicographic."""
     q = spec.modulus
     if not q:
@@ -113,7 +115,7 @@ def lattice_elements(spec: LatticeSpec) -> List[Weight]:
     out = []
     for head in itertools.product(range(q), repeat=spec.n - 1):
         last = (-sum(head)) % q
-        out.append(Weight.of(list(head) + [last], spec))
+        out.append(head + (last,))
     return out
 
 
@@ -125,7 +127,7 @@ def orbit_decomposition(group: PermGroupSpec, spec: LatticeSpec) -> List[WeightS
     # element of its orbit
     for w in lattice_elements(spec):
         if w not in seen:
-            orb = orbit(group, w)
+            orb = orbit(group, w, spec)
             orbits.append(orb)
             seen.update(orb.elements)
     orbits.sort(key=lambda o: (len(o), o.elements))
@@ -180,17 +182,18 @@ def min_invariant_generating_size(
         raise BoundsError(f"p={p} is not a prime")
     if prime_power_root(q) != p:
         raise BoundsError(f"q={q} is not a power of p={p}")
-    if q ** (n - 1) > 2 ** 20:
-        raise BoundsError(f"search space q^(n-1) = {q ** (n - 1)} too large")
+    # q >= 2, so n - 1 > 20 alone means too large; test it before the power
+    if n - 1 > 20 or q ** (n - 1) > 2 ** 20:
+        raise BoundsError(f"search space q^(n-1) = {q}^{n - 1} too large")
     start = time.perf_counter()
     spec = LatticeSpec(n, q)
     if group is None:
         group = sylow_subgroup(n, p)
     orbits = [o for o in orbit_decomposition(group, spec)
-              if not (len(o) == 1 and o.elements[0].is_zero())]
+              if not (len(o) == 1 and not any(o.elements[0]))]
     target = spec.rank
     sizes = [len(o) for o in orbits]
-    orbit_spans = [echelon_mod_p((basis_coordinates(w) for w in o), p) for o in orbits]
+    orbit_spans = [echelon_mod_p((basis_coordinates(w, spec) for w in o), p) for o in orbits]
     # suffix[i]: F_p span of orbits i, i+1, ...; full spans are shared
     suffix = [{}]
     for span in reversed(orbit_spans):
@@ -253,7 +256,7 @@ def naive_min_invariant_generating_size(
     if group is None:
         group = sylow_subgroup(n, p)
     orbits = [o for o in orbit_decomposition(group, spec)
-              if not (len(o) == 1 and o.elements[0].is_zero())]
+              if not (len(o) == 1 and not any(o.elements[0]))]
     if len(orbits) > 20:
         raise BoundsError(f"naive enumeration infeasible: {len(orbits)} orbits")
     best = None
@@ -299,18 +302,9 @@ def predicted_bound(n: int, p: int, q: int) -> dict:
     """The applicable published lower bound and its hypothesis status."""
     if prime_power_root(p) != p:
         raise BoundsError(f"p={p} is not a prime")
-    e_q = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e_q += 1
-    r = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        r += 1
-    is_p_power = m == 1 and r >= 1
-    if is_p_power:
+    e_q = vp(q, p)
+    r = vp(n, p)
+    if n == p ** r and r >= 1:
         bound = p ** (2 * r - 1)
         source = "p-power bound (minimal invariant generating sets in X_{p^r})"
         within = e_q >= (2 if p == 2 else 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -27,7 +28,7 @@ from .bounds import (
 from .constructions import build_plan, kernel_witness_coefficients
 from .edcalc import ed_value
 from .genfree import check_lemma32, check_lemma34
-from .lattice import LatticeSpec, Weight
+from .lattice import LatticeSpec, vp
 from .permgroup import act, orbit as orbit_of, sylow_subgroup
 
 EXIT_OK = 0
@@ -49,7 +50,7 @@ def cmd_construct(args) -> int:
         print(f"case ({plan.case_tag}), n={plan.n}, p={plan.p}")
         print(f"Lambda ({len(plan.torus_weights)} weights):")
         for w in plan.torus_weights:
-            print("  " + str(list(w.entries)))
+            print("  " + str(list(w)))
         for dim, desc in plan.extra_summands:
             print(f"extra summand: dim {dim} ({desc})")
         print(f"total dimension: {plan.total_dimension}")
@@ -93,30 +94,36 @@ def cmd_check_genfree(args) -> int:
 def cmd_orbit(args) -> int:
     spec = LatticeSpec(args.n, args.q)
     entries = [int(t) for t in args.weight.replace(",", " ").split()]
-    w = Weight.of(entries, spec)
+    w = spec.weight(entries)
     group = sylow_subgroup(args.n, args.p)
-    orb = orbit_of(group, w)
+    orb = orbit_of(group, w, spec)
     payload = {
         "n": args.n,
         "p": args.p,
         "q": args.q,
-        "seed": list(w.entries),
+        "seed": list(w),
         "size": len(orb),
         "orbit": orb.to_json(),
     }
     if args.json:
         emit_json(payload)
     else:
-        print(f"orbit of {list(w.entries)} under the Sylow {args.p}-subgroup of S_{args.n}: "
+        print(f"orbit of {list(w)} under the Sylow {args.p}-subgroup of S_{args.n}: "
               f"{len(orb)} elements")
         for x in orb:
-            print("  " + str(list(x.entries)))
+            print("  " + str(list(x)))
     return EXIT_OK
+
+
+def _node_budget(args) -> int:
+    if not math.isfinite(args.budget):
+        raise SystemExit(f"--budget must be a finite number of nodes, got {args.budget}")
+    return int(args.budget)
 
 
 def cmd_search_min(args) -> int:
     try:
-        result = min_invariant_generating_size(args.n, args.p, args.q, budget=int(args.budget))
+        result = min_invariant_generating_size(args.n, args.p, args.q, budget=_node_budget(args))
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -137,7 +144,7 @@ def cmd_search_min(args) -> int:
             print(f"  note: {info['note']}")
         print("  witness:")
         for w in result.witness:
-            print("    " + str(list(w.entries)))
+            print("    " + str(list(w)))
     return EXIT_OK
 
 
@@ -159,7 +166,7 @@ def cmd_verify(args) -> int:
     else:
         raise SystemExit("verify needs --prop or --lemma")
     try:
-        report = verify_lower_bound(n, args.p, q, budget=int(args.budget))
+        report = verify_lower_bound(n, args.p, q, budget=_node_budget(args))
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -209,9 +216,7 @@ def _reproduce_rows(profile: str):
             "witness-size-c", {"p": p, "r": r},
             lambda p=p, r=r: len(build_plan("c", p ** r, p).torus_weights) == p ** (2 * r - 1)))
     for n, p in [(6, 2), (12, 2), (10, 2), (12, 3)]:
-        pe = 1
-        while n % (pe * p) == 0:
-            pe *= p
+        pe = p ** vp(n, p)
         rows.append((
             "witness-size-d", {"n": n, "p": p},
             lambda n=n, p=p, pe=pe: len(build_plan("d", n, p).torus_weights) == pe * (n - pe)))

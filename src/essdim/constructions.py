@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .lattice import (
-    LatticeSpec, Weight, WeightSet, prime_power_root, standard_weight, zero_weight)
+from .lattice import LatticeSpec, WeightSet, prime_power_root, standard_weight, vp
 from .permgroup import act, orbit, p_adic_digits, sylow_subgroup
 
 
@@ -86,7 +85,7 @@ def dual_basis_weights(m: int, p: int) -> WeightSet:
     for i in range(m):
         ent = [0] * m
         ent[i] = 1
-        units.append(Weight.of(ent, spec))
+        units.append(spec.weight(ent))
     return WeightSet.of(units, spec)
 
 
@@ -110,7 +109,7 @@ def lambda_c(p: int, r: int) -> RepPlan:
     spec = LatticeSpec(n)
     group = sylow_subgroup(n, p)
     seed = standard_weight(1, p ** (r - 1) + 1, spec)
-    weights = orbit(group, seed)
+    weights = orbit(group, seed, spec)
     return RepPlan("c", n, p, weights, (), len(weights))
 
 
@@ -128,7 +127,7 @@ def lambda_d(n: int, p: int) -> RepPlan:
     blocks = group.structure.blocks
     accum: set = set()
     for lo, _hi in blocks[1:]:
-        accum.update(orbit(group, standard_weight(1, lo, spec)))
+        accum.update(orbit(group, standard_weight(1, lo, spec), spec))
     weights = WeightSet.of(accum, spec)
     return RepPlan("d", n, p, weights, (), len(weights))
 
@@ -144,12 +143,8 @@ def build_plan(case_tag: str, n: int, p: int) -> RepPlan:
             raise ConstructionError("case (b) needs n = p")
         return lambda_b(p)
     if case_tag == "c":
-        r = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            r += 1
-        if m != 1 or r < 2:
+        r = vp(n, p)
+        if n != p ** r or r < 2:
             raise ConstructionError("case (c) needs n = p^r with r >= 2")
         return lambda_c(p, r)
     if case_tag == "d":
@@ -208,11 +203,10 @@ def permute_coefficients(g, lam: WeightSet, coeffs: Tuple[int, ...]) -> Tuple[in
     return tuple(out)
 
 
-def phi_image(lam: WeightSet, coeffs: Tuple[int, ...]) -> Weight:
+def phi_image(lam: WeightSet, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
     """phi: Z[Lambda] -> X, sum of coeff * weight."""
-    acc = zero_weight(lam.spec)
+    acc = [0] * lam.spec.n
     for c, w in zip(coeffs, lam.elements):
         if c:
-            scaled = Weight.of([c * e for e in w.entries], lam.spec)
-            acc = acc + scaled
-    return acc
+            acc = [a + c * e for a, e in zip(acc, w)]
+    return lam.spec.weight(acc)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import build_plan
-from .lattice import prime_power_root
+from .lattice import prime_power_root, vp
 
 
 FIELD_HYPOTHESIS = "char(k) != p and k contains a primitive p-th root of unity"
@@ -49,12 +49,7 @@ def detect_case(n: int, p: int) -> str:
         return "a"
     if n == p:
         return "b"
-    m = n
-    r = 0
-    while m % p == 0:
-        m //= p
-        r += 1
-    return "c" if m == 1 else "d"
+    return "c" if n == p ** vp(n, p) else "d"
 
 
 def ed_value(n: int, p: int) -> EdReport:
@@ -65,9 +60,7 @@ def ed_value(n: int, p: int) -> EdReport:
     if prime_power_root(p) != p:
         raise EdError(f"p={p} is not a prime")
     case = detect_case(n, p)
-    pe = 1
-    while n % (pe * p) == 0:
-        pe *= p
+    pe = p ** vp(n, p)
     if case == "a":
         value = n // p
     elif case == "b":

@@ -60,12 +60,20 @@ def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
             if act(g, w) not in lam:
                 raise GenFreeError(
                     f"weight set is not invariant: generator {g.cycle_string()} "
-                    f"moves {w.entries} outside the set")
+                    f"moves {w} outside the set")
 
 
-def _test_elements(group: PermGroupSpec) -> Tuple[str, Tuple[Perm, ...]]:
-    if group.is_p_group and group.structure is not None and group.structure.fixed_points == 0:
-        return "center-reduction", center_order_p_elements(group)
+def _test_elements(group: PermGroupSpec, method: Optional[str]) -> Tuple[str, Tuple[Perm, ...]]:
+    """The method and the elements it tests; without a method, center
+    reduction wherever it applies."""
+    if method is None:
+        st = group.structure
+        applies = group.is_p_group and st is not None and st.fixed_points == 0
+        method = "center-reduction" if applies else "full-enumeration"
+    if method == "center-reduction":
+        if not group.is_p_group:
+            raise GenFreeError("center-reduction is only valid for p-groups")
+        return method, center_order_p_elements(group)
     elements = enumerate_elements(group, FULL_ENUMERATION_CAP)
     return "full-enumeration", tuple(g for g in elements if not g.is_identity())
 
@@ -75,16 +83,8 @@ def kernel_action_faithful(
 ) -> Tuple[bool, str, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
     """Decide whether the group acts faithfully on Ker(phi), returning one
     moved kernel generator per tested element as witness."""
-    if method == "full-enumeration":
-        elements = tuple(
-            g for g in enumerate_elements(group, FULL_ENUMERATION_CAP) if not g.is_identity())
-    elif method == "center-reduction":
-        if not group.is_p_group:
-            raise GenFreeError("center-reduction is only valid for p-groups")
-        elements = center_order_p_elements(group)
-    else:
-        method, elements = _test_elements(group)
-    gens = kernel_generators_mod(lam).basis
+    method, elements = _test_elements(group, method)
+    gens = kernel_generators_mod(lam)
     witnesses = []
     faithful = True
     for g in elements:

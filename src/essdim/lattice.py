@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -39,6 +38,17 @@ def prime_power_root(q: int) -> Optional[int]:
     return p
 
 
+def vp(n: int, p: int) -> int:
+    """The p-adic valuation of n: the largest e with p^e dividing n."""
+    if n == 0:
+        raise LatticeError("the p-adic valuation of 0 is infinite")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Ambient length n plus coefficient modulus (0 = integers, q = p^e)."""
@@ -63,95 +73,53 @@ class LatticeSpec:
     def rank(self) -> int:
         return self.n - 1 if self.zero_sum else self.n
 
-
-@dataclass(frozen=True, order=True)
-class Weight:
-    """Element of the character lattice: length-n integer vector.
-
-    Entries sum to zero (modulus 0) or to 0 mod q, and are stored reduced to
-    [0, q) when a modulus is present, so equality and hashing are canonical.
-    """
-
-    entries: Tuple[int, ...]
-    spec: LatticeSpec
-
-    @classmethod
-    def of(cls, entries: Sequence[int], spec: LatticeSpec) -> "Weight":
+    def weight(self, entries: Iterable[int]) -> Tuple[int, ...]:
+        """Check entries as an element of this lattice and return them as a
+        tuple, reduced to [0, q) when a modulus is present, so equality and
+        hashing are canonical."""
         entries = tuple(int(e) for e in entries)
-        if len(entries) != spec.n:
-            raise LatticeError(f"expected {spec.n} entries, got {len(entries)}")
-        if spec.modulus:
-            entries = tuple(e % spec.modulus for e in entries)
-            if spec.zero_sum and sum(entries) % spec.modulus != 0:
-                raise LatticeError(f"entries {entries} do not sum to 0 mod {spec.modulus}")
-        elif spec.zero_sum and sum(entries) != 0:
+        if len(entries) != self.n:
+            raise LatticeError(f"expected {self.n} entries, got {len(entries)}")
+        if self.modulus:
+            entries = tuple(e % self.modulus for e in entries)
+            if self.zero_sum and sum(entries) % self.modulus != 0:
+                raise LatticeError(f"entries {entries} do not sum to 0 mod {self.modulus}")
+        elif self.zero_sum and sum(entries) != 0:
             raise LatticeError(f"entries {entries} do not sum to 0")
-        return cls(entries, spec)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        if self.spec != other.spec:
-            raise LatticeError("mixed lattice specs")
-        return Weight.of([a + b for a, b in zip(self.entries, other.entries)], self.spec)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def lift(self) -> Tuple[int, ...]:
-        """Integer representative; for zero-sum mod-q weights the last entry
-        absorbs the defect so the lift sums to zero exactly."""
-        if not self.spec.modulus:
-            return self.entries
-        ent = list(self.entries)
-        if self.spec.zero_sum:
-            ent[-1] -= sum(ent)
-        return tuple(ent)
-
-    def reduce(self, q: int) -> "Weight":
-        """Entrywise reduction into the mod-q lattice of the same length."""
-        return Weight.of(self.entries, LatticeSpec(self.spec.n, q, self.spec.zero_sum))
+        return entries
 
 
 @dataclass(frozen=True)
 class WeightSet:
-    """Deduplicated, canonically sorted collection of weights over one spec."""
+    """Deduplicated, sorted collection of weights of the lattice ``spec``.
 
-    elements: Tuple[Weight, ...]
+    A weight is a tuple of ints in the form LatticeSpec.weight returns."""
+
+    elements: Tuple[Tuple[int, ...], ...]
     spec: LatticeSpec
 
     @classmethod
-    def of(cls, weights: Iterable[Weight], spec: Optional[LatticeSpec] = None) -> "WeightSet":
-        # one spec per set, so ordering by entries is the Weight order
-        ws = sorted(set(weights), key=attrgetter("entries"))
-        if ws:
-            specs = {w.spec for w in ws}
-            if len(specs) > 1:
-                raise LatticeError("mixed lattice specs in weight set")
-            found = next(iter(specs))
-            if spec is not None and spec != found:
-                raise LatticeError("weight set spec mismatch")
-            spec = found
-        elif spec is None:
-            raise LatticeError("empty weight set needs an explicit spec")
-        return cls(tuple(ws), spec)
+    def of(cls, weights: Iterable[Tuple[int, ...]], spec: LatticeSpec) -> "WeightSet":
+        return cls(tuple(sorted(set(weights))), spec)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self) -> Iterator[Weight]:
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self.elements)
 
     @cached_property
-    def _positions(self) -> Dict[Weight, int]:
+    def _positions(self) -> Dict[Tuple[int, ...], int]:
         return {w: i for i, w in enumerate(self.elements)}
 
-    def __contains__(self, w: Weight) -> bool:
+    def __contains__(self, w: Tuple[int, ...]) -> bool:
         return w in self._positions
 
-    def index(self, w: Weight) -> int:
+    def index(self, w: Tuple[int, ...]) -> int:
         try:
             return self._positions[w]
         except KeyError:
-            raise ValueError(f"{w.entries} is not in the weight set") from None
+            raise ValueError(f"{w} is not in the weight set") from None
 
     @cached_property
     def _smith(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
@@ -166,10 +134,12 @@ class WeightSet:
         return d, tuple(reversed(kernel))
 
     def reduce(self, q: int) -> "WeightSet":
-        return WeightSet.of([w.reduce(q) for w in self.elements])
+        """Entrywise reduction into the mod-q lattice of the same length."""
+        spec = LatticeSpec(self.spec.n, q, self.spec.zero_sum)
+        return WeightSet.of(map(spec.weight, self.elements), spec)
 
     def to_json(self) -> list:
-        return [list(w.entries) for w in self.elements]
+        return [list(w) for w in self.elements]
 
 
 @dataclass(frozen=True)
@@ -204,19 +174,7 @@ class IntegerMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
-class KernelDescription:
-    """Integer generators of Ker(phi: Z[Lambda] -> X), indexed by the
-    canonical order of Lambda."""
-
-    basis: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-
-def standard_weight(i: int, j: int, spec: LatticeSpec) -> Weight:
+def standard_weight(i: int, j: int, spec: LatticeSpec) -> Tuple[int, ...]:
     """The weight a[i,j]: +1 at position i, -1 at position j (1-based)."""
     if not (1 <= i <= spec.n and 1 <= j <= spec.n):
         raise LatticeError(f"index out of range for n={spec.n}: ({i}, {j})")
@@ -225,7 +183,7 @@ def standard_weight(i: int, j: int, spec: LatticeSpec) -> Weight:
     ent = [0] * spec.n
     ent[i - 1] = 1
     ent[j - 1] = -1
-    return Weight.of(ent, spec)
+    return spec.weight(ent)
 
 
 def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[List[int]]]:
@@ -312,19 +270,20 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, L
     )
 
 
-def basis_coordinates(w: Weight) -> Tuple[int, ...]:
-    """Coordinates of an (exactly lifted) weight in the canonical chart.
+def basis_coordinates(w: Tuple[int, ...], spec: LatticeSpec) -> Tuple[int, ...]:
+    """Coordinates of a weight of ``spec`` in the canonical chart, over Z.
 
     Zero-sum lattices use the basis a[1,2], ..., a[n-1,n]; the coordinate
-    vector is the prefix-sum sequence of the lifted entries.  Full lattices
-    use the standard basis, i.e. the entries themselves.
+    vector is the prefix-sum sequence of the entries without the last, so
+    a mod-q weight gets the coordinates of its lift that sums to zero
+    exactly.  Full lattices use the standard basis, i.e. the entries
+    themselves.
     """
-    ent = w.lift()
-    if not w.spec.zero_sum:
-        return ent
+    if not spec.zero_sum:
+        return w
     coords = []
     acc = 0
-    for e in ent[:-1]:
+    for e in w[:-1]:
         acc += e
         coords.append(acc)
     return tuple(coords)
@@ -335,7 +294,7 @@ def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
     elements of Lambda, lifted to Z; mod-q sets get q times each basis vector
     appended so integer surjectivity matches surjectivity over Z/q."""
     rank = lam.spec.rank
-    cols = [basis_coordinates(w) for w in lam.elements]
+    cols = [basis_coordinates(w, lam.spec) for w in lam.elements]
     if lam.spec.modulus:
         q = lam.spec.modulus
         for i in range(rank):
@@ -354,15 +313,17 @@ def spans(lam: WeightSet) -> bool:
     return len(d) == rank and all(x == 1 for x in d)
 
 
-def kernel_basis(lam: WeightSet) -> KernelDescription:
-    """Integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} (modulus 0)."""
+def kernel_basis(lam: WeightSet) -> Tuple[Tuple[int, ...], ...]:
+    """Integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} (modulus 0),
+    each vector indexed by the canonical order of Lambda."""
     if lam.spec.modulus:
         raise LatticeError("kernel_basis requires modulus 0; see kernel_generators_mod")
-    return KernelDescription(lam._smith[1])
+    return lam._smith[1]
 
 
-def kernel_generators_mod(lam: WeightSet) -> KernelDescription:
-    """Generators of {c in Z[Lambda] : sum c_i * lambda_i = 0 in (Z/q)-lattice}.
+def kernel_generators_mod(lam: WeightSet) -> Tuple[Tuple[int, ...], ...]:
+    """Generators of {c in Z[Lambda] : sum c_i * lambda_i = 0 in (Z/q)-lattice},
+    each indexed by the canonical order of Lambda.
 
     Computed as the projection of the integer kernel of [A | q*I] onto the
     Z[Lambda] coordinates.
@@ -377,7 +338,7 @@ def kernel_generators_mod(lam: WeightSet) -> KernelDescription:
     # projection by including them explicitly.
     for i in range(s):
         gens.append(tuple(q if j == i else 0 for j in range(s)))
-    return KernelDescription(tuple(gens))
+    return tuple(gens)
 
 
 def echelon_mod_p(
@@ -414,21 +375,18 @@ def echelon_mod_p(
     return out
 
 
-def rank_mod_p(lam: Iterable[Weight], p: int, rank: int) -> int:
-    """F_p-rank of the chart coordinates of the given weights, capped at
+def rank_mod_p(lam: WeightSet, p: int, rank: int) -> int:
+    """F_p-rank of the chart coordinates of the weights of lam, capped at
     ``rank`` (Gaussian elimination, exact)."""
-    return min(rank, len(echelon_mod_p((basis_coordinates(w) for w in lam), p)))
+    return min(rank, len(echelon_mod_p((basis_coordinates(w, lam.spec) for w in lam), p)))
 
 
-def in_p_multiple(w: Weight, p: int) -> bool:
-    """True iff w lies in p * X_n, i.e. every entry is divisible by p in Z/q."""
-    q = w.spec.modulus
+def in_p_multiple(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> bool:
+    """True iff the weight w of spec lies in p * X_n, i.e. every entry is
+    divisible by p in Z/q."""
+    q = spec.modulus
     if not q:
         raise LatticeError("in_p_multiple requires a mod-q lattice")
-    if w.spec.prime != p:
+    if spec.prime != p:
         raise LatticeError(f"prime {p} does not match modulus {q}")
-    return all(e % p == 0 for e in w.entries)
-
-
-def zero_weight(spec: LatticeSpec) -> Weight:
-    return Weight.of([0] * spec.n, spec)
+    return all(e % p == 0 for e in w)

@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .lattice import Weight, WeightSet, prime_power_root
+from .lattice import LatticeSpec, WeightSet, prime_power_root
 
 
 class PermError(ValueError):
@@ -231,15 +231,16 @@ def symmetric_group(m: int, p: int) -> PermGroupSpec:
     )
 
 
-def act(g: Perm, w: Weight) -> Weight:
+def act(g: Perm, w: Tuple[int, ...]) -> Tuple[int, ...]:
     """Permute entries: the image has w's i-th entry at position g(i)."""
-    if g.n != w.spec.n:
-        raise PermError(f"degree {g.n} vs lattice length {w.spec.n}")
-    return Weight(g.gather(w.entries), w.spec)  # a permuted valid weight is valid
+    if g.n != len(w):
+        raise PermError(f"degree {g.n} vs lattice length {len(w)}")
+    return g.gather(w)  # a permuted valid weight is valid
 
 
-def orbit(group: PermGroupSpec, w: Weight) -> WeightSet:
-    """Closure of {w} under the generators (breadth-first)."""
+def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> WeightSet:
+    """Closure of {w} under the generators (breadth-first), as a weight set
+    of spec, the lattice w lies in."""
     seen = {w}
     frontier = [w]
     while frontier:
@@ -247,11 +248,12 @@ def orbit(group: PermGroupSpec, w: Weight) -> WeightSet:
         for x in frontier:
             for g in group.generators:
                 y = act(g, x)
-                if y not in seen:
-                    seen.add(y)
+                size = len(seen)
+                seen.add(y)  # one hash per image
+                if len(seen) > size:
                     nxt.append(y)
         frontier = nxt
-    return WeightSet.of(seen, w.spec)
+    return WeightSet.of(seen, spec)
 
 
 def _block_rotation(block: Tuple[int, int], p: int, n: int) -> Perm:
@@ -298,10 +300,11 @@ def enumerate_elements(group: PermGroupSpec, cap: int) -> Tuple[Perm, ...]:
         for x in frontier:
             for g in group.generators:
                 y = g * x
-                if y not in seen:
-                    if len(seen) >= cap:
+                size = len(seen)
+                seen.add(y)
+                if len(seen) > size:
+                    if size >= cap:
                         raise GroupTooLarge(f"cap {cap} exceeded during closure")
-                    seen.add(y)
                     nxt.append(y)
         frontier = nxt
     return tuple(sorted(seen))

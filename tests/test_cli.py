@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -53,58 +55,71 @@ class TestCheckGenfree:
         assert json.loads(out)["overall"] is True
 
 
-# Full check-genfree --json payloads recorded before the Smith normal form kept
-# its right transform as columns: they pin the SNF pivot order, which picks the
+# Golden corpus: argv, exit code, stdout and stderr of CLI calls over every
+# subcommand, recorded before weights became plain int tuples.  The
+# check-genfree --json payloads also pin the SNF pivot order, which picks the
 # kernel generators, and the first moved generator reported for each element.
-PINNED_GENFREE = {
-    ("--case", "c", "--r", "3", "--p", "2"): {
-        "case": "c", "detail": "", "kernel_faithful": True, "method": "center-reduction",
-        "n": 8, "overall": True, "p": 2, "spans_ok": True,
-        "explicit_kernel_witness": [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                                    0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
-        "witnesses": [
-            {"element": "(1 2)(3 4)(5 6)(7 8)",
-             "kernel_vector": [-1, 0, 1, 0, 1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                               0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]},
-        ],
-    },
-    ("--case", "c", "--r", "2", "--p", "3"): {
-        "case": "c", "detail": "", "kernel_faithful": True, "method": "center-reduction",
-        "n": 9, "overall": True, "p": 3, "spans_ok": True,
-        "explicit_kernel_witness": [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
-                                    0, 0, 0, 0, 0, 1, 0, 0],
-        "witnesses": [
-            {"element": element,
-             "kernel_vector": [1, 0, -1, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                               0, 0, 0, 0, 0, 0, 0, 0]}
-            for element in ("(1 2 3)(4 5 6)(7 8 9)", "(1 3 2)(4 6 5)(7 9 8)")
-        ],
-    },
-    ("--case", "d", "--n", "12", "--p", "3"): {
-        "case": "d", "detail": "", "kernel_faithful": True, "method": "center-reduction",
-        "n": 12, "overall": True, "p": 3, "spans_ok": True,
-        "explicit_kernel_witness": [0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 1,
-                                    -1, 0, 0, 0, 0, 0, 0, 0],
-        "witnesses": [
-            {"element": element,
-             "kernel_vector": [0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0,
-                               0, 0, 0, 0, 0, 0, 0, 0]}
-            for element in ("(4 5 6)(7 8 9)(10 11 12)", "(4 6 5)(7 9 8)(10 12 11)",
-                            "(1 2 3)", "(1 2 3)(4 5 6)(7 8 9)(10 11 12)",
-                            "(1 2 3)(4 6 5)(7 9 8)(10 12 11)", "(1 3 2)",
-                            "(1 3 2)(4 5 6)(7 8 9)(10 11 12)",
-                            "(1 3 2)(4 6 5)(7 9 8)(10 12 11)")
-        ],
-    },
-}
+# Run timings (search-min's elapsed_ms, reproduce-all's per-row elapsed_ms)
+# are dropped; reproduce-all is compared through its report file.
+# `PYTHONPATH=src python tests/test_cli.py` re-records it from the current code.
+CORPUS_FILE = Path(__file__).resolve().parent / "cli_corpus.json"
+CORPUS_ARGV = [
+    ("construct", "--case", "a", "--n", "5", "--p", "2", "--json"),
+    ("construct", "--case", "b", "--p", "3", "--json"),
+    ("construct", "--case", "c", "--r", "3", "--p", "2", "--json"),
+    ("construct", "--case", "d", "--n", "12", "--p", "3", "--json"),
+    ("construct", "--case", "d", "--n", "6", "--p", "2"),
+    *[("check-genfree", "--case", case, *size, "--p", p, "--json") for case, size, p in [
+        ("c", ("--r", "2"), "2"), ("c", ("--r", "2"), "3"), ("c", ("--r", "3"), "2"),
+        ("d", ("--n", "6"), "2"), ("d", ("--n", "12"), "2"), ("d", ("--n", "12"), "3"),
+        ("a", ("--n", "5"), "2"), ("a", ("--n", "7"), "2"),
+        ("b", (), "2"), ("b", (), "3"), ("b", (), "5")]],
+    ("check-genfree", "--case", "d", "--n", "12", "--p", "2"),
+    ("orbit", "--n", "4", "--p", "2", "--weight", "1,0,-1,0", "--json"),
+    ("orbit", "--n", "6", "--p", "2", "--weight", "2 -1 0 0 -1 0"),
+    ("orbit", "--n", "4", "--p", "2", "--q", "4", "--weight", "1,3,5,-1", "--json"),
+    ("orbit", "--n", "6", "--p", "3", "--q", "3", "--weight", "1,2,0,0,0,0"),
+    ("orbit", "--n", "4", "--p", "2", "--weight", "1,0,0,0"),
+    ("orbit", "--n", "3", "--p", "3", "--q", "3", "--weight", "1,1"),
+    ("orbit", "--n", "3", "--p", "3", "--q", "3", "--weight", "1,1,0"),
+    ("ed", "--table", "--max-n", "32", "--p", "2", "--json"),
+    ("ed", "--table", "--max-n", "32", "--p", "3", "--json"),
+    ("ed", "--table", "--max-n", "12", "--p", "2"),
+    ("ed", "--n", "12", "--p", "2"),
+    ("search-min", "--n", "4", "--p", "2", "--q", "4", "--json"),
+    ("search-min", "--n", "2", "--p", "2", "--q", "2", "--json"),
+    ("search-min", "--n", "4", "--p", "2", "--q", "4"),
+    ("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "3"),
+    ("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--json"),
+    ("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--json"),
+    ("verify", "--prop", "7.2", "--p", "3", "--r", "1"),
+    ("reproduce-all", "--profile", "full", "--report", "{report}"),
+]
 
 
-@pytest.mark.parametrize("args", sorted(PINNED_GENFREE))
-def test_check_genfree_payload_pinned(capsys, args):
-    code, out, _ = run(capsys, "check-genfree", *args, "--json")
-    assert code == 0
-    expected = json.dumps(PINNED_GENFREE[args], sort_keys=True, separators=(", ", ": "))
-    assert out == expected + "\n"
+def observe(argv, tmp_path):
+    """(exit code, stdout, stderr) of one corpus call, timings dropped."""
+    report = tmp_path / "report.json"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(report=report) for a in argv])
+    stdout = out.getvalue().replace(str(report), "{report}")
+    if argv[0] == "search-min" and "--json" in argv and code == 0:
+        payload = json.loads(stdout)
+        del payload["elapsed_ms"]
+        stdout = json.dumps(payload, sort_keys=True, separators=(", ", ": ")) + "\n"
+    if argv[0] == "reproduce-all":
+        rows = json.loads(report.read_text())
+        for row in rows:
+            del row["elapsed_ms"]
+        stdout += json.dumps(rows, sort_keys=True) + "\n"
+    return [code, stdout, err.getvalue()]
+
+
+@pytest.mark.parametrize("args", CORPUS_ARGV)
+def test_check_genfree_payload_pinned(tmp_path, args):
+    corpus = json.loads(CORPUS_FILE.read_text())
+    assert observe(args, tmp_path) == corpus[" ".join(args)]
 
 
 class TestOrbit:
@@ -196,6 +211,14 @@ class TestReproduceAll:
         assert code == 2
 
 
+def run_subprocess(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "essdim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestUsageErrors:
     def test_missing_case_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -217,15 +240,36 @@ class TestUsageErrors:
     def test_non_prime_p_rejected(self, argv):
         # in a subprocess with a timeout: p = 1 used to loop forever, p = 0
         # and p = -2 raised tracebacks, and p = 4 gave a meaningless verdict
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "essdim.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_subprocess(argv)
         assert done.returncode == 2
         assert "is not a prime" in done.stderr
+
+    @pytest.mark.parametrize("argv,message", [
+        (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "inf"), "--budget"),
+        (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "inf"), "--budget"),
+        # q^(n-1) = 4^(2^22 - 1) must be refused before it is computed
+        (("verify", "--prop", "7.2", "--p", "2", "--r", "22"), "too large"),
+        (("verify", "--lemma", "8.2", "--n", "0", "--p", "2"), "valuation of 0"),
+        (("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--q", "0"), "valuation of 0"),
+    ])
+    def test_unusable_input_rejected(self, argv, message):
+        # --budget inf raised OverflowError, r = 22 built a 4-million-digit
+        # integer, and n = 0 or q = 0 looped forever
+        done = run_subprocess(argv)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ") and message in done.stderr
+        assert len(done.stderr) < 200
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "9")
         assert code == 2
         assert "error" in err
+
+
+if __name__ == "__main__":
+    import tempfile
+    corpus = {}
+    for argv in CORPUS_ARGV:
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus[" ".join(argv)] = observe(argv, Path(tmp))
+    CORPUS_FILE.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")

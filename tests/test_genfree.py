@@ -29,9 +29,8 @@ def random_invariant_set(rng, group, spec, max_orbits=3):
     weights = set()
     for _ in range(rng.randint(1, max_orbits)):
         ent = [rng.randint(-2, 2) for _ in range(spec.n - 1)]
-        from essdim.lattice import Weight
-        seed = Weight.of(ent + [-sum(ent)], spec)
-        weights.update(orbit(group, seed))
+        seed = spec.weight(ent + [-sum(ent)])
+        weights.update(orbit(group, seed, spec))
     return WeightSet.of(weights, spec)
 
 
@@ -54,7 +53,7 @@ class TestLemma34:
         # opposite pair in n=2: kernel spanned by the all-ones relation,
         # which the swap fixes, so the action is not faithful
         spec = LatticeSpec(2)
-        lam = WeightSet.of([standard_weight(1, 2, spec), standard_weight(2, 1, spec)])
+        lam = WeightSet.of([standard_weight(1, 2, spec), standard_weight(2, 1, spec)], spec)
         verdict = check_lemma34(lam, symmetric_group(2, 2))
         assert verdict.spans_ok
         assert verdict.kernel_faithful is False
@@ -62,7 +61,7 @@ class TestLemma34:
 
     def test_non_invariant_rejected(self):
         spec = LatticeSpec(4)
-        lam = WeightSet.of([standard_weight(1, 3, spec)])
+        lam = WeightSet.of([standard_weight(1, 3, spec)], spec)
         with pytest.raises(GenFreeError):
             check_lemma34(lam, sylow_subgroup(4, 2))
 
@@ -125,7 +124,7 @@ class TestOracleAgreement:
             n, p, q = rng.choice(cases)
             group = sylow_subgroup(n, p)
             lam = random_invariant_set(rng, group, LatticeSpec(n, q))
-            gens = kernel_generators_mod(lam).basis
+            gens = kernel_generators_mod(lam)
             for method, elements in [
                     ("center-reduction", center_order_p_elements(group)),
                     ("full-enumeration",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from essdim.lattice import LatticeSpec, Weight, standard_weight, zero_weight
+from essdim.lattice import LatticeSpec, standard_weight
 from essdim.permgroup import (
     GroupTooLarge,
     Perm,
@@ -21,7 +21,7 @@ def random_weight(rng, n, q=0):
     spec = LatticeSpec(n, q)
     ent = [rng.randint(0, max(q - 1, 4)) if q else rng.randint(-4, 4) for _ in range(n - 1)]
     last = (-sum(ent)) % q if q else -sum(ent)
-    return Weight.of(ent + [last], spec)
+    return spec.weight(ent + [last])
 
 
 class TestPerm:
@@ -87,9 +87,9 @@ class TestSylowConstruction:
 
 class TestAction:
     def test_center_witness_motion(self):
-        w = Weight.of([1, 0, -1, 0], LatticeSpec(4))
+        w = LatticeSpec(4).weight([1, 0, -1, 0])
         g = Perm.from_cycles("(1 2)(3 4)", 4)
-        assert act(g, w).entries == (0, 1, 0, -1)
+        assert act(g, w) == (0, 1, 0, -1)
 
     def test_identity_action(self):
         rng = random.Random(3)
@@ -116,27 +116,30 @@ class TestAction:
 
     def test_length_mismatch(self):
         with pytest.raises(PermError):
-            act(Perm.identity(3), zero_weight(LatticeSpec(4)))
+            act(Perm.identity(3), LatticeSpec(4).weight([0, 0, 0, 0]))
 
 
 class TestOrbit:
     def test_big_block_orbit(self):
         g = sylow_subgroup(4, 2)
-        orb = orbit(g, standard_weight(1, 3, LatticeSpec(4)))
+        spec = LatticeSpec(4)
+        orb = orbit(g, standard_weight(1, 3, spec), spec)
         assert len(orb) == 8
         # all a[alpha, beta] with alpha, beta in different big blocks
         for w in orb:
-            plus = w.entries.index(1) + 1
-            minus = w.entries.index(-1) + 1
+            plus = w.index(1) + 1
+            minus = w.index(-1) + 1
             assert (plus <= 2) != (minus <= 2)
 
     def test_zero_orbit(self):
         g = sylow_subgroup(4, 2)
-        assert len(orbit(g, zero_weight(LatticeSpec(4)))) == 1
+        spec = LatticeSpec(4)
+        assert len(orbit(g, spec.weight([0, 0, 0, 0]), spec)) == 1
 
     def test_mixed_block_orbit(self):
         g = sylow_subgroup(6, 2)
-        orb = orbit(g, standard_weight(1, 3, LatticeSpec(6)))
+        spec = LatticeSpec(6)
+        orb = orbit(g, standard_weight(1, 3, spec), spec)
         assert len(orb) == 8
 
     def test_orbit_size_divides_group_order(self):
@@ -147,7 +150,7 @@ class TestOrbit:
             n, p = rng.choice(cases)
             g = sylow_subgroup(n, p)
             w = random_weight(rng, n)
-            size = len(orbit(g, w))
+            size = len(orbit(g, w, LatticeSpec(n)))
             assert (p ** g.order_exponent) % size == 0
             count += 1
 
@@ -202,3 +205,17 @@ class TestEnumeration:
         elems = enumerate_elements(sylow_subgroup(4, 2), 100)
         assert len(elems) == 8
         assert len(set(elems)) == 8
+
+    def test_cap_is_the_largest_group_allowed(self):
+        assert len(enumerate_elements(sylow_subgroup(4, 2), 8)) == 8
+        with pytest.raises(GroupTooLarge):
+            enumerate_elements(sylow_subgroup(4, 2), 7)
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (6, 2), (8, 2), (9, 3), (6, 3), (12, 2), (10, 5)])
+def test_sylow_and_center_against_sympy(n, p):
+    named_groups = pytest.importorskip("sympy.combinatorics.named_groups")
+    ref = named_groups.SymmetricGroup(n).sylow_subgroup(p)
+    group = sylow_subgroup(n, p)
+    assert ref.order() == p ** group.order_exponent
+    assert ref.center().order() == len(center_order_p_elements(group)) + 1
