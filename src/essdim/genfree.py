@@ -88,15 +88,19 @@ def kernel_action_faithful(
     witnesses = []
     faithful = True
     for g in elements:
-        # g moves vec iff permute_coefficients(g, lam, vec) != vec, that is
-        # iff vec differs somewhere from its value at the image position
+        # g moves vec iff permute_coefficients(g, lam, vec) != vec; the image
+        # is a bijection, so that is iff the support moved with its
+        # coefficients differs from the support
         image = index_image(g, lam)
         moved = next((vec for vec in gens
-                      if any(vec[i] != vec[j] for i, j in enumerate(image))), None)
+                      if sorted([(image[i], c) for i, c in vec]) != list(vec)), None)
         if moved is None:
             faithful = False
         else:
-            witnesses.append((g.cycle_string(), moved))
+            dense = [0] * len(lam)
+            for i, c in moved:
+                dense[i] = c
+            witnesses.append((g.cycle_string(), tuple(dense)))
     return faithful, method, tuple(witnesses)
 
 

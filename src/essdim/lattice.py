@@ -17,6 +17,11 @@ class LatticeError(ValueError):
     pass
 
 
+# An integer vector by its nonzero entries: (position, coefficient) pairs in
+# increasing position.
+SparseVector = Tuple[Tuple[int, int], ...]
+
+
 def prime_power_root(q: int) -> Optional[int]:
     """Return p if q = p^e for a prime p and e >= 1, else None."""
     if q < 2:
@@ -122,16 +127,15 @@ class WeightSet:
             raise ValueError(f"{w} is not in the weight set") from None
 
     @cached_property
-    def _smith(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    def _smith(self) -> Tuple[Tuple[int, ...], Tuple[SparseVector, ...]]:
         """The diagonal of the Smith normal form of coordinate_matrix(self),
         and the columns of its right transform past the rank, which generate
-        the integer kernel.  Computed once, for spans and the kernel."""
+        the integer kernel, as sparse vectors.  Computed once, for spans and
+        the kernel."""
         diag, _, right = smith_normal_form(coordinate_matrix(self))
         d = diag.diagonal()
-        del right[:sum(1 for x in d if x)]
-        # pop as we copy, so a column is never held twice
-        kernel = [tuple(right.pop()) for _ in range(len(right))]
-        return d, tuple(reversed(kernel))
+        rank = sum(1 for x in d if x)
+        return d, tuple(tuple(sorted(col.items())) for col in right[rank:])
 
     def reduce(self, q: int) -> "WeightSet":
         """Entrywise reduction into the mod-q lattice of the same length."""
@@ -186,14 +190,16 @@ def standard_weight(i: int, j: int, spec: LatticeSpec) -> Tuple[int, ...]:
     return spec.weight(ent)
 
 
-def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[List[int]]]:
+def smith_normal_form(
+        m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[Dict[int, int]]]:
     """Return (diagonal, left, right) with left*m*right = diagonal,
     left/right unimodular and non-negative diagonal d1 | d2 | ... ;
-    ``right`` is given as the list of its columns."""
+    ``right`` is given as the list of its columns, each a dict from row to
+    nonzero entry."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[0] * j + [1] + [0] * (cols - j - 1) for j in range(cols)]
+    right = [{j: 1} for j in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -209,9 +215,17 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, L
         left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
 
     def add_col(src, dst, f):
+        if not f:
+            return
         for r in a:
             r[dst] += f * r[src]
-        right[dst] = [x + f * y for x, y in zip(right[dst], right[src])]
+        col = right[dst]
+        for k, y in right[src].items():
+            x = col.get(k, 0) + f * y
+            if x:
+                col[k] = x
+            else:
+                del col[k]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -313,17 +327,17 @@ def spans(lam: WeightSet) -> bool:
     return len(d) == rank and all(x == 1 for x in d)
 
 
-def kernel_basis(lam: WeightSet) -> Tuple[Tuple[int, ...], ...]:
+def kernel_basis(lam: WeightSet) -> Tuple[SparseVector, ...]:
     """Integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} (modulus 0),
-    each vector indexed by the canonical order of Lambda."""
+    each a sparse vector indexed by the canonical order of Lambda."""
     if lam.spec.modulus:
         raise LatticeError("kernel_basis requires modulus 0; see kernel_generators_mod")
     return lam._smith[1]
 
 
-def kernel_generators_mod(lam: WeightSet) -> Tuple[Tuple[int, ...], ...]:
+def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
     """Generators of {c in Z[Lambda] : sum c_i * lambda_i = 0 in (Z/q)-lattice},
-    each indexed by the canonical order of Lambda.
+    each a sparse vector indexed by the canonical order of Lambda.
 
     Computed as the projection of the integer kernel of [A | q*I] onto the
     Z[Lambda] coordinates.
@@ -333,11 +347,10 @@ def kernel_generators_mod(lam: WeightSet) -> Tuple[Tuple[int, ...], ...]:
         return kernel_basis(lam)
     s = len(lam)
     # the columns of coordinate_matrix past s are the appended q*I
-    gens = [col[:s] for col in lam._smith[1]]
+    gens = [tuple(e for e in col if e[0] < s) for col in lam._smith[1]]
     # q * e_i always lies in the kernel; make sure generation is not lost to
     # projection by including them explicitly.
-    for i in range(s):
-        gens.append(tuple(q if j == i else 0 for j in range(s)))
+    gens.extend(((i, q),) for i in range(s))
     return tuple(gens)
 
 

@@ -147,6 +147,8 @@ class PermGroupSpec:
 
 def p_adic_digits(n: int, p: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
     """(n mod-p fixed count, ((n_i, e_i), ...)) with e_i >= 1 increasing."""
+    if n < 1:
+        raise PermError(f"n must be positive, got {n}")
     digits = []
     e = 0
     fixed = 0

@@ -251,10 +251,13 @@ class TestUsageErrors:
         (("verify", "--prop", "7.2", "--p", "2", "--r", "22"), "too large"),
         (("verify", "--lemma", "8.2", "--n", "0", "--p", "2"), "valuation of 0"),
         (("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--q", "0"), "valuation of 0"),
+        (("construct", "--case", "d", "--n", "-6", "--p", "2"), "n must be positive"),
+        (("check-genfree", "--case", "d", "--n", "-6", "--p", "2"), "n must be positive"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # --budget inf raised OverflowError, r = 22 built a 4-million-digit
-        # integer, and n = 0 or q = 0 looped forever
+        # integer, n = 0 or q = 0 looped forever, and so did case (d) with
+        # n = -6 in the base-p digits (-1 // p == -1)
         done = run_subprocess(argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr

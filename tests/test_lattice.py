@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from essdim.constructions import build_plan
+from essdim.constructions import build_plan, dual_basis_weights
 from essdim.lattice import (
     IntegerMatrix,
     LatticeError,
@@ -13,6 +15,7 @@ from essdim.lattice import (
     echelon_mod_p,
     in_p_multiple,
     kernel_basis,
+    kernel_generators_mod,
     rank_mod_p,
     smith_normal_form,
     spans,
@@ -26,8 +29,21 @@ def chain_basis(spec):
 
 
 def from_columns(columns):
-    """The matrix whose columns are given, as smith_normal_form returns right."""
-    return IntegerMatrix.of([list(row) for row in zip(*columns)])
+    """The square matrix whose columns are given as dicts from row to entry,
+    as smith_normal_form returns right."""
+    return IntegerMatrix.of([[col.get(i, 0) for col in columns]
+                             for i in range(len(columns))])
+
+
+def densify(vec, size):
+    """A kernel generator as a dense coefficient tuple of length ``size``;
+    accepts a dense tuple or (position, coefficient) pairs."""
+    if len(vec) == size and all(isinstance(c, int) for c in vec):
+        return tuple(vec)
+    out = [0] * size
+    for i, c in vec:
+        out[i] = c
+    return tuple(out)
 
 
 class TestStandardWeight:
@@ -91,6 +107,29 @@ class TestSmithNormalForm:
                 for j in range(d.cols):
                     if i != j:
                         assert d.entries[i][j] == 0
+
+    def test_right_columns_hold_no_zeros(self):
+        # the first matrix reaches a column update with factor 0 (a smaller
+        # entry of the pivot's sign, so floor division gives 0), the next two
+        # need the divisibility fix-up; that update must neither store a 0
+        # nor fail
+        grids = [[[-3, 2, 4], [2, -4, 1], [3, -4, -1]],
+                 [[-4, 0, -2], [-1, -4, 0], [-3, -3, 0]],
+                 [[2, 0], [0, 3]]]
+        rng = random.Random(20261018)
+        for _ in range(300):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+            # entries from few divisors, so the fix-up is frequent
+            values = rng.choice([range(-9, 10), (0, 2, -2, 3, -3, 4, 6, -6)])
+            grids.append([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+        for grid in grids:
+            m = IntegerMatrix.of(grid)
+            d, left, right = smith_normal_form(m)
+            assert len(right) == m.cols
+            for col in right:
+                assert col and all(col.values())
+                assert all(0 <= k < m.cols for k in col)
+            assert (left @ m @ from_columns(right)).entries == d.entries
 
 
 class TestSmithNormalFormOracle:
@@ -185,7 +224,8 @@ class TestKernelBasis:
             [standard_weight(1, 2, spec), standard_weight(2, 1, spec)], spec))
         assert len(kb) == 1
         # relation between the two elements, up to sign
-        assert sorted(kb[0]) == [1, 1] or sorted(kb[0]) == [-1, -1]
+        v = densify(kb[0], 2)
+        assert sorted(v) == [1, 1] or sorted(v) == [-1, -1]
 
     def test_cyclic_triangle(self):
         spec = LatticeSpec(3)
@@ -196,7 +236,7 @@ class TestKernelBasis:
         ], spec)
         kb = kernel_basis(lam)
         assert len(kb) == 1
-        v = kb[0]
+        v = densify(kb[0], 3)
         assert all(abs(c) == 1 for c in v) and len(set(v)) == 1
 
     def test_rank_nullity_for_spanning_sets(self):
@@ -230,9 +270,73 @@ class TestKernelBasis:
                                                 standard_weight(3, 1, spec)], spec)
         for v in kernel_basis(lam):
             total = [0] * 4
-            for c, w in zip(v, lam.elements):
+            for c, w in zip(densify(v, len(lam)), lam.elements):
                 total = [t + c * e for t, e in zip(total, w)]
             assert all(t == 0 for t in total)
+
+
+class TestKernelPinned:
+    """The full kernel generators, recorded from the dense-transform SNF:
+    the corpus pins only the first moved generator of each tested element."""
+
+    # sha256 of the canonical JSON (no spaces) of the dense kernel_basis
+    DIGESTS = [
+        ("c", 16, 2, 113, "49c4c30280b22290c188d9fb994239b7bf1d11779096476119b0f298afd8ba1c"),
+        ("c", 27, 3, 217, "7c5ec133fb74b145e07096cb6a693b9362b700fb0661687c471b1f0d72562dbe"),
+        ("c", 25, 5, 101, "998f415754ec6c4e75475152d23e9c9c32b7e14737e4512a1219abb342d506d4"),
+        ("d", 24, 2, 105, "471786ea062191a857a4c6aec3ea320def0c889c01cf207867b7856d66928a42"),
+        ("d", 48, 2, 465, "bee4f0de24f683c30864553cbce4a05083077777dc2de522c6ba0fa0a903d1fe"),
+    ]
+
+    @pytest.mark.parametrize("case,n,p,size,digest", DIGESTS)
+    def test_witness_kernel_digest(self, case, n, p, size, digest):
+        lam = build_plan(case, n, p).torus_weights
+        kb = [list(densify(v, len(lam))) for v in kernel_basis(lam)]
+        assert len(kb) == size
+        text = json.dumps(kb, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_case_d_12_3_verbatim(self):
+        lam = build_plan("d", 12, 3).torus_weights
+        expected = (
+            (0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, -1, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, 0, -1, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0, 0, 0, -1, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0),
+            (0, 1, -1, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0),
+            (0, 1, 0, -1, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0),
+            (0, 1, 0, 0, -1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0),
+            (0, 1, 0, 0, 0, -1, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0),
+            (0, 1, 0, 0, 0, 0, -1, 0, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0),
+            (0, 1, 0, 0, 0, 0, 0, -1, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0),
+            (0, 1, 0, 0, 0, 0, 0, 0, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1),
+        )
+        assert tuple(densify(v, 27) for v in kernel_basis(lam)) == expected
+
+    def test_generators_mod_q(self):
+        # dual-basis units of (Z/2)^3, a reduced case (c) set, and a
+        # non-spanning set over Z/9
+        cases = [
+            (dual_basis_weights(3, 2),
+             [(0, 0, -2), (0, -2, 0), (-2, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+            (build_plan("c", 4, 2).torus_weights.reduce(4),
+             [(0, -3, 0, 1, -24, 0, 0, 8), (1, -1, 0, 0, -9, 0, 0, 3),
+              (0, 0, 0, 0, 8, 1, 0, -3), (0, 0, 0, 0, -3, 0, 1, 0),
+              (0, -3, 1, 0, -27, 0, 0, 9), (0, 4, 0, 0, 32, 0, 0, -12),
+              (0, -4, 0, 0, -48, 0, 0, 16), (0, 0, 0, 0, 12, 0, 0, -4)]
+             + [tuple(4 if j == i else 0 for j in range(8)) for i in range(8)]),
+            (WeightSet.of([LatticeSpec(3, 9).weight(e)
+                           for e in ((3, 6, 0), (1, 2, 6), (0, 3, 6))], LatticeSpec(3, 9)),
+             [(0, -3, 1), (9, -9, 0), (-3, 0, 0), (9, 0, 0), (0, 9, 0), (0, 0, 9)]),
+        ]
+        for lam, expected in cases:
+            gens = kernel_generators_mod(lam)
+            assert tuple(densify(v, len(lam)) for v in gens) == tuple(expected)
 
 
 class TestPMultiple:

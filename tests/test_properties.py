@@ -1,0 +1,87 @@
+"""Property tests for the Smith normal form and the kernel generators,
+with fixed, derandomized settings so the suite's time stays flat."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from essdim.constructions import phi_image
+from essdim.lattice import (
+    IntegerMatrix,
+    LatticeSpec,
+    WeightSet,
+    kernel_generators_mod,
+    smith_normal_form,
+)
+
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def determinant(grid):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in grid]
+    n = len(a)
+    det = Fraction(1)
+    for t in range(n):
+        piv = next((i for i in range(t, n) if a[i][t]), None)
+        if piv is None:
+            return 0
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, n):
+            f = a[i][t] / a[t][t]
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return det
+
+
+matrices = st.integers(1, 4).flatmap(lambda rows: st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows)))
+
+
+@FIXED
+@given(matrices)
+def test_smith_normal_form_properties(grid):
+    m = IntegerMatrix.of(grid)
+    d, left, right = smith_normal_form(m)
+    dense_right = IntegerMatrix.of([[col.get(i, 0) for col in right]
+                                    for i in range(m.cols)])
+    assert (left @ m @ dense_right).entries == d.entries
+    assert abs(determinant(left.entries)) == 1
+    assert abs(determinant(dense_right.entries)) == 1
+    diag = d.diagonal()
+    assert all(x >= 0 for x in diag)
+    # d_i | d_(i+1), with 0 divisible by everything and dividing only 0
+    for x, y in zip(diag, diag[1:]):
+        assert (y == 0) if x == 0 else (y % x == 0)
+
+
+weight_sets = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sampled_from([0, 0, 2, 3, 4, 8, 9]),
+    st.lists(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
+             min_size=1, max_size=7)))
+
+
+@FIXED
+@given(weight_sets)
+def test_kernel_generators_map_to_zero(data):
+    n, q, prefixes = data
+    spec = LatticeSpec(n, q)
+    lam = WeightSet.of((spec.weight(e + [-sum(e)]) for e in prefixes), spec)
+    for vec in kernel_generators_mod(lam):
+        # never empty: a kernel column of [A | q*I] that vanishes on the
+        # first |Lambda| positions would lie in the kernel of q*I, which is 0
+        assert vec
+        positions = [i for i, _ in vec]
+        assert positions == sorted(set(positions))
+        assert all(0 <= i < len(lam) and c for i, c in vec)
+        dense = [0] * len(lam)
+        for i, c in vec:
+            dense[i] = c
+        assert not any(phi_image(lam, tuple(dense)))
