@@ -13,7 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .lattice import (
     LatticeSpec,
@@ -164,12 +164,17 @@ def _rank_cover_bounds(sizes: Sequence[int], ranks: Sequence[int],
     return bounds
 
 
+def _nonzero_orbits(spec: LatticeSpec, p: int) -> List[WeightSet]:
+    """The P_n-orbits of the finite lattice, without the zero orbit."""
+    return [o for o in orbit_decomposition(sylow_subgroup(spec.n, p), spec)
+            if not (len(o) == 1 and not any(o.elements[0]))]
+
+
 def min_invariant_generating_size(
     n: int,
     p: int,
     q: int,
     budget: int = 10_000_000,
-    group: Optional[PermGroupSpec] = None,
 ) -> SearchResult:
     """Exact minimum size of an invariant generating subset of the zero-sum
     lattice mod q, certified optimal by exhausting all cheaper orbit unions.
@@ -187,10 +192,7 @@ def min_invariant_generating_size(
         raise BoundsError(f"search space q^(n-1) = {q}^{n - 1} too large")
     start = time.perf_counter()
     spec = LatticeSpec(n, q)
-    if group is None:
-        group = sylow_subgroup(n, p)
-    orbits = [o for o in orbit_decomposition(group, spec)
-              if not (len(o) == 1 and not any(o.elements[0]))]
+    orbits = _nonzero_orbits(spec, p)
     target = spec.rank
     sizes = [len(o) for o in orbits]
     orbit_spans = [echelon_mod_p((basis_coordinates(w, spec) for w in o), p) for o in orbits]
@@ -247,16 +249,11 @@ def min_invariant_generating_size(
     )
 
 
-def naive_min_invariant_generating_size(
-    n: int, p: int, q: int, group: Optional[PermGroupSpec] = None
-) -> Tuple[int, WeightSet]:
+def naive_min_invariant_generating_size(n: int, p: int, q: int) -> Tuple[int, WeightSet]:
     """Independent oracle: exhaustive enumeration of invariant unions of
     orbits, smallest generating union wins.  No pruning beyond feasibility."""
     spec = LatticeSpec(n, q)
-    if group is None:
-        group = sylow_subgroup(n, p)
-    orbits = [o for o in orbit_decomposition(group, spec)
-              if not (len(o) == 1 and not any(o.elements[0]))]
+    orbits = _nonzero_orbits(spec, p)
     if len(orbits) > 20:
         raise BoundsError(f"naive enumeration infeasible: {len(orbits)} orbits")
     best = None

@@ -5,7 +5,7 @@ reproduce-all.  JSON payloads use sorted keys and integer-only values so that
 parse + re-serialize round-trips byte-identically.
 
 Exit codes: 0 success, 2 usage error, 3 verification failure, 4 node budget
-exhausted.
+or group-size cap exhausted.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ from typing import List, Optional
 
 from . import __version__
 from .bounds import (
-    BoundsError,
     BudgetExhausted,
     min_invariant_generating_size,
+    naive_min_invariant_generating_size,
     predicted_bound,
     verify_lower_bound,
 )
 from .constructions import build_plan, kernel_witness_coefficients
 from .edcalc import ed_value
-from .genfree import check_lemma32, check_lemma34
+from .genfree import certify
 from .lattice import LatticeSpec, vp
-from .permgroup import act, orbit as orbit_of, sylow_subgroup
+from .permgroup import GroupTooLarge, act, orbit as orbit_of, sylow_subgroup
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,11 +71,7 @@ def _plan_n(args) -> int:
 
 def cmd_check_genfree(args) -> int:
     plan = build_plan(args.case, _plan_n(args), args.p)
-    group = sylow_subgroup(plan.n, plan.p)
-    if plan.extra_summands:
-        verdict = check_lemma32(plan, group)
-    else:
-        verdict = check_lemma34(plan.torus_weights, group)
+    verdict = certify(plan)
     payload = {"case": plan.case_tag, "n": plan.n, "p": plan.p}
     payload.update(verdict.to_json())
     if plan.case_tag in ("c", "d"):
@@ -122,11 +118,7 @@ def _node_budget(args) -> int:
 
 
 def cmd_search_min(args) -> int:
-    try:
-        result = min_invariant_generating_size(args.n, args.p, args.q, budget=_node_budget(args))
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = min_invariant_generating_size(args.n, args.p, args.q, budget=_node_budget(args))
     payload = {"n": args.n, "p": args.p, "q": args.q}
     payload.update(result.to_json())
     info = predicted_bound(args.n, args.p, args.q)
@@ -154,6 +146,8 @@ def cmd_verify(args) -> int:
             raise SystemExit(f"unknown proposition {args.prop!r}")
         if args.r is None:
             raise SystemExit("verifying the p-power bound needs --r")
+        if args.r < 1:
+            raise SystemExit(f"verifying the p-power bound needs --r >= 1, got {args.r}")
         n = args.p ** args.r
         q = args.q if args.q is not None else (4 if args.p == 2 else args.p)
     elif args.lemma is not None:
@@ -165,11 +159,7 @@ def cmd_verify(args) -> int:
         q = args.q if args.q is not None else args.p
     else:
         raise SystemExit("verify needs --prop or --lemma")
-    try:
-        report = verify_lower_bound(n, args.p, q, budget=_node_budget(args))
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    report = verify_lower_bound(n, args.p, q, budget=_node_budget(args))
     if args.json:
         emit_json(report)
     else:
@@ -204,64 +194,63 @@ def cmd_ed(args) -> int:
     return EXIT_OK if report.consistency else EXIT_VERIFICATION
 
 
-def _reproduce_rows(profile: str):
-    quick_cap = 4096
-    rows = []
-    rows.append(("ed-table", {"p": 2, "max_n": 32},
-                 lambda: all(ed_value(n, 2).consistency for n in range(1, 33))))
-    rows.append(("ed-table", {"p": 3, "max_n": 32},
-                 lambda: all(ed_value(n, 3).consistency for n in range(1, 33))))
-    for p, r in [(2, 2), (2, 3), (3, 2)]:
-        rows.append((
-            "witness-size-c", {"p": p, "r": r},
-            lambda p=p, r=r: len(build_plan("c", p ** r, p).torus_weights) == p ** (2 * r - 1)))
-    for n, p in [(6, 2), (12, 2), (10, 2), (12, 3)]:
+# The paper's claims that reproduce-all checks, in report order: value
+# tables, witness sizes |Lambda_c| = p^(2r-1) and |Lambda_d| = p^e(n - p^e),
+# generic freeness, the exact minima behind Prop 7.2 and Lemma 8.2, naive
+# cross-checks of two of them (full profile only), and the excluded p = q = 2
+# case.
+CLAIMS = (
+    ("ed-table", {"p": 2, "max_n": 32}),
+    ("ed-table", {"p": 3, "max_n": 32}),
+    *[("witness-size-c", {"p": p, "r": r}) for p, r in [(2, 2), (2, 3), (3, 2)]],
+    *[("witness-size-d", {"n": n, "p": p}) for n, p in [(6, 2), (12, 2), (10, 2), (12, 3)]],
+    *[("check-genfree", {"case": case, "n": n, "p": p}) for case, n, p in [
+        ("c", 4, 2), ("c", 9, 3), ("c", 8, 2), ("d", 6, 2), ("d", 12, 2),
+        ("a", 5, 2), ("a", 7, 2), ("b", 2, 2), ("b", 3, 3), ("b", 5, 5)]],
+    *[("search-min", {"n": n, "p": p, "q": q, "expected": expected}) for n, p, q, expected in [
+        (2, 2, 4, 2), (3, 3, 3, 3), (4, 2, 4, 8), (6, 2, 2, 8), (5, 5, 5, 5)]],
+    *[("search-min-naive-crosscheck", {"n": n, "p": p, "q": q})
+      for n, p, q in [(4, 2, 4), (6, 2, 2)]],
+    ("degenerate-exhibit", {"n": 2, "p": 2, "q": 2}),
+)
+
+
+def claim_holds(command: str, params: dict) -> bool:
+    """Whether one row of CLAIMS holds."""
+    if command == "ed-table":
+        return all(ed_value(n, params["p"]).consistency for n in range(1, params["max_n"] + 1))
+    if command == "witness-size-c":
+        p, r = params["p"], params["r"]
+        return len(build_plan("c", p ** r, p).torus_weights) == p ** (2 * r - 1)
+    if command == "witness-size-d":
+        n, p = params["n"], params["p"]
         pe = p ** vp(n, p)
-        rows.append((
-            "witness-size-d", {"n": n, "p": p},
-            lambda n=n, p=p, pe=pe: len(build_plan("d", n, p).torus_weights) == pe * (n - pe)))
-    for case, n, p in [("c", 4, 2), ("c", 9, 3), ("c", 8, 2), ("d", 6, 2), ("d", 12, 2)]:
-        rows.append((
-            "check-genfree", {"case": case, "n": n, "p": p},
-            lambda case=case, n=n, p=p: check_lemma34(
-                build_plan(case, n, p).torus_weights, sylow_subgroup(n, p)).overall))
-    for case, n, p in [("a", 5, 2), ("a", 7, 2), ("b", 2, 2), ("b", 3, 3), ("b", 5, 5)]:
-        rows.append((
-            "check-genfree", {"case": case, "n": n, "p": p},
-            lambda case=case, n=n, p=p: check_lemma32(
-                build_plan(case, n, p), sylow_subgroup(n, p)).overall))
-    searches = [(2, 2, 4, 2), (3, 3, 3, 3), (4, 2, 4, 8), (6, 2, 2, 8), (5, 5, 5, 5)]
-    for n, p, q, expected in searches:
-        if profile == "quick" and q ** (n - 1) > quick_cap:
-            continue
-        rows.append((
-            "search-min", {"n": n, "p": p, "q": q, "expected": expected},
-            lambda n=n, p=p, q=q, expected=expected:
-                min_invariant_generating_size(n, p, q).minimum == expected))
-    if profile == "full":
-        from .bounds import naive_min_invariant_generating_size
-        for n, p, q in [(4, 2, 4), (6, 2, 2)]:
-            rows.append((
-                "search-min-naive-crosscheck", {"n": n, "p": p, "q": q},
-                lambda n=n, p=p, q=q: (
-                    min_invariant_generating_size(n, p, q).minimum
-                    == naive_min_invariant_generating_size(n, p, q)[0])))
-    rows.append((
-        "degenerate-exhibit", {"n": 2, "p": 2, "q": 2},
-        lambda: (min_invariant_generating_size(2, 2, 2).minimum == 1
-                 and not predicted_bound(2, 2, 2)["within_hypothesis"])))
-    return rows
+        return len(build_plan("d", n, p).torus_weights) == pe * (n - pe)
+    if command == "check-genfree":
+        return certify(build_plan(params["case"], params["n"], params["p"])).overall
+    n, p, q = params["n"], params["p"], params["q"]
+    if command == "search-min":
+        return min_invariant_generating_size(n, p, q).minimum == params["expected"]
+    if command == "search-min-naive-crosscheck":
+        return (min_invariant_generating_size(n, p, q).minimum
+                == naive_min_invariant_generating_size(n, p, q)[0])
+    if command == "degenerate-exhibit":
+        return (min_invariant_generating_size(n, p, q).minimum == 1
+                and not predicted_bound(n, p, q)["within_hypothesis"])
+    raise ValueError(f"unknown claim {command!r}")
 
 
 def cmd_reproduce_all(args) -> int:
     if args.profile not in ("quick", "full"):
         raise SystemExit(f"unknown profile {args.profile!r}")
+    claims = [(command, params) for command, params in CLAIMS
+              if args.profile == "full" or command != "search-min-naive-crosscheck"]
     manifests = []
     ok = True
-    for idx, (command, params, runner) in enumerate(_reproduce_rows(args.profile)):
+    for idx, (command, params) in enumerate(claims):
         start = time.perf_counter()
         try:
-            passed = bool(runner())
+            passed = claim_holds(command, params)
             error = None
         except Exception as exc:  # report the failure, keep going
             passed = False
@@ -298,26 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, n=False, p=True, q=False, r=False, case=False):
-        if n:
-            sp.add_argument("--n", type=int, default=None)
-        if p:
-            sp.add_argument("--p", type=int, required=True)
-        if q:
-            sp.add_argument("--q", type=int, default=None)
-        if r:
-            sp.add_argument("--r", type=int, default=None)
-        if case:
-            sp.add_argument("--case", choices=["a", "b", "c", "d"], required=True)
+    for name, func, help_text in [
+            ("construct", cmd_construct, "build a witness weight set"),
+            ("check-genfree", cmd_check_genfree, "certify generic freeness of a case")]:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--n", type=int, default=None)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--r", type=int, default=None)
+        sp.add_argument("--case", choices=["a", "b", "c", "d"], required=True)
         sp.add_argument("--json", action="store_true")
-
-    sp = sub.add_parser("construct", help="build a witness weight set")
-    add_common(sp, n=True, r=True, case=True)
-    sp.set_defaults(func=cmd_construct)
-
-    sp = sub.add_parser("check-genfree", help="certify generic freeness of a case")
-    add_common(sp, n=True, r=True, case=True)
-    sp.set_defaults(func=cmd_check_genfree)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("orbit", help="orbit of a weight under the Sylow subgroup")
     sp.add_argument("--n", type=int, required=True)
@@ -373,10 +352,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
             return EXIT_USAGE
         raise
-    except BudgetExhausted as exc:
+    except (BudgetExhausted, GroupTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, BoundsError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -50,17 +50,6 @@ class RepPlan:
         }
 
 
-def p_adic_expansion(n: int, p: int) -> List[Tuple[int, int]]:
-    """Base-p digits (n_i, e_i) of n with 1 <= n_i < p and increasing e_i;
-    includes the exponent-0 digit when present."""
-    if n < 1:
-        raise ConstructionError("n must be positive")
-    fixed, digits = p_adic_digits(n, p)
-    out = [(fixed, 0)] if fixed else []
-    out.extend(digits)
-    return out
-
-
 def lambda_a(n: int, p: int) -> RepPlan:
     """Case (a): the fan of weights a[1,i] out of the fixed position 1, plus a
     faithful permutation summand of dimension [n/p]."""

@@ -2,7 +2,8 @@
 
 Two routes: the span + faithful-kernel-action criterion for a bare weight
 set, and the combination rule (faithful extra summand + torus-generically-
-free weight set) for plans carrying a W or L factor.
+free weight set) for plans carrying a W or L factor; `certify` picks the
+route from the plan.
 
 For p-groups faithfulness is decided on the order-p central elements only:
 every nontrivial normal subgroup meets the center, so the kernel of the
@@ -22,6 +23,7 @@ from .permgroup import (
     act,
     center_order_p_elements,
     enumerate_elements,
+    sylow_subgroup,
     symmetric_group,
 )
 
@@ -104,11 +106,11 @@ def kernel_action_faithful(
     return faithful, method, tuple(witnesses)
 
 
-def check_lemma34(lam: WeightSet, group: PermGroupSpec, method: Optional[str] = None) -> GenFreeVerdict:
+def check_lemma34(lam: WeightSet, group: PermGroupSpec) -> GenFreeVerdict:
     """Span + faithful kernel action; the weight set must be group-invariant."""
     _require_invariant(lam, group)
     spans_ok = spans(lam)
-    faithful, used, witnesses = kernel_action_faithful(lam, group, method)
+    faithful, used, witnesses = kernel_action_faithful(lam, group)
     return GenFreeVerdict(
         spans_ok=spans_ok,
         kernel_faithful=faithful,
@@ -118,7 +120,7 @@ def check_lemma34(lam: WeightSet, group: PermGroupSpec, method: Optional[str] = 
     )
 
 
-def check_lemma32(plan: RepPlan, group: PermGroupSpec) -> GenFreeVerdict:
+def check_lemma32(plan: RepPlan) -> GenFreeVerdict:
     """Combination rule for plans with an extra summand: the torus weights
     must span, and the extra summand must be a faithful representation of the
     finite part."""
@@ -149,3 +151,12 @@ def check_lemma32(plan: RepPlan, group: PermGroupSpec) -> GenFreeVerdict:
         overall=spans_ok and extra_ok,
         detail=detail,
     )
+
+
+def certify(plan: RepPlan) -> GenFreeVerdict:
+    """Generic freeness of a plan: the combination rule (Lemma 3.2) when it
+    carries an extra summand, otherwise span + faithful kernel action
+    (Lemma 3.4) of its weights under the Sylow p-subgroup."""
+    if plan.extra_summands:
+        return check_lemma32(plan)
+    return check_lemma34(plan.torus_weights, sylow_subgroup(plan.n, plan.p))

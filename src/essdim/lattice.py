@@ -247,22 +247,18 @@ def smith_normal_form(
         while True:
             dirty = False
             for i in range(t + 1, rows):
-                if a[i][t] % a[t][t]:
+                if a[i][t]:
                     add_row(t, i, -(a[i][t] // a[t][t]))
                     if a[i][t]:
                         swap_rows(t, i)
                         dirty = True
-                elif a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
             row = a[t]
             for j in range(t + 1, cols):
-                if row[j] % row[t]:
+                if row[j]:
                     add_col(t, j, -(row[j] // row[t]))
                     if row[j]:
                         swap_cols(t, j)
                         dirty = True
-                elif row[j]:
-                    add_col(t, j, -(row[j] // row[t]))
             if dirty:
                 continue
             # pivot must divide the rest of the block

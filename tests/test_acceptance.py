@@ -16,9 +16,10 @@ from essdim.bounds import (
     sigma_map,
     nakayama_filter,
 )
+from essdim.cli import CLAIMS
 from essdim.constructions import build_plan, kernel_witness, permute_coefficients, phi_image
 from essdim.edcalc import ed_value
-from essdim.genfree import check_lemma32, check_lemma34, kernel_action_faithful
+from essdim.genfree import certify, kernel_action_faithful
 from essdim.lattice import LatticeSpec, WeightSet, spans
 from essdim.permgroup import (
     Perm,
@@ -57,11 +58,20 @@ def test_criterion_1_closed_form_table():
     report("criterion 1: closed-form values agree for n <= 32, p in {2,3,5}", ok)
 
 
+def claims(command):
+    """Parameters of the CLAIMS rows for one reproduce-all command."""
+    rows = [params for cmd, params in CLAIMS if cmd == command]
+    assert rows, command
+    return rows
+
+
 def test_criterion_2_witness_dimensions():
     ok = True
-    for p, r in [(2, 2), (2, 3), (3, 2)]:
+    for params in claims("witness-size-c"):
+        p, r = params["p"], params["r"]
         ok = ok and len(build_plan("c", p ** r, p).torus_weights) == p ** (2 * r - 1)
-    for n, p in [(6, 2), (12, 2), (10, 2), (12, 3)]:
+    for params in claims("witness-size-d"):
+        n, p = params["n"], params["p"]
         pe = 1
         while n % (pe * p) == 0:
             pe *= p
@@ -75,45 +85,51 @@ def test_criterion_2_witness_dimensions():
 
 def test_criterion_3_generic_freeness():
     ok = True
-    for case, n, p in [("c", 4, 2), ("c", 9, 3), ("c", 8, 2), ("d", 6, 2), ("d", 12, 2)]:
-        verdict = check_lemma34(build_plan(case, n, p).torus_weights, sylow_subgroup(n, p))
-        ok = ok and verdict.overall
-    for case, n, p in [("a", 5, 2), ("a", 7, 2), ("b", 2, 2), ("b", 3, 3), ("b", 5, 5)]:
-        verdict = check_lemma32(build_plan(case, n, p), sylow_subgroup(n, p))
-        ok = ok and verdict.overall
-    # explicit kernel vectors: in the kernel and moved by a central element
-    for case, n, p in [("c", 4, 2), ("c", 8, 2), ("c", 9, 3), ("d", 6, 2), ("d", 12, 2)]:
-        coeffs, plan = kernel_witness(case, n, p)
-        lam = plan.torus_weights
-        ok = ok and not any(phi_image(lam, coeffs))
-        ok = ok and any(
-            permute_coefficients(z, lam, coeffs) != coeffs
-            for z in center_order_p_elements(sylow_subgroup(n, p)))
+    for params in claims("check-genfree"):
+        case, n, p = params["case"], params["n"], params["p"]
+        ok = ok and certify(build_plan(case, n, p)).overall
+        if case in ("c", "d"):
+            # explicit kernel vectors: in the kernel and moved by a central element
+            coeffs, plan = kernel_witness(case, n, p)
+            lam = plan.torus_weights
+            ok = ok and not any(phi_image(lam, coeffs))
+            ok = ok and any(
+                permute_coefficients(z, lam, coeffs) != coeffs
+                for z in center_order_p_elements(sylow_subgroup(n, p)))
     report("criterion 3: generic-freeness certificates and kernel witnesses", ok)
 
 
 def test_criterion_4_lower_bound_searches():
     ok = True
-    expectations = [(2, 2, 4, 2), (4, 2, 4, 8), (3, 3, 3, 3), (6, 2, 2, 8), (5, 5, 5, 5)]
+    expected = {}
     start = time.perf_counter()
-    for n, p, q, expected in expectations:
+    for params in claims("search-min"):
+        n, p, q = params["n"], params["p"], params["q"]
+        expected[n, p, q] = params["expected"]
         result = min_invariant_generating_size(n, p, q)
         bound = predicted_bound(n, p, q)
-        ok = ok and result.minimum == expected == bound["bound"]
+        ok = ok and result.minimum == params["expected"] == bound["bound"]
         ok = ok and bound["within_hypothesis"]
     branch_and_bound_elapsed = time.perf_counter() - start
     ok = ok and branch_and_bound_elapsed < 30
-    # naive completeness cross-checks (independent oracles)
-    ok = ok and naive_min_by_subsets(2, 2, 4) == 2
-    ok = ok and naive_min_by_subsets(3, 3, 3) == 3
-    ok = ok and naive_min_invariant_generating_size(4, 2, 4)[0] == 8
-    ok = ok and naive_min_invariant_generating_size(6, 2, 2)[0] == 8
+    # naive completeness cross-checks (independent oracles): every subset of
+    # the lattices with at most 16 elements, orbit unions on the
+    # cross-checked rows
+    small = [key for key in expected if key[2] ** (key[0] - 1) <= 16]
+    assert small
+    for n, p, q in small:
+        ok = ok and naive_min_by_subsets(n, p, q) == expected[n, p, q]
+    for params in claims("search-min-naive-crosscheck"):
+        n, p, q = params["n"], params["p"], params["q"]
+        ok = ok and naive_min_invariant_generating_size(n, p, q)[0] == expected[n, p, q]
     report("criterion 4: exact certified minima match the published bounds", ok)
 
 
 def test_criterion_5_degenerate_exhibit():
-    result = min_invariant_generating_size(2, 2, 2)
-    bound = predicted_bound(2, 2, 2)
+    (params,) = claims("degenerate-exhibit")
+    n, p, q = params["n"], params["p"], params["q"]
+    result = min_invariant_generating_size(n, p, q)
+    bound = predicted_bound(n, p, q)
     ok = (result.minimum == 1
           and result.minimum < 2
           and not bound["within_hypothesis"]

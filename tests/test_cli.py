@@ -253,15 +253,30 @@ class TestUsageErrors:
         (("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--q", "0"), "valuation of 0"),
         (("construct", "--case", "d", "--n", "-6", "--p", "2"), "n must be positive"),
         (("check-genfree", "--case", "d", "--n", "-6", "--p", "2"), "n must be positive"),
+        (("verify", "--prop", "7.2", "--p", "3", "--r", "0"), "--r >= 1"),
+        (("verify", "--prop", "7.2", "--p", "3", "--r", "-1"), "--r >= 1"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # --budget inf raised OverflowError, r = 22 built a 4-million-digit
         # integer, n = 0 or q = 0 looped forever, and so did case (d) with
-        # n = -6 in the base-p digits (-1 // p == -1)
+        # n = -6 in the base-p digits (-1 // p == -1); r = 0 verified n = 1
+        # against the bound 0
         done = run_subprocess(argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr
         assert len(done.stderr) < 200
+
+    @pytest.mark.parametrize("argv", [
+        ("check-genfree", "--case", "a", "--n", "17", "--p", "2"),
+        ("check-genfree", "--case", "a", "--n", "25", "--p", "3"),
+    ])
+    def test_group_size_cap_exits_4(self, argv):
+        # the combination rule enumerates S_[n/p], past the element cap here;
+        # this printed a GroupTooLarge traceback and exited 1
+        done = run_subprocess(argv)
+        assert done.returncode == 4
+        assert done.stderr.startswith("error: ") and "cap" in done.stderr
+        assert done.stderr.count("\n") == 1
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "9")

@@ -9,12 +9,11 @@ from essdim.constructions import (
     lambda_b,
     lambda_c,
     lambda_d,
-    p_adic_expansion,
     permute_coefficients,
     phi_image,
 )
 from essdim.lattice import spans
-from essdim.permgroup import act, center_order_p_elements, sylow_subgroup
+from essdim.permgroup import act, center_order_p_elements, p_adic_digits, sylow_subgroup
 
 
 def assert_invariant(weights, group):
@@ -144,15 +143,16 @@ class TestCaseD:
 
 class TestPadicExpansion:
     def test_examples(self):
-        assert p_adic_expansion(6, 2) == [(1, 1), (1, 2)]
-        assert p_adic_expansion(12, 2) == [(1, 2), (1, 3)]
-        assert p_adic_expansion(8, 2) == [(1, 3)]
-        assert p_adic_expansion(5, 2) == [(1, 0), (1, 2)]
+        assert p_adic_digits(6, 2) == (0, ((1, 1), (1, 2)))
+        assert p_adic_digits(12, 2) == (0, ((1, 2), (1, 3)))
+        assert p_adic_digits(8, 2) == (0, ((1, 3),))
+        assert p_adic_digits(5, 2) == (1, ((1, 2),))
 
     def test_reconstruction(self):
         for n in range(1, 64):
             for p in (2, 3, 5):
-                total = sum(m * p ** e for m, e in p_adic_expansion(n, p))
+                fixed, digits = p_adic_digits(n, p)
+                total = fixed + sum(m * p ** e for m, e in digits)
                 assert total == n
 
 

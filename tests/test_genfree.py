@@ -85,25 +85,25 @@ class TestLemma34:
 class TestLemma32:
     def test_case_b_plans(self):
         for p in (2, 3, 5):
-            verdict = check_lemma32(lambda_b(p), sylow_subgroup(p, p))
+            verdict = check_lemma32(lambda_b(p))
             assert verdict.overall
 
     def test_case_a_plans(self):
         for n, p in [(5, 2), (7, 2)]:
-            verdict = check_lemma32(lambda_a(n, p), sylow_subgroup(n, p))
+            verdict = check_lemma32(lambda_a(n, p))
             assert verdict.overall
 
     def test_empty_torus_weights_fail_span(self):
         from essdim.constructions import RepPlan
         empty = WeightSet.of([], LatticeSpec(3))
         plan = RepPlan("b", 3, 3, empty, ((1, "faithful character"),), 1)
-        verdict = check_lemma32(plan, sylow_subgroup(3, 3))
+        verdict = check_lemma32(plan)
         assert not verdict.spans_ok
         assert not verdict.overall
 
     def test_requires_extra_summand(self):
         with pytest.raises(GenFreeError):
-            check_lemma32(build_plan("c", 4, 2), sylow_subgroup(4, 2))
+            check_lemma32(build_plan("c", 4, 2))
 
 
 class TestOracleAgreement:
