@@ -64,7 +64,7 @@ def sigma_map(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> Tuple[int, ...]:
     sums = [
         sum(w[(i - 1) * p: i * p]) for i in range(1, n // p + 1)
     ]
-    return LatticeSpec(n // p, spec.modulus, spec.zero_sum).weight(sums)
+    return LatticeSpec(n // p, spec.modulus).weight(sums)
 
 
 def nakayama_filter(lam: WeightSet, p: int) -> WeightSet:

@@ -4,8 +4,8 @@ Subcommands: construct, check-genfree, orbit, search-min, verify, ed,
 reproduce-all.  JSON payloads use sorted keys and integer-only values so that
 parse + re-serialize round-trips byte-identically.
 
-Exit codes: 0 success, 2 usage error, 3 verification failure, 4 node budget
-or group-size cap exhausted.
+Exit codes: 0 success, 2 usage error, 3 verification failure, 4 search node
+budget exhausted.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .constructions import build_plan, kernel_witness_coefficients
 from .edcalc import ed_value
 from .genfree import certify
 from .lattice import LatticeSpec, vp
-from .permgroup import GroupTooLarge, act, orbit as orbit_of, sylow_subgroup
+from .permgroup import act, orbit as orbit_of, sylow_subgroup
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,15 +58,21 @@ def cmd_construct(args) -> int:
 
 
 def _plan_n(args) -> int:
+    """The n of the plan; a given --n must agree with n = p (case b) or
+    n = p^r (case c)."""
     if args.case == "c":
         if args.r is None:
             raise SystemExit("case (c) needs --r")
-        return args.p ** args.r
-    if args.case == "b":
-        return args.p
-    if args.n is None:
+        n, rule = args.p ** args.r, f"p^r = {args.p}^{args.r}"
+    elif args.case == "b":
+        n, rule = args.p, f"p = {args.p}"
+    elif args.n is None:
         raise SystemExit(f"case ({args.case}) needs --n")
-    return args.n
+    else:
+        return args.n
+    if args.n is not None and args.n != n:
+        raise SystemExit(f"--n {args.n} disagrees with case ({args.case}), where n = {rule}")
+    return n
 
 
 def cmd_check_genfree(args) -> int:
@@ -245,35 +251,39 @@ def cmd_reproduce_all(args) -> int:
         raise SystemExit(f"unknown profile {args.profile!r}")
     claims = [(command, params) for command, params in CLAIMS
               if args.profile == "full" or command != "search-min-naive-crosscheck"]
-    manifests = []
-    ok = True
-    for idx, (command, params) in enumerate(claims):
-        start = time.perf_counter()
-        try:
-            passed = claim_holds(command, params)
-            error = None
-        except Exception as exc:  # report the failure, keep going
-            passed = False
-            error = f"{type(exc).__name__}: {exc}"
-        elapsed_ms = int((time.perf_counter() - start) * 1000)
-        manifest = {
-            "row": idx,
-            "command": command,
-            "parameters": params,
-            "version": __version__,
-            "elapsed_ms": elapsed_ms,
-            "result": {"passed": passed},
-            "exit_code": 0 if passed else EXIT_VERIFICATION,
-        }
-        if error:
-            manifest["result"]["error"] = error
-        manifests.append(manifest)
-        ok = ok and passed
-        status = "PASS" if passed else "FAIL"
-        print(f"[{status}] {command} {json.dumps(params, sort_keys=True)}")
-    with open(args.report, "w") as fh:
-        json.dump(manifests, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:  # before the run, so a bad path costs nothing
+        report = open(args.report, "w")
+    except OSError as exc:
+        raise SystemExit(f"cannot write the report: {exc}")
+    with report:
+        manifests = []
+        ok = True
+        for idx, (command, params) in enumerate(claims):
+            start = time.perf_counter()
+            try:
+                passed = claim_holds(command, params)
+                error = None
+            except Exception as exc:  # report the failure, keep going
+                passed = False
+                error = f"{type(exc).__name__}: {exc}"
+            elapsed_ms = int((time.perf_counter() - start) * 1000)
+            manifest = {
+                "row": idx,
+                "command": command,
+                "parameters": params,
+                "version": __version__,
+                "elapsed_ms": elapsed_ms,
+                "result": {"passed": passed},
+                "exit_code": 0 if passed else EXIT_VERIFICATION,
+            }
+            if error:
+                manifest["result"]["error"] = error
+            manifests.append(manifest)
+            ok = ok and passed
+            status = "PASS" if passed else "FAIL"
+            print(f"[{status}] {command} {json.dumps(params, sort_keys=True)}")
+        json.dump(manifests, report, sort_keys=True, indent=2)
+        report.write("\n")
     print(f"report written to {args.report}")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -352,7 +362,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc.code}", file=sys.stderr)
             return EXIT_USAGE
         raise
-    except (BudgetExhausted, GroupTooLarge) as exc:
+    except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:

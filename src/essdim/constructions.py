@@ -1,5 +1,5 @@
 """Witness weight sets behind each upper bound: the four construction cases
-plus the dual-basis weights and the explicit kernel vectors.
+and the explicit kernel vectors.
 
 Case tags: (a) p does not divide n, (b) n = p, (c) n = p^r with r >= 2,
 (d) p | n but n is not a p-power.
@@ -62,22 +62,6 @@ def lambda_a(n: int, p: int) -> RepPlan:
     return RepPlan("a", n, p, weights, extras, (n - 1) + m)
 
 
-def dual_basis_weights(m: int, p: int) -> WeightSet:
-    """The m unit vectors in the full lattice (Z/p)^m: characters dual to the
-    m disjoint p-cycles.  Not zero-sum."""
-    if m < 0:
-        raise ConstructionError("m must be non-negative")
-    spec = LatticeSpec(max(m, 1), p, zero_sum=False)
-    if m == 0:
-        return WeightSet.of([], spec)
-    units = []
-    for i in range(m):
-        ent = [0] * m
-        ent[i] = 1
-        units.append(spec.weight(ent))
-    return WeightSet.of(units, spec)
-
-
 def lambda_b(p: int) -> RepPlan:
     """Case (b), n = p: the cyclic chain a[1,2], ..., a[p-1,p], a[p,1] plus a
     1-dimensional faithful character of Z/p."""
@@ -113,7 +97,7 @@ def lambda_d(n: int, p: int) -> RepPlan:
         raise ConstructionError("case (d) needs n divisible by p and not a p-power")
     spec = LatticeSpec(n)
     group = sylow_subgroup(n, p)
-    blocks = group.structure.blocks
+    blocks = group.blocks
     accum: set = set()
     for lo, _hi in blocks[1:]:
         accum.update(orbit(group, standard_weight(1, lo, spec), spec))

@@ -7,7 +7,7 @@ a[1,2], a[2,3], ..., a[n-1,n].  All arithmetic is exact (Python ints).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -26,21 +26,9 @@ def prime_power_root(q: int) -> Optional[int]:
     """Return p if q = p^e for a prime p and e >= 1, else None."""
     if q < 2:
         return None
-    p = None
-    m = q
-    for d in itertools.chain([2], range(3, q + 1, 2)):
-        if d * d > m:
-            if m > 1:
-                p = m if p is None or p == m else None
-            break
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
-            if m != 1:
-                return None
-            break
-    return p
+    # the smallest divisor above 1 is prime, and q is a power of it or of no prime
+    d = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    return d if q == d ** vp(q, d) else None
 
 
 def vp(n: int, p: int) -> int:
@@ -60,7 +48,6 @@ class LatticeSpec:
 
     n: int
     modulus: int = 0
-    zero_sum: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -76,7 +63,7 @@ class LatticeSpec:
 
     @property
     def rank(self) -> int:
-        return self.n - 1 if self.zero_sum else self.n
+        return self.n - 1
 
     def weight(self, entries: Iterable[int]) -> Tuple[int, ...]:
         """Check entries as an element of this lattice and return them as a
@@ -87,9 +74,9 @@ class LatticeSpec:
             raise LatticeError(f"expected {self.n} entries, got {len(entries)}")
         if self.modulus:
             entries = tuple(e % self.modulus for e in entries)
-            if self.zero_sum and sum(entries) % self.modulus != 0:
+            if sum(entries) % self.modulus != 0:
                 raise LatticeError(f"entries {entries} do not sum to 0 mod {self.modulus}")
-        elif self.zero_sum and sum(entries) != 0:
+        elif sum(entries) != 0:
             raise LatticeError(f"entries {entries} do not sum to 0")
         return entries
 
@@ -139,7 +126,7 @@ class WeightSet:
 
     def reduce(self, q: int) -> "WeightSet":
         """Entrywise reduction into the mod-q lattice of the same length."""
-        spec = LatticeSpec(self.spec.n, q, self.spec.zero_sum)
+        spec = LatticeSpec(self.spec.n, q)
         return WeightSet.of(map(spec.weight, self.elements), spec)
 
     def to_json(self) -> list:
@@ -283,14 +270,10 @@ def smith_normal_form(
 def basis_coordinates(w: Tuple[int, ...], spec: LatticeSpec) -> Tuple[int, ...]:
     """Coordinates of a weight of ``spec`` in the canonical chart, over Z.
 
-    Zero-sum lattices use the basis a[1,2], ..., a[n-1,n]; the coordinate
-    vector is the prefix-sum sequence of the entries without the last, so
-    a mod-q weight gets the coordinates of its lift that sums to zero
-    exactly.  Full lattices use the standard basis, i.e. the entries
-    themselves.
+    The chart is the basis a[1,2], ..., a[n-1,n]; the coordinate vector is
+    the prefix-sum sequence of the entries without the last, so a mod-q
+    weight gets the coordinates of its lift that sums to zero exactly.
     """
-    if not spec.zero_sum:
-        return w
     coords = []
     acc = 0
     for e in w[:-1]:

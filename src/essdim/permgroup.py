@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .lattice import LatticeSpec, WeightSet, prime_power_root
 
@@ -123,26 +123,16 @@ class Perm:
 
 
 @dataclass(frozen=True)
-class BlockStructure:
-    """Base-p digit decomposition of n and the induced tiling of {1..n}."""
-
-    p: int
-    n: int
-    digits: Tuple[Tuple[int, int], ...]  # (multiplicity n_i, exponent e_i), e_i >= 1
-    blocks: Tuple[Tuple[int, int], ...]  # inclusive 1-based intervals, increasing size
-    fixed_points: int  # count of leading positions fixed by the whole group
-
-
-@dataclass(frozen=True)
 class PermGroupSpec:
-    """Generating set plus block metadata; order_exponent is v_p(|group|)."""
+    """Generating set of a Sylow p-subgroup of S_n plus its block layout;
+    order_exponent is v_p(|group|)."""
 
     generators: Tuple[Perm, ...]
-    structure: Optional[BlockStructure]
     order_exponent: int
     p: int
     n: int
-    is_p_group: bool = True
+    blocks: Tuple[Tuple[int, int], ...]  # inclusive 1-based intervals, increasing size
+    fixed_points: int  # count of leading positions fixed by the whole group
 
 
 def p_adic_digits(n: int, p: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
@@ -206,30 +196,13 @@ def sylow_subgroup(n: int, p: int) -> PermGroupSpec:
             gens.extend(_wreath_generators(pos, e, p, n))
             pos += size
     assert pos == n
-    structure = BlockStructure(p=p, n=n, digits=digits, blocks=tuple(blocks), fixed_points=fixed)
     return PermGroupSpec(
         generators=tuple(gens),
-        structure=structure,
         order_exponent=legendre_exponent(n, p),
         p=p,
         n=n,
-    )
-
-
-def symmetric_group(m: int, p: int) -> PermGroupSpec:
-    """Full S_m (used as the finite part acting on the dual basis weights)."""
-    gens: List[Perm] = []
-    if m >= 2:
-        gens.append(Perm.from_cycles("(1 2)", m))
-    if m >= 3:
-        gens.append(Perm.of(list(range(2, m + 1)) + [1]))
-    return PermGroupSpec(
-        generators=tuple(gens),
-        structure=None,
-        order_exponent=legendre_exponent(m, p),
-        p=p,
-        n=max(m, 1),
-        is_p_group=m < 3,
+        blocks=tuple(blocks),
+        fixed_points=fixed,
     )
 
 
@@ -272,20 +245,18 @@ def _block_rotation(block: Tuple[int, int], p: int, n: int) -> Perm:
 def center_order_p_elements(group: PermGroupSpec) -> Tuple[Perm, ...]:
     """All non-identity elements of the center's p-torsion: per block, powers
     of the product-of-p-cycles rotation; count p^(#blocks) - 1."""
-    st = group.structure
-    if st is None:
-        raise PermError("center_order_p_elements needs a Sylow block structure")
-    if st.fixed_points:
+    if group.fixed_points:
         raise PermError("group has fixed points; center elements require p | n")
-    rotations = [_block_rotation(b, st.p, st.n) for b in st.blocks]
+    p = group.p
+    rotations = [_block_rotation(b, p, group.n) for b in group.blocks]
     out: List[Perm] = []
-    total = st.p ** len(rotations)
+    total = p ** len(rotations)
     for code in range(1, total):
         c = code
-        g = Perm.identity(st.n)
+        g = Perm.identity(group.n)
         for rot in rotations:
-            k = c % st.p
-            c //= st.p
+            k = c % p
+            c //= p
             for _ in range(k):
                 g = g * rot
         out.append(g)

@@ -255,12 +255,16 @@ class TestUsageErrors:
         (("check-genfree", "--case", "d", "--n", "-6", "--p", "2"), "n must be positive"),
         (("verify", "--prop", "7.2", "--p", "3", "--r", "0"), "--r >= 1"),
         (("verify", "--prop", "7.2", "--p", "3", "--r", "-1"), "--r >= 1"),
+        (("construct", "--case", "b", "--p", "2", "--n", "9"), "disagrees"),
+        (("check-genfree", "--case", "b", "--p", "2", "--n", "9"), "disagrees"),
+        (("construct", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
+        (("check-genfree", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # --budget inf raised OverflowError, r = 22 built a 4-million-digit
         # integer, n = 0 or q = 0 looped forever, and so did case (d) with
         # n = -6 in the base-p digits (-1 // p == -1); r = 0 verified n = 1
-        # against the bound 0
+        # against the bound 0; case (b) and (c) ignored an inconsistent --n
         done = run_subprocess(argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr
@@ -270,13 +274,22 @@ class TestUsageErrors:
         ("check-genfree", "--case", "a", "--n", "17", "--p", "2"),
         ("check-genfree", "--case", "a", "--n", "25", "--p", "3"),
     ])
-    def test_group_size_cap_exits_4(self, argv):
-        # the combination rule enumerates S_[n/p], past the element cap here;
-        # this printed a GroupTooLarge traceback and exited 1
+    def test_large_case_a_certified(self, argv):
+        # the combination rule used to enumerate S_[n/p], past the element
+        # cap here (exit 4); the permutation summand is now decided by its lemma
         done = run_subprocess(argv)
-        assert done.returncode == 4
-        assert done.stderr.startswith("error: ") and "cap" in done.stderr
+        assert done.returncode == 0
+        assert "generically free = True" in done.stdout
+        assert done.stderr == ""
+
+    def test_unwritable_report_rejected(self, tmp_path):
+        # this ran every claim, then exited 1 with a FileNotFoundError traceback
+        report = tmp_path / "missing" / "r.json"
+        done = run_subprocess(("reproduce-all", "--report", str(report)))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot write the report")
         assert done.stderr.count("\n") == 1
+        assert done.stdout == "" and not report.parent.exists()
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "9")

@@ -3,7 +3,6 @@ import pytest
 from essdim.constructions import (
     ConstructionError,
     build_plan,
-    dual_basis_weights,
     kernel_witness,
     lambda_a,
     lambda_b,
@@ -47,19 +46,6 @@ class TestCaseA:
 
     def test_spans(self):
         assert spans(lambda_a(5, 2).torus_weights)
-
-
-class TestDualBasis:
-    def test_two_cycles_p3(self):
-        ws = dual_basis_weights(2, 3)
-        assert ws.to_json() == [[0, 1], [1, 0]]
-        assert ws.spec.modulus == 3 and not ws.spec.zero_sum
-
-    def test_empty(self):
-        assert len(dual_basis_weights(0, 5)) == 0
-
-    def test_single(self):
-        assert dual_basis_weights(1, 2).to_json() == [[1]]
 
 
 class TestCaseB:

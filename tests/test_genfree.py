@@ -20,7 +20,6 @@ from essdim.permgroup import (
     center_order_p_elements,
     enumerate_elements,
     orbit,
-    symmetric_group,
     sylow_subgroup,
 )
 
@@ -62,7 +61,7 @@ class TestLemma34:
         # which the swap fixes, so the action is not faithful
         spec = LatticeSpec(2)
         lam = WeightSet.of([standard_weight(1, 2, spec), standard_weight(2, 1, spec)], spec)
-        verdict = check_lemma34(lam, symmetric_group(2, 2))
+        verdict = check_lemma34(lam, sylow_subgroup(2, 2))  # = S_2
         assert verdict.spans_ok
         assert verdict.kernel_faithful is False
         assert not verdict.overall

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from essdim.constructions import build_plan, dual_basis_weights
+from essdim.constructions import build_plan
 from essdim.lattice import (
     IntegerMatrix,
     LatticeError,
@@ -16,6 +16,7 @@ from essdim.lattice import (
     in_p_multiple,
     kernel_basis,
     kernel_generators_mod,
+    prime_power_root,
     rank_mod_p,
     smith_normal_form,
     spans,
@@ -319,11 +320,8 @@ class TestKernelPinned:
         assert tuple(densify(v, 27) for v in kernel_basis(lam)) == expected
 
     def test_generators_mod_q(self):
-        # dual-basis units of (Z/2)^3, a reduced case (c) set, and a
-        # non-spanning set over Z/9
+        # a reduced case (c) set and a non-spanning set over Z/9
         cases = [
-            (dual_basis_weights(3, 2),
-             [(0, 0, -2), (0, -2, 0), (-2, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]),
             (build_plan("c", 4, 2).torus_weights.reduce(4),
              [(0, -3, 0, 1, -24, 0, 0, 8), (1, -1, 0, 0, -9, 0, 0, 3),
               (0, 0, 0, 0, 8, 1, 0, -3), (0, 0, 0, 0, -3, 0, 1, 0),
@@ -362,6 +360,14 @@ def test_weightset_serialization_sorted():
     spec = LatticeSpec(3)
     ws = WeightSet.of([standard_weight(2, 1, spec), standard_weight(1, 2, spec)], spec)
     assert ws.to_json() == sorted(ws.to_json())
+
+
+def test_prime_power_root_against_definition():
+    # p if q = p^e with p prime and e >= 1, by brute force over the primes
+    primes = [p for p in range(2, 3000) if all(p % k for k in range(2, p))]
+    powers = {p ** e: p for p in primes for e in range(1, 12) if p ** e < 3000}
+    for q in range(-5, 3000):
+        assert prime_power_root(q) == powers.get(q)
 
 
 def test_vp_against_definition():

@@ -68,7 +68,7 @@ class TestSylowConstruction:
         for n, p in [(5, 2), (7, 3), (10, 3)]:
             g = sylow_subgroup(n, p)
             for gen in g.generators:
-                for pos in range(1, g.structure.fixed_points + 1):
+                for pos in range(1, g.fixed_points + 1):
                     assert gen(pos) == pos
 
     @pytest.mark.parametrize("n", range(1, 10))

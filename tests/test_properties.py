@@ -1,5 +1,6 @@
-"""Property tests for the Smith normal form and the kernel generators,
-with fixed, derandomized settings so the suite's time stays flat."""
+"""Property tests for the Smith normal form, the kernel generators and the
+Sylow orbits, with fixed, derandomized settings so the suite's time stays
+flat."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from essdim.lattice import (
     kernel_generators_mod,
     smith_normal_form,
 )
+from essdim.permgroup import act, enumerate_elements, orbit, sylow_subgroup
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -85,3 +87,20 @@ def test_kernel_generators_map_to_zero(data):
         for i, c in vec:
             dense[i] = c
         assert not any(phi_image(lam, tuple(dense)))
+
+
+orbit_seeds = st.tuples(st.integers(2, 8), st.sampled_from([2, 3]),
+                        st.sampled_from([2, 3, 4, 5, 9])).flatmap(
+    lambda npq: st.tuples(st.just(npq), st.lists(st.integers(0, npq[2] - 1),
+                                                 min_size=npq[0] - 1, max_size=npq[0] - 1)))
+
+
+@FIXED
+@given(orbit_seeds)
+def test_orbit_stabilizer(data):
+    (n, p, q), prefix = data
+    spec = LatticeSpec(n, q)
+    w = spec.weight(prefix + [-sum(prefix)])
+    group = sylow_subgroup(n, p)
+    stabilizer = [g for g in enumerate_elements(group, 10 ** 4) if act(g, w) == w]
+    assert len(orbit(group, w, spec)) * len(stabilizer) == p ** group.order_exponent
