@@ -195,7 +195,7 @@ def min_invariant_generating_size(
     orbits = _nonzero_orbits(spec, p)
     target = spec.rank
     sizes = [len(o) for o in orbits]
-    orbit_spans = [echelon_mod_p((basis_coordinates(w, spec) for w in o), p) for o in orbits]
+    orbit_spans = [echelon_mod_p((basis_coordinates(w) for w in o), p) for o in orbits]
     # suffix[i]: F_p span of orbits i, i+1, ...; full spans are shared
     suffix = [{}]
     for span in reversed(orbit_spans):

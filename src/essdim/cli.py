@@ -4,8 +4,8 @@ Subcommands: construct, check-genfree, orbit, search-min, verify, ed,
 reproduce-all.  JSON payloads use sorted keys and integer-only values so that
 parse + re-serialize round-trips byte-identically.
 
-Exit codes: 0 success, 2 usage error, 3 verification failure, 4 search node
-budget exhausted.
+Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error,
+3 verification failure, 4 search node budget exhausted.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import List, Optional
@@ -356,7 +357,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so that the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(f"error: {exc.code}", file=sys.stderr)

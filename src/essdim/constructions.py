@@ -8,7 +8,7 @@ Case tags: (a) p does not divide n, (b) n = p, (c) n = p^r with r >= 2,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from .lattice import LatticeSpec, WeightSet, prime_power_root, standard_weight, vp
 from .permgroup import act, orbit, p_adic_digits, sylow_subgroup
@@ -162,17 +162,12 @@ def kernel_witness_coefficients(plan: RepPlan) -> Tuple[int, ...]:
     return tuple(coeffs)
 
 
-def index_image(g, lam: WeightSet) -> List[int]:
-    """Position in lam of g(lambda), for each lambda of lam in order."""
-    return [lam.index(act(g, w)) for w in lam.elements]
-
-
 def permute_coefficients(g, lam: WeightSet, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
     """Induced action on Z[Lambda]: the basis vector at lambda moves to the
     one at g(lambda)."""
     out = [0] * len(lam)
-    for c, target in zip(coeffs, index_image(g, lam)):
-        out[target] = c
+    for c, w in zip(coeffs, lam.elements):
+        out[lam.index(act(g, w))] = c
     return tuple(out)
 
 

@@ -5,32 +5,22 @@ under a Sylow p-subgroup, and the combination rule (faithful extra summand
 + torus-generically-free weight set) for plans carrying a W or L factor;
 `certify` picks the route from the plan.  The extra summands of cases (a)
 and (b) are faithful by standard facts, stated where they are used, so no
-group other than a Sylow subgroup is ever enumerated.
+group is ever enumerated.
 
 For p-groups faithfulness is decided on the order-p central elements only:
 every nontrivial normal subgroup meets the center, so the kernel of the
 action on Ker(phi) is trivial iff no such central element acts trivially.
-Sylow subgroups with fixed points (p not dividing n) fall back to full
-enumeration, capped at FULL_ENUMERATION_CAP elements.
+This holds for every Sylow subgroup, with or without fixed points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .constructions import RepPlan, index_image
+from .constructions import RepPlan
 from .lattice import WeightSet, kernel_generators_mod, spans
-from .permgroup import (
-    Perm,
-    PermGroupSpec,
-    act,
-    center_order_p_elements,
-    enumerate_elements,
-    sylow_subgroup,
-)
-
-FULL_ENUMERATION_CAP = 10_000
+from .permgroup import PermGroupSpec, act, center_order_p_elements, sylow_subgroup
 
 
 class GenFreeError(ValueError):
@@ -68,52 +58,39 @@ def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
                     f"moves {w} outside the set")
 
 
-def _test_elements(group: PermGroupSpec, method: Optional[str]) -> Tuple[str, Tuple[Perm, ...]]:
-    """The method and the elements it tests; without a method, center
-    reduction wherever it applies, i.e. when no point is fixed."""
-    if method is None:
-        method = "full-enumeration" if group.fixed_points else "center-reduction"
-    if method == "center-reduction":
-        return method, center_order_p_elements(group)
-    elements = enumerate_elements(group, FULL_ENUMERATION_CAP)
-    return "full-enumeration", tuple(g for g in elements if not g.is_identity())
-
-
 def kernel_action_faithful(
-    lam: WeightSet, group: PermGroupSpec, method: Optional[str] = None
-) -> Tuple[bool, str, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
-    """Decide whether the group acts faithfully on Ker(phi), returning one
-    moved kernel generator per tested element as witness."""
-    method, elements = _test_elements(group, method)
+    lam: WeightSet, group: PermGroupSpec
+) -> Tuple[bool, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
+    """Decide whether the group acts faithfully on Ker(phi) by testing its
+    order-p central elements, returning one moved kernel generator per
+    element as witness."""
+    elements = center_order_p_elements(group)
     gens = kernel_generators_mod(lam)
     witnesses = []
-    faithful = True
     for g in elements:
         # g moves vec iff permute_coefficients(g, lam, vec) != vec; the image
         # is a bijection, so that is iff the support moved with its
         # coefficients differs from the support
-        image = index_image(g, lam)
         moved = next((vec for vec in gens
-                      if sorted([(image[i], c) for i, c in vec]) != list(vec)), None)
-        if moved is None:
-            faithful = False
-        else:
+                      if sorted([(lam.index(act(g, lam.elements[i])), c) for i, c in vec])
+                      != list(vec)), None)
+        if moved is not None:
             dense = [0] * len(lam)
             for i, c in moved:
                 dense[i] = c
             witnesses.append((g.cycle_string(), tuple(dense)))
-    return faithful, method, tuple(witnesses)
+    return len(witnesses) == len(elements), tuple(witnesses)
 
 
 def check_lemma34(lam: WeightSet, group: PermGroupSpec) -> GenFreeVerdict:
     """Span + faithful kernel action; the weight set must be group-invariant."""
     _require_invariant(lam, group)
     spans_ok = spans(lam)
-    faithful, used, witnesses = kernel_action_faithful(lam, group)
+    faithful, witnesses = kernel_action_faithful(lam, group)
     return GenFreeVerdict(
         spans_ok=spans_ok,
         kernel_faithful=faithful,
-        method=used,
+        method="center-reduction",
         overall=spans_ok and faithful,
         witnesses=witnesses,
     )

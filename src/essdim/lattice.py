@@ -267,8 +267,8 @@ def smith_normal_form(
     )
 
 
-def basis_coordinates(w: Tuple[int, ...], spec: LatticeSpec) -> Tuple[int, ...]:
-    """Coordinates of a weight of ``spec`` in the canonical chart, over Z.
+def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Coordinates of a weight in the canonical chart, over Z.
 
     The chart is the basis a[1,2], ..., a[n-1,n]; the coordinate vector is
     the prefix-sum sequence of the entries without the last, so a mod-q
@@ -287,7 +287,7 @@ def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
     elements of Lambda, lifted to Z; mod-q sets get q times each basis vector
     appended so integer surjectivity matches surjectivity over Z/q."""
     rank = lam.spec.rank
-    cols = [basis_coordinates(w, lam.spec) for w in lam.elements]
+    cols = [basis_coordinates(w) for w in lam.elements]
     if lam.spec.modulus:
         q = lam.spec.modulus
         for i in range(rank):
@@ -297,13 +297,8 @@ def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
 
 def spans(lam: WeightSet) -> bool:
     """True iff Lambda generates the full (zero-sum) lattice over Z or Z/q."""
-    rank = lam.spec.rank
-    if rank == 0:
-        return True
-    if not lam.elements and not lam.spec.modulus:
-        return False
     d = lam._smith[0]
-    return len(d) == rank and all(x == 1 for x in d)
+    return len(d) == lam.spec.rank and all(x == 1 for x in d)
 
 
 def kernel_basis(lam: WeightSet) -> Tuple[SparseVector, ...]:
@@ -370,7 +365,7 @@ def echelon_mod_p(
 def rank_mod_p(lam: WeightSet, p: int, rank: int) -> int:
     """F_p-rank of the chart coordinates of the weights of lam, capped at
     ``rank`` (Gaussian elimination, exact)."""
-    return min(rank, len(echelon_mod_p((basis_coordinates(w, lam.spec) for w in lam), p)))
+    return min(rank, len(echelon_mod_p((basis_coordinates(w) for w in lam), p)))
 
 
 def in_p_multiple(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> bool:

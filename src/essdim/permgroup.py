@@ -20,10 +20,6 @@ class PermError(ValueError):
     pass
 
 
-class GroupTooLarge(RuntimeError):
-    """Raised when a closure exceeds its element cap."""
-
-
 @dataclass(frozen=True, order=True)
 class Perm:
     """Permutation of {1..n}; images[i-1] is the image of i."""
@@ -132,7 +128,6 @@ class PermGroupSpec:
     p: int
     n: int
     blocks: Tuple[Tuple[int, int], ...]  # inclusive 1-based intervals, increasing size
-    fixed_points: int  # count of leading positions fixed by the whole group
 
 
 def p_adic_digits(n: int, p: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
@@ -202,7 +197,6 @@ def sylow_subgroup(n: int, p: int) -> PermGroupSpec:
         p=p,
         n=n,
         blocks=tuple(blocks),
-        fixed_points=fixed,
     )
 
 
@@ -244,9 +238,8 @@ def _block_rotation(block: Tuple[int, int], p: int, n: int) -> Perm:
 
 def center_order_p_elements(group: PermGroupSpec) -> Tuple[Perm, ...]:
     """All non-identity elements of the center's p-torsion: per block, powers
-    of the product-of-p-cycles rotation; count p^(#blocks) - 1."""
-    if group.fixed_points:
-        raise PermError("group has fixed points; center elements require p | n")
+    of the product-of-p-cycles rotation; count p^(#blocks) - 1.  The fixed
+    points lie in no block and are fixed by every element."""
     p = group.p
     rotations = [_block_rotation(b, p, group.n) for b in group.blocks]
     out: List[Perm] = []
@@ -261,23 +254,3 @@ def center_order_p_elements(group: PermGroupSpec) -> Tuple[Perm, ...]:
                 g = g * rot
         out.append(g)
     return tuple(sorted(out))
-
-
-def enumerate_elements(group: PermGroupSpec, cap: int) -> Tuple[Perm, ...]:
-    """Full element list by generator closure; errors past the cap."""
-    ident = Perm.identity(group.n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in group.generators:
-                y = g * x
-                size = len(seen)
-                seen.add(y)
-                if len(seen) > size:
-                    if size >= cap:
-                        raise GroupTooLarge(f"cap {cap} exceeded during closure")
-                    nxt.append(y)
-        frontier = nxt
-    return tuple(sorted(seen))

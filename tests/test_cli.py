@@ -211,11 +211,14 @@ class TestReproduceAll:
         assert code == 2
 
 
-def run_subprocess(argv):
+def cli_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "essdim.cli", *argv], env=env,
+
+
+def run_subprocess(argv):
+    return subprocess.run([sys.executable, "-m", "essdim.cli", *argv], env=cli_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -290,6 +293,18 @@ class TestUsageErrors:
         assert done.stderr.startswith("error: cannot write the report")
         assert done.stderr.count("\n") == 1
         assert done.stdout == "" and not report.parent.exists()
+
+    def test_closed_stdout_exits_quietly(self):
+        # a reader that stops after 50 bytes got a BrokenPipeError traceback;
+        # the payload (about 400 kB) is larger than any pipe buffer
+        with subprocess.Popen(
+                [sys.executable, "-m", "essdim.cli", "construct", "--case", "c", "--p", "2",
+                 "--r", "6", "--json"],
+                env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(50)) == 50
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stderr.read() == b""
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "9")

@@ -16,12 +16,8 @@ from essdim.genfree import (
     kernel_action_faithful,
 )
 from essdim.lattice import LatticeSpec, WeightSet, kernel_generators_mod, standard_weight
-from essdim.permgroup import (
-    center_order_p_elements,
-    enumerate_elements,
-    orbit,
-    sylow_subgroup,
-)
+from essdim.permgroup import center_order_p_elements, orbit, sylow_subgroup
+from oracles import faithful_by_enumeration
 
 
 def random_invariant_set(rng, group, spec, max_orbits=3):
@@ -107,42 +103,38 @@ class TestLemma32:
 
 class TestOracleAgreement:
     def test_center_reduction_matches_full_enumeration(self):
+        # with p | n and, through the fixed points, with p not dividing n
         rng = random.Random(20240818)
-        cases = [(4, 2), (6, 2), (3, 3), (6, 3), (2, 2)]
+        cases = [(4, 2), (6, 2), (3, 3), (6, 3), (2, 2), (5, 2), (7, 2), (4, 3), (5, 3)]
         checked = 0
         while checked < 100:
             n, p = rng.choice(cases)
             group = sylow_subgroup(n, p)
             spec = LatticeSpec(n)
             lam = random_invariant_set(rng, group, spec)
-            fast, method_fast, _ = kernel_action_faithful(lam, group, "center-reduction")
-            slow, method_slow, _ = kernel_action_faithful(lam, group, "full-enumeration")
-            assert method_fast == "center-reduction"
-            assert method_slow == "full-enumeration"
-            assert fast == slow, (n, p, lam.to_json())
+            faithful, _ = kernel_action_faithful(lam, group)
+            assert faithful == faithful_by_enumeration(lam, group), (n, p, lam.to_json())
             checked += 1
 
     def test_witnesses_match_per_vector_definition(self):
         # the first kernel generator g moves, by permute_coefficients, for
-        # each tested element, over Z and over Z/q
+        # each central element of order p, over Z and over Z/q
         rng = random.Random(20240819)
-        cases = [(4, 2, 0), (6, 2, 0), (3, 3, 0), (6, 3, 0), (4, 2, 4), (6, 2, 2), (3, 3, 9)]
+        cases = [(4, 2, 0), (6, 2, 0), (3, 3, 0), (6, 3, 0), (4, 2, 4), (6, 2, 2), (3, 3, 9),
+                 (5, 2, 0), (7, 3, 3)]
         for _ in range(40):
             n, p, q = rng.choice(cases)
             group = sylow_subgroup(n, p)
             lam = random_invariant_set(rng, group, LatticeSpec(n, q))
             gens = [dense(v, len(lam)) for v in kernel_generators_mod(lam)]
-            for method, elements in [
-                    ("center-reduction", center_order_p_elements(group)),
-                    ("full-enumeration",
-                     [g for g in enumerate_elements(group, 10_000) if not g.is_identity()])]:
-                moved = [next((v for v in gens if permute_coefficients(g, lam, v) != v), None)
-                         for g in elements]
-                expected = tuple((g.cycle_string(), v)
-                                 for g, v in zip(elements, moved) if v is not None)
-                faithful, _, witnesses = kernel_action_faithful(lam, group, method)
-                assert faithful == (None not in moved)
-                assert witnesses == expected, (n, p, q, method, lam.to_json())
+            elements = center_order_p_elements(group)
+            moved = [next((v for v in gens if permute_coefficients(g, lam, v) != v), None)
+                     for g in elements]
+            expected = tuple((g.cycle_string(), v)
+                             for g, v in zip(elements, moved) if v is not None)
+            faithful, witnesses = kernel_action_faithful(lam, group)
+            assert faithful == (None not in moved)
+            assert witnesses == expected, (n, p, q, lam.to_json())
 
     def test_explicit_witness_consistent_with_verdict(self):
         # the hand-built kernel vector is itself moved by some tested element
@@ -151,7 +143,6 @@ class TestOracleAgreement:
             group = sylow_subgroup(n, p)
             verdict = check_lemma34(plan.torus_weights, group)
             assert verdict.overall
-            from essdim.permgroup import center_order_p_elements
             moved = any(
                 permute_coefficients(z, plan.torus_weights, coeffs) != coeffs
                 for z in center_order_p_elements(group))

@@ -166,6 +166,13 @@ class TestSpans:
         for n in (2, 3, 5, 7):
             spec = LatticeSpec(n)
             assert spans(WeightSet.of(chain_basis(spec), spec))
+        # the empty and the zero-weight set span the rank-0 lattice (n = 1)
+        # and nothing larger, over Z and over Z/q
+        for n in (1, 3):
+            for q in (0, 2, 4, 9):
+                spec = LatticeSpec(n, q)
+                for ws in ([], [spec.weight([0] * n)]):
+                    assert spans(WeightSet.of(ws, spec)) == (n == 1), (n, q, ws)
 
     def test_single_weight_does_not_span_rank_two(self):
         spec = LatticeSpec(3)
@@ -208,7 +215,7 @@ class TestSpans:
                 ent = [rng.randrange(q) for _ in range(n - 1)]
                 lam.append(spec.weight(ent + [-sum(ent)]))
             ws = WeightSet.of(lam, spec)
-            basis = echelon_mod_p((basis_coordinates(w, spec) for w in ws), p)
+            basis = echelon_mod_p((basis_coordinates(w) for w in ws), p)
             for col, row in basis.items():
                 assert row[col] == 1
                 assert all(row[other] == 0 for other in basis if other != col)

@@ -4,17 +4,16 @@ import pytest
 
 from essdim.lattice import LatticeSpec, standard_weight
 from essdim.permgroup import (
-    GroupTooLarge,
     Perm,
     PermError,
     act,
     center_order_p_elements,
-    enumerate_elements,
     legendre_exponent,
     orbit,
     p_adic_digits,
     sylow_subgroup,
 )
+from oracles import group_elements
 
 
 def random_weight(rng, n, q=0):
@@ -57,25 +56,25 @@ class TestSylowConstruction:
     def test_p4_generators_and_order(self):
         g = sylow_subgroup(4, 2)
         assert {x.cycle_string() for x in g.generators} == {"(1 2)", "(1 3)(2 4)"}
-        assert len(enumerate_elements(g, 100)) == 8
+        assert len(group_elements(g)) == 8
 
     def test_trivial_group(self):
         g = sylow_subgroup(1, 5)
         assert g.generators == ()
-        assert enumerate_elements(g, 10) == (Perm.identity(1),)
+        assert group_elements(g) == (Perm.identity(1),)
 
     def test_generators_fix_fixed_points(self):
         for n, p in [(5, 2), (7, 3), (10, 3)]:
             g = sylow_subgroup(n, p)
             for gen in g.generators:
-                for pos in range(1, g.fixed_points + 1):
+                for pos in range(1, p_adic_digits(n, p)[0] + 1):
                     assert gen(pos) == pos
 
     @pytest.mark.parametrize("n", range(1, 10))
     @pytest.mark.parametrize("p", [2, 3])
     def test_closure_order_matches_legendre(self, n, p):
         g = sylow_subgroup(n, p)
-        order = len(enumerate_elements(g, 10 ** 5))
+        order = len(group_elements(g))
         assert order == p ** legendre_exponent(n, p)
         assert g.order_exponent == legendre_exponent(n, p)
 
@@ -159,6 +158,9 @@ class TestCenter:
     def test_p4_center(self):
         g = sylow_subgroup(4, 2)
         assert [x.cycle_string() for x in center_order_p_elements(g)] == ["(1 2)(3 4)"]
+        # P_5 is P_4 on the positions after the fixed point 1
+        g = sylow_subgroup(5, 2)
+        assert [x.cycle_string() for x in center_order_p_elements(g)] == ["(2 3)(4 5)"]
 
     def test_p6_center(self):
         g = sylow_subgroup(6, 2)
@@ -178,13 +180,9 @@ class TestCenter:
                 acc = acc * cyc
             assert set(elems) == powers
 
-    def test_fixed_points_rejected(self):
-        with pytest.raises(PermError):
-            center_order_p_elements(sylow_subgroup(5, 2))
-
     def test_commute_and_order(self):
         rng = random.Random(23)
-        cases = [(4, 2), (6, 2), (8, 2), (9, 3), (6, 3)]
+        cases = [(4, 2), (6, 2), (8, 2), (9, 3), (6, 3), (5, 2), (7, 3)]
         checked = 0
         while checked < 100:
             n, p = rng.choice(cases)
@@ -197,22 +195,14 @@ class TestCenter:
 
 
 class TestEnumeration:
-    def test_cap_exceeded(self):
-        with pytest.raises(GroupTooLarge):
-            enumerate_elements(sylow_subgroup(8, 2), 10)
-
     def test_p4_full_list(self):
-        elems = enumerate_elements(sylow_subgroup(4, 2), 100)
+        elems = group_elements(sylow_subgroup(4, 2))
         assert len(elems) == 8
         assert len(set(elems)) == 8
 
-    def test_cap_is_the_largest_group_allowed(self):
-        assert len(enumerate_elements(sylow_subgroup(4, 2), 8)) == 8
-        with pytest.raises(GroupTooLarge):
-            enumerate_elements(sylow_subgroup(4, 2), 7)
 
-
-@pytest.mark.parametrize("n,p", [(4, 2), (6, 2), (8, 2), (9, 3), (6, 3), (12, 2), (10, 5)])
+@pytest.mark.parametrize("n,p", [(4, 2), (6, 2), (8, 2), (9, 3), (6, 3), (12, 2), (10, 5),
+                                 (5, 2), (7, 3), (11, 2)])
 def test_sylow_and_center_against_sympy(n, p):
     named_groups = pytest.importorskip("sympy.combinatorics.named_groups")
     ref = named_groups.SymmetricGroup(n).sylow_subgroup(p)
