@@ -8,5 +8,5 @@ and the closed-form value calculator.
 
 __version__ = "0.1.0"
 
-from .edcalc import EdReport, ed_value, pgl_upper_bound  # noqa: F401
+from .edcalc import EdReport, ed_value  # noqa: F401
 from .lattice import LatticeSpec, WeightSet  # noqa: F401

@@ -80,11 +80,3 @@ def ed_value(n: int, p: int) -> EdReport:
         witness_total_dimension=witness_total,
         consistency=witness_total - (n - 1) == value,
     )
-
-
-def pgl_upper_bound(p: int, r: int) -> int:
-    """Upper bound p^(2r-1) - p^r + 1 for the projective linear group at p,
-    valid only for r >= 2."""
-    if r < 2:
-        raise EdError("upper bound requires r >= 2 (the r = 1 value is at least 2)")
-    return p ** (2 * r - 1) - p ** r + 1

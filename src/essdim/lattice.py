@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -147,20 +148,6 @@ class IntegerMatrix:
             raise LatticeError("ragged matrix")
         return cls(rows, cols, tuple(tuple(int(x) for x in r) for r in grid))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls.of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise LatticeError("dimension mismatch in matrix product")
-        grid = [
-            [sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-             for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntegerMatrix.of(grid) if grid else IntegerMatrix(0, other.cols, ())
-
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -182,11 +169,16 @@ def smith_normal_form(
     """Return (diagonal, left, right) with left*m*right = diagonal,
     left/right unimodular and non-negative diagonal d1 | d2 | ... ;
     ``right`` is given as the list of its columns, each a dict from row to
-    nonzero entry."""
+    nonzero entry.  The rows stay dense lists, but a row update runs over the
+    source row's nonzero columns only and a column update over the rows
+    nonzero in the source column."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [{j: 1} for j in range(cols)]
+
+    def support(i):  # the nonzero columns of row i
+        return list(compress(range(cols), a[i]))
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -197,14 +189,17 @@ def smith_normal_form(
             r[i], r[j] = r[j], r[i]
         right[i], right[j] = right[j], right[i]
 
-    def add_row(src, dst, f):  # row dst += f * row src
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
+    def add_row(src, dst, f, src_support):  # row dst += f * row src
+        if f:
+            s, d = a[src], a[dst]
+            for k in src_support:
+                d[k] += f * s[k]
+            left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
 
-    def add_col(src, dst, f):
+    def add_col(src, dst, f, holders):  # holders: the rows nonzero at column src
         if not f:
             return
-        for r in a:
+        for r in holders:
             r[dst] += f * r[src]
         col = right[dst]
         for k, y in right[src].items():
@@ -223,6 +218,10 @@ def smith_normal_form(
         # pivot: the row-major first entry of least nonzero |value| in the block
         piv = None
         for i in range(t, rows):
+            # nothing beats a unit; rows t.. are 0 left of column t
+            if 1 in a[i] or -1 in a[i]:
+                piv = (1, i)
+                break
             size = min(map(abs, filter(None, a[i][t:])), default=0)
             if size and (piv is None or size < piv[0]):
                 piv = (size, i)
@@ -233,18 +232,24 @@ def smith_normal_form(
         swap_cols(t, next(j for j in range(t, cols) if abs(a[t][j]) == size))
         while True:
             dirty = False
+            pivot_support = support(t)
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    add_row(t, i, -(a[i][t] // a[t][t]), pivot_support)
                     if a[i][t]:
                         swap_rows(t, i)
+                        pivot_support = support(t)
                         dirty = True
             row = a[t]
-            for j in range(t + 1, cols):
-                if row[j]:
-                    add_col(t, j, -(row[j] // row[t]))
+            holders = [r for r in a if r[t]]
+            # handling column j changes row t at columns t and j only, so the
+            # columns to visit are those nonzero now
+            for j in support(t):
+                if j > t:
+                    add_col(t, j, -(row[j] // row[t]), holders)
                     if row[j]:
                         swap_cols(t, j)
+                        holders = [r for r in a if r[t]]
                         dirty = True
             if dirty:
                 continue
@@ -256,7 +261,7 @@ def smith_normal_form(
                                  if any(map(d.__rmod__, a[i][t + 1:]))), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
+            add_row(offender, t, 1, support(offender))
         if a[t][t] < 0:
             negate_row(t)
         t += 1

@@ -83,17 +83,6 @@ class Perm:
             inv[img - 1] = i
         return Perm(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(self.images[i] == i + 1 for i in range(self.n))
-
-    def order(self) -> int:
-        k = 1
-        g = self
-        while not g.is_identity():
-            g = g * self
-            k += 1
-        return k
-
     def cycles(self) -> List[Tuple[int, ...]]:
         seen = set()
         out = []

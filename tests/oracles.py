@@ -1,9 +1,94 @@
-"""Brute-force references the tests compare the library against: slow,
-written from the definitions, and reached from no code path of the package."""
+"""References the tests compare the library against, reached from no code
+path of the package: brute force written from the definitions, the witness
+sets of cases (c) and (d) in closed form, and the Smith normal form as the
+package computed it before its updates followed the matrix's support."""
+
+from itertools import chain
+from typing import Dict, List, Tuple
 
 from essdim.constructions import permute_coefficients
-from essdim.lattice import kernel_generators_mod
-from essdim.permgroup import Perm
+from essdim.edcalc import EdError
+from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
+                            kernel_generators_mod)
+from essdim.permgroup import Perm, p_adic_digits
+
+
+def is_identity(g):
+    return all(g.images[i] == i + 1 for i in range(g.n))
+
+
+def order(g):
+    """The least k >= 1 with g^k the identity."""
+    k = 1
+    h = g
+    while not is_identity(h):
+        h = h * g
+        k += 1
+    return k
+
+
+def identity(n):
+    return IntegerMatrix.of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def matmul(x, y):
+    """The product of two IntegerMatrix values."""
+    if x.cols != y.rows:
+        raise LatticeError("dimension mismatch in matrix product")
+    grid = [[sum(x.entries[i][k] * y.entries[k][j] for k in range(x.cols))
+             for j in range(y.cols)]
+            for i in range(x.rows)]
+    return IntegerMatrix.of(grid) if grid else IntegerMatrix(0, y.cols, ())
+
+
+def pgl_upper_bound(p, r):
+    """The paper's upper bound p^(2r-1) - p^r + 1 for the projective linear
+    group at p, valid only for r >= 2."""
+    if r < 2:
+        raise EdError("upper bound requires r >= 2 (the r = 1 value is at least 2)")
+    return p ** (2 * r - 1) - p ** r + 1
+
+
+def standard_weights(pairs, spec):
+    """The weight set of the a[i,j] for distinct (i, j) pairs listed in the
+    canonical order of their weights, built without sorting."""
+    row = [0] * spec.n
+    out = []
+    for i, j in pairs:
+        row[i - 1], row[j - 1] = 1, -1
+        out.append(tuple(row))
+        row[i - 1] = row[j - 1] = 0
+    return WeightSet(tuple(out), spec)
+
+
+def closed_lambda_c(p, r):
+    """Case (c)'s witness set, the P_n-orbit of a[1, m+1] for n = p^r and
+    m = p^(r-1), in closed form.
+
+    P_n is (P_m)^p, one factor transitive on each sub-block B_t = [t*m+1,
+    (t+1)*m], extended by the rotation B_t -> B_(t+1 mod p); so the orbit is
+    the union over t of B_t x B_(t+1): p * m^2 weights, the index of their
+    stabilizer.  In canonical order: the a[i,j] with j < i (B_(p-1) x B_0)
+    by j up, i down, then those with i < j by i down, j up."""
+    n = p ** r
+    m = n // p
+    last = ((i, j) for j in range(1, m + 1) for i in range(n, n - m, -1))
+    rest = ((i, j) for t in range(p - 2, -1, -1) for i in range((t + 1) * m, t * m, -1)
+            for j in range((t + 1) * m + 1, (t + 2) * m + 1))
+    return standard_weights(chain(last, rest), LatticeSpec(n))
+
+
+def closed_lambda_d(n, p):
+    """Case (d)'s witness set in closed form: all a[alpha,beta] with alpha in
+    the first block [1, s] and beta outside it.
+
+    P_n is a product of one factor per block, transitive on it; so the orbit
+    of a[1, lo] for a later block [lo, hi] is [1, s] x [lo, hi] (its size the
+    index of the stabilizer), and the union is [1, s] x [s+1, n].  In
+    canonical order: alpha down, beta up."""
+    s = p ** p_adic_digits(n, p)[1][0][1]
+    pairs = ((i, j) for i in range(s, 0, -1) for j in range(s + 1, n + 1))
+    return standard_weights(pairs, LatticeSpec(n))
 
 
 def group_elements(group):
@@ -34,4 +119,97 @@ def faithful_by_enumeration(lam, group):
             dense[i] = c
         gens.append(tuple(dense))
     return all(any(permute_coefficients(g, lam, v) != v for v in gens)
-               for g in group_elements(group) if not g.is_identity())
+               for g in group_elements(group) if not is_identity(g))
+
+
+# The Smith normal form with whole-row and whole-column updates, as the
+# package computed it before its updates followed the matrix's support: the
+# package's must repeat its every operation.
+def dense_smith_normal_form(
+        m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[Dict[int, int]]]:
+    """Return (diagonal, left, right) with left*m*right = diagonal,
+    left/right unimodular and non-negative diagonal d1 | d2 | ... ;
+    ``right`` is given as the list of its columns, each a dict from row to
+    nonzero entry."""
+    rows, cols = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
+    right = [{j: 1} for j in range(cols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        right[i], right[j] = right[j], right[i]
+
+    def add_row(src, dst, f):  # row dst += f * row src
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
+
+    def add_col(src, dst, f):
+        if not f:
+            return
+        for r in a:
+            r[dst] += f * r[src]
+        col = right[dst]
+        for k, y in right[src].items():
+            x = col.get(k, 0) + f * y
+            if x:
+                col[k] = x
+            else:
+                del col[k]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        left[i] = [-x for x in left[i]]
+
+    t = 0
+    while t < rows and t < cols:
+        # pivot: the row-major first entry of least nonzero |value| in the block
+        piv = None
+        for i in range(t, rows):
+            size = min(map(abs, filter(None, a[i][t:])), default=0)
+            if size and (piv is None or size < piv[0]):
+                piv = (size, i)
+        if piv is None:
+            break
+        size, i = piv
+        swap_rows(t, i)
+        swap_cols(t, next(j for j in range(t, cols) if abs(a[t][j]) == size))
+        while True:
+            dirty = False
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            row = a[t]
+            for j in range(t + 1, cols):
+                if row[j]:
+                    add_col(t, j, -(row[j] // row[t]))
+                    if row[j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide the rest of the block
+            d = a[t][t]
+            offender = None
+            if abs(d) != 1:
+                offender = next((i for i in range(t + 1, rows)
+                                 if any(map(d.__rmod__, a[i][t + 1:]))), None)
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+    return (
+        IntegerMatrix(rows, cols, tuple(map(tuple, a))),
+        IntegerMatrix(rows, rows, tuple(map(tuple, left))),
+        right,
+    )

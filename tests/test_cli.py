@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -120,6 +121,33 @@ def observe(argv, tmp_path):
 def test_check_genfree_payload_pinned(tmp_path, args):
     corpus = json.loads(CORPUS_FILE.read_text())
     assert observe(args, tmp_path) == corpus[" ".join(args)]
+
+
+# The sha256 of the stdout of each benchmarked ed and check-genfree call, at
+# sizes the corpus does not reach; each exits 0 with nothing on stderr.  The
+# check-genfree payloads print the SNF's kernel generators, so these also pin
+# its operation sequence on the 2048- and 512-weight witnesses.
+PINNED_CALLS = [
+    (("ed", "--n", "128", "--p", "2", "--json"),
+     "5f11ba537b8db382082f07345124dab1a9ca346b5ce4c3c68dfd9c007651efd1"),
+    (("ed", "--n", "125", "--p", "5", "--json"),
+     "cd323ee56304bc5f2d8b228e00a53c90c72bf474ab5bc9a83289f0abfe47efa7"),
+    (("ed", "--n", "96", "--p", "2", "--json"),
+     "025db256b89e46056b576b244d0733a433dcf9feb0a71b09eb36e1dd6709b3d6"),
+    (("ed", "--n", "243", "--p", "3", "--json"),
+     "ac6b250aca599e41f9fac905708c8bfe74686ab5abf4925049280dfb76780a3c"),
+    (("check-genfree", "--case", "c", "--r", "6", "--p", "2", "--json"),
+     "80113bc93f78b6a2363b497fa7a0bcd0f2deaa7a222692928328ed0cf7b04047"),
+    (("check-genfree", "--case", "d", "--n", "48", "--p", "2", "--json"),
+     "8841d7b8087accfc7538ecb042d4facbb4b191bc38381c48dd295a2ed7233ba6"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_CALLS, ids=[" ".join(a) for a, _ in PINNED_CALLS])
+def test_benchmarked_call_pinned(capsys, args, digest):
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOrbit:

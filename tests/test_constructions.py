@@ -11,8 +11,10 @@ from essdim.constructions import (
     permute_coefficients,
     phi_image,
 )
+from essdim.edcalc import detect_case
 from essdim.lattice import spans
 from essdim.permgroup import act, center_order_p_elements, p_adic_digits, sylow_subgroup
+from oracles import closed_lambda_c, closed_lambda_d
 
 
 def assert_invariant(weights, group):
@@ -125,6 +127,22 @@ class TestCaseD:
             plan = lambda_d(n, p)
             assert_invariant(plan.torus_weights, sylow_subgroup(n, p))
             assert spans(plan.torus_weights)
+
+
+class TestClosedFormOrbits:
+    """The witness sets, built as orbit closures, against their closed forms
+    in tests/oracles.py, element for element in canonical order."""
+
+    @pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5, 7, 11, 13)
+                                     for r in range(2, 8) if p ** r <= 243])
+    def test_lambda_c(self, p, r):
+        assert lambda_c(p, r).torus_weights == closed_lambda_c(p, r)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_lambda_d(self, p):
+        for n in range(2 * p, 101):
+            if detect_case(n, p) == "d":
+                assert lambda_d(n, p).torus_weights == closed_lambda_d(n, p), n
 
 
 class TestPadicExpansion:

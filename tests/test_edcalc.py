@@ -1,6 +1,7 @@
 import pytest
 
-from essdim.edcalc import EdError, detect_case, ed_value, pgl_upper_bound
+from essdim.edcalc import EdError, detect_case, ed_value
+from oracles import pgl_upper_bound
 
 
 def formula(n, p):

@@ -18,7 +18,7 @@ from essdim.lattice import (
     smith_normal_form,
 )
 from essdim.permgroup import act, orbit, sylow_subgroup
-from oracles import group_elements
+from oracles import dense_smith_normal_form, group_elements, matmul
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -52,9 +52,11 @@ matrices = st.integers(1, 4).flatmap(lambda rows: st.integers(1, 5).flatmap(
 def test_smith_normal_form_properties(grid):
     m = IntegerMatrix.of(grid)
     d, left, right = smith_normal_form(m)
+    # the support-following updates repeat the whole-row SNF's every operation
+    assert (d, left, right) == dense_smith_normal_form(m)
     dense_right = IntegerMatrix.of([[col.get(i, 0) for col in right]
                                     for i in range(m.cols)])
-    assert (left @ m @ dense_right).entries == d.entries
+    assert matmul(matmul(left, m), dense_right).entries == d.entries
     assert abs(determinant(left.entries)) == 1
     assert abs(determinant(dense_right.entries)) == 1
     diag = d.diagonal()
