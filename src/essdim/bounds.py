@@ -4,7 +4,9 @@ counting, and the exact search for the minimal invariant generating set.
 The search runs over unions of orbits (exactly the invariant subsets),
 branch-and-bound in ascending orbit-size order over F_p echelon bases,
 pruned by a fractional bound on the cost of the mod-p rank deficit; the
-witness it returns is certified by the lift-to-Z span test.
+witness it returns is certified by the lift-to-Z span test.  Rows are packed
+F_p vectors (``lattice.pack_mod_p``), each orbit's chart coordinates are
+packed once, and orbits whose first elements agree mod p share one span.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .lattice import (
     basis_coordinates,
     echelon_mod_p,
     in_p_multiple,
+    pack_mod_p,
     prime_power_root,
     spans,
     vp,
@@ -170,6 +173,24 @@ def _nonzero_orbits(spec: LatticeSpec, p: int) -> List[WeightSet]:
             if not (len(o) == 1 and not any(o.elements[0]))]
 
 
+def orbit_spans_mod_p(orbits: Sequence[WeightSet], p: int,
+                      dim: int) -> List[Dict[int, int]]:
+    """The F_p echelon basis of each orbit's chart coordinates.  Reduction
+    mod p commutes with P_n and with the prefix-sum chart, so an orbit's span
+    is that of the orbit of its first element mod p; orbits with the same
+    first element mod p share one dict, computed once."""
+    by_residue: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    out = []
+    for o in orbits:
+        key = tuple(x % p for x in o.elements[0])
+        span = by_residue.get(key)
+        if span is None:
+            span = by_residue[key] = echelon_mod_p(
+                (pack_mod_p(basis_coordinates(w), p) for w in o), p, dim)
+        out.append(span)
+    return out
+
+
 def min_invariant_generating_size(
     n: int,
     p: int,
@@ -195,12 +216,12 @@ def min_invariant_generating_size(
     orbits = _nonzero_orbits(spec, p)
     target = spec.rank
     sizes = [len(o) for o in orbits]
-    orbit_spans = [echelon_mod_p((basis_coordinates(w) for w in o), p) for o in orbits]
+    orbit_spans = orbit_spans_mod_p(orbits, p, target)
     # suffix[i]: F_p span of orbits i, i+1, ...; full spans are shared
     suffix = [{}]
     for span in reversed(orbit_spans):
         rest = suffix[-1]
-        suffix.append(rest if len(rest) == target else echelon_mod_p(span.values(), p, rest))
+        suffix.append(rest if len(rest) == target else echelon_mod_p(span.values(), p, target, rest))
     suffix.reverse()
     if len(suffix[0]) < target:
         raise BoundsError("no invariant generating subset exists")
@@ -229,10 +250,10 @@ def min_invariant_generating_size(
             continue
         # leaving orbit i out, the later orbits must still complete the rank
         rest = suffix[i + 1]
-        if len(rest) == target or len(echelon_mod_p(rest.values(), p, basis)) == target:
+        if len(rest) == target or len(echelon_mod_p(rest.values(), p, target, basis)) == target:
             stack.append((i + 1, basis, size, chosen))
         # an orbit inside the current span only adds size
-        grown = echelon_mod_p(orbit_spans[i].values(), p, basis)
+        grown = echelon_mod_p(orbit_spans[i].values(), p, target, basis)
         if len(grown) > len(basis):
             stack.append((i + 1, grown, size + sizes[i], chosen + (i,)))
 

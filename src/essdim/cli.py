@@ -121,6 +121,8 @@ def cmd_orbit(args) -> int:
 def _node_budget(args) -> int:
     if not math.isfinite(args.budget):
         raise SystemExit(f"--budget must be a finite number of nodes, got {args.budget}")
+    if args.budget < 1:
+        raise SystemExit(f"--budget must be at least 1 node, got {args.budget:g}")
     return int(args.budget)
 
 

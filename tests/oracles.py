@@ -1,10 +1,11 @@
 """References the tests compare the library against, reached from no code
 path of the package: brute force written from the definitions, the witness
-sets of cases (c) and (d) in closed form, and the Smith normal form as the
-package computed it before its updates followed the matrix's support."""
+sets of cases (c) and (d) in closed form, the Smith normal form as the
+package computed it before its updates followed the matrix's support, and
+the F_p echelon basis over tuple rows as it was before rows were packed."""
 
 from itertools import chain
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
@@ -213,3 +214,39 @@ def dense_smith_normal_form(
         IntegerMatrix(rows, rows, tuple(map(tuple, left))),
         right,
     )
+
+
+# The F_p echelon basis over tuple rows, as the package computed it before
+# its rows were packed into ints: the packed one, unpacked, must equal it.
+def echelon_mod_p(
+    vectors: Iterable[Sequence[int]],
+    p: int,
+    basis: Optional[Dict[int, Tuple[int, ...]]] = None,
+) -> Dict[int, Tuple[int, ...]]:
+    """Reduced row-echelon basis over F_p of the span of ``basis`` and
+    ``vectors``, as a new dict from pivot column to row.
+
+    ``basis`` must itself come from this function and is left unchanged.
+    Each row is 1 at its own pivot and 0 at every other pivot, so one pass
+    over the rows, in any order, reduces a vector.
+    """
+    out = dict(basis) if basis else {}
+    for vec in vectors:
+        v = [x % p for x in vec]
+        for col, row in out.items():
+            f = v[col]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        inv = pow(v[lead], -1, p)
+        new = tuple(x * inv % p for x in v)
+        for col, row in list(out.items()):
+            f = row[lead]
+            if f:
+                out[col] = tuple((a - f * b) % p for a, b in zip(row, new))
+        out[lead] = new
+        if len(out) == len(new):
+            break
+    return out

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -10,14 +12,17 @@ from essdim.bounds import (
     lattice_elements,
     min_invariant_generating_size,
     naive_min_by_subsets,
+    _nonzero_orbits,
     naive_min_invariant_generating_size,
     nakayama_filter,
     orbit_decomposition,
+    orbit_spans_mod_p,
     predicted_bound,
     sigma_map,
     verify_lower_bound,
 )
-from essdim.lattice import LatticeSpec, WeightSet, spans
+from essdim.lattice import (LatticeSpec, WeightSet, basis_coordinates, echelon_mod_p,
+                            pack_mod_p, spans)
 from essdim.permgroup import Perm, act, orbit, sylow_subgroup
 
 
@@ -233,6 +238,36 @@ class TestSearch:
                 if sum(len(orbits[i]) for i in combo) == result.minimum
                 and spans(WeightSet.of([w for i in combo for w in orbits[i]], spec)))
             assert result.witness == WeightSet.of([w for i in first for w in orbits[i]], spec)
+
+    # (minimum, nodes explored, orbit count, sha256 of the witness's JSON with
+    # sorted keys and no spaces), recorded before the F_p rows were packed
+    # and the orbit spans shared between residue classes
+    @pytest.mark.parametrize("n,p,q,pinned", [
+        (10, 2, 2, (16, 9832, 33,
+                    "eb2687fcdbbd015582dd9f36b6479feb55f5af12c2b2df734b21332f3a0e1bd0")),
+        (6, 3, 3, (9, 44891, 42,
+                   "50fce57626d02cc2131a734003e2a3466458edd41ed1409183d31351aa0ccb26")),
+        (9, 3, 3, (27, 125543, 156,
+                   "60218a5170ccd2b80eaceb33d92672491f1151d37782b96fa182d1eed76ff836")),
+        (5, 5, 25, (5, 7, 78128,
+                    "9fcff30a3e860d1d341ab0cd15c04410c6d6adf119ce8212a9ac9bb04a357a3c")),
+    ])
+    def test_frontier_pinned(self, n, p, q, pinned):
+        result = min_invariant_generating_size(n, p, q)
+        witness = json.dumps(result.witness.to_json(), sort_keys=True, separators=(",", ":"))
+        assert (result.minimum, result.nodes_explored, result.orbit_count,
+                hashlib.sha256(witness.encode()).hexdigest()) == pinned
+
+    @pytest.mark.parametrize("n,p,q", [(4, 2, 8), (3, 3, 27), (4, 3, 9), (3, 2, 16)])
+    def test_shared_orbit_spans_are_each_orbits_own(self, n, p, q):
+        # the search computes one span per residue class of an orbit's first
+        # element; a key too coarse would hand some orbit a foreign span
+        orbits = _nonzero_orbits(LatticeSpec(n, q), p)
+        shared = orbit_spans_mod_p(orbits, p, n - 1)
+        assert len({id(s) for s in shared}) < len(orbits)
+        for o, span in zip(orbits, shared):
+            assert span == echelon_mod_p((pack_mod_p(basis_coordinates(w), p) for w in o),
+                                         p, n - 1)
 
     def test_witness_deterministic(self):
         a = min_invariant_generating_size(4, 2, 4).witness

@@ -290,12 +290,17 @@ class TestUsageErrors:
         (("check-genfree", "--case", "b", "--p", "2", "--n", "9"), "disagrees"),
         (("construct", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
         (("check-genfree", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
+        (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "0"), "--budget"),
+        (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "-1"), "--budget"),
+        (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "0"), "--budget"),
+        (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "-1"), "--budget"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # --budget inf raised OverflowError, r = 22 built a 4-million-digit
         # integer, n = 0 or q = 0 looped forever, and so did case (d) with
         # n = -6 in the base-p digits (-1 // p == -1); r = 0 verified n = 1
-        # against the bound 0; case (b) and (c) ignored an inconsistent --n
+        # against the bound 0; case (b) and (c) ignored an inconsistent --n;
+        # --budget 0 and -1 reported an exhausted budget (exit 4)
         done = run_subprocess(argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr

@@ -19,13 +19,16 @@ from essdim.lattice import (
     in_p_multiple,
     kernel_basis,
     kernel_generators_mod,
+    pack_mod_p,
     prime_power_root,
     rank_mod_p,
     smith_normal_form,
     spans,
     standard_weight,
+    unpack_mod_p,
     vp,
 )
+import oracles
 from oracles import dense_smith_normal_form, identity, matmul
 
 
@@ -256,7 +259,8 @@ class TestSpans:
                 ent = [rng.randrange(q) for _ in range(n - 1)]
                 lam.append(spec.weight(ent + [-sum(ent)]))
             ws = WeightSet.of(lam, spec)
-            basis = echelon_mod_p((basis_coordinates(w) for w in ws), p)
+            packed = echelon_mod_p((pack_mod_p(basis_coordinates(w), p) for w in ws), p, n - 1)
+            basis = {col: unpack_mod_p(row, p, n - 1) for col, row in packed.items()}
             for col, row in basis.items():
                 assert row[col] == 1
                 assert all(row[other] == 0 for other in basis if other != col)
@@ -264,6 +268,42 @@ class TestSpans:
             assert len(basis) == sum(1 for d in diag.diagonal() if d % p)
             assert rank_mod_p(ws, p, n - 1) == len(basis)
             assert (len(basis) == n - 1) == spans(ws)
+
+
+class TestPackedEchelon:
+    @staticmethod
+    def unpacked(basis, p, dim):
+        return {col: unpack_mod_p(row, p, dim) for col, row in basis.items()}
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_matches_tuple_rows(self, p):
+        # every dimension 1..12, entries outside [0, p) included, each input
+        # holding zero vectors and repeats, with and without a starting basis
+        rng = random.Random(p)
+        for dim in range(1, 13):
+            for trial in range(12):
+                vectors = [[rng.randrange(-p, 2 * p) for _ in range(dim)]
+                           for _ in range(rng.randint(0, dim + 2))]
+                vectors += [[0] * dim, [p * x for x in range(dim)]]
+                vectors += rng.choices(vectors, k=rng.randint(1, 3))
+                rng.shuffle(vectors)
+                start = [[rng.randrange(p) for _ in range(dim)]
+                         for _ in range(rng.randint(0, dim) if trial % 2 else 0)]
+                start_tuples = oracles.echelon_mod_p(start, p)
+                start_packed = echelon_mod_p((pack_mod_p(v, p) for v in start), p, dim)
+                assert self.unpacked(start_packed, p, dim) == start_tuples
+                kept = dict(start_packed)
+                got = echelon_mod_p((pack_mod_p(v, p) for v in vectors), p, dim,
+                                    start_packed or None)
+                assert self.unpacked(got, p, dim) == oracles.echelon_mod_p(
+                    vectors, p, start_tuples or None)
+                assert start_packed == kept
+
+    def test_pack_round_trip(self):
+        for p in (2, 3, 5, 7, 11, 101):
+            for dim in (1, 2, 12, 20):
+                vec = [(7 * i + 3) * (-1) ** i for i in range(dim)]
+                assert unpack_mod_p(pack_mod_p(vec, p), p, dim) == tuple(x % p for x in vec)
 
 
 class TestKernelBasis:
