@@ -1,21 +1,21 @@
 """Lower-bound machinery: block-sum homomorphism, Nakayama filter, fiber
-counting, and the exact search for the minimal invariant generating set.
+counting, and the exact minimum of an invariant generating set.
 
-The search runs over unions of orbits (exactly the invariant subsets),
-branch-and-bound in ascending orbit-size order over F_p echelon bases,
-pruned by a fractional bound on the cost of the mod-p rank deficit; the
-witness it returns is certified by the lift-to-Z span test.  Rows are packed
-F_p vectors (``lattice.pack_mod_p``), each orbit's chart coordinates are
-packed once, and orbits whose first elements agree mod p share one span.
+The minimum rests on one lemma.  P_n is a p-group, so F_p[P_n] is local with
+maximal ideal its augmentation ideal I, and by Nakayama a union of orbits
+generates X_n / q iff its orbit representatives span the coinvariants
+V / IV, V = X_n / p X_n.  The minimum is then a minimum-weight basis of a
+linear matroid, which the greedy in ascending orbit order finds exactly
+(Edmonds 1971): one packed F_p echelon step (``lattice.echelon_mod_p``) per
+orbit examined.  The witness is certified by the lift-to-Z span test.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .lattice import (
     LatticeSpec,
@@ -26,6 +26,7 @@ from .lattice import (
     pack_mod_p,
     prime_power_root,
     spans,
+    standard_weight,
     vp,
 )
 from .permgroup import PermGroupSpec, act, orbit, sylow_subgroup
@@ -36,7 +37,7 @@ class BoundsError(ValueError):
 
 
 class BudgetExhausted(RuntimeError):
-    """Search node budget ran out before optimality was certified."""
+    """The search examined its budget of orbits before the rank was full."""
 
 
 @dataclass(frozen=True)
@@ -137,58 +138,24 @@ def orbit_decomposition(group: PermGroupSpec, spec: LatticeSpec) -> List[WeightS
     return orbits
 
 
-def _rank_cover_bounds(sizes: Sequence[int], ranks: Sequence[int],
-                       target: int) -> List[Tuple[float, ...]]:
-    """Entry [i][d] is a lower bound on the total size of orbits i, i+1, ...
-    that raise the F_p rank by d: the fractional knapsack in which orbit j
-    covers at most ranks[j], filled in ascending size/rank order (inf when
-    the ranks cannot add up to d).  The cover never needs more than target
-    orbits, since every useful orbit has rank at least 1."""
-    # float ratios order exactly here: distinct size/rank ratios of small
-    # integers never round to the same double
-    cheapest: List[Tuple[float, int, int]] = []
-    bounds = [(0,) + (math.inf,) * target]
-    for size, rank in zip(reversed(sizes), reversed(ranks)):
-        if rank:
-            cheapest = sorted(cheapest + [(size / rank, size, rank)])[:target]
-        row = [0]
-        for deficit in range(1, target + 1):
-            cost, need = 0, deficit
-            for _, s, r in cheapest:
-                if r >= need:
-                    cost += -(-s * need // r)
-                    need = 0
-                    break
-                cost += s
-                need -= r
-            row.append(math.inf if need else cost)
-        bounds.append(tuple(row))
-    bounds.reverse()
-    return bounds
-
-
 def _nonzero_orbits(spec: LatticeSpec, p: int) -> List[WeightSet]:
     """The P_n-orbits of the finite lattice, without the zero orbit."""
     return [o for o in orbit_decomposition(sylow_subgroup(spec.n, p), spec)
             if not (len(o) == 1 and not any(o.elements[0]))]
 
 
-def orbit_spans_mod_p(orbits: Sequence[WeightSet], p: int,
-                      dim: int) -> List[Dict[int, int]]:
-    """The F_p echelon basis of each orbit's chart coordinates.  Reduction
-    mod p commutes with P_n and with the prefix-sum chart, so an orbit's span
-    is that of the orbit of its first element mod p; orbits with the same
-    first element mod p share one dict, computed once."""
-    by_residue: Dict[Tuple[int, ...], Dict[int, int]] = {}
-    out = []
-    for o in orbits:
-        key = tuple(x % p for x in o.elements[0])
-        span = by_residue.get(key)
-        if span is None:
-            span = by_residue[key] = echelon_mod_p(
-                (pack_mod_p(basis_coordinates(w), p) for w in o), p, dim)
-        out.append(span)
-    return out
+def coinvariant_radical(n: int, p: int) -> Dict[int, int]:
+    """The F_p echelon basis of IV in the chart, V = X_n / p X_n and I the
+    augmentation ideal of F_p[P_n]: the vectors (g - 1) a[j, j+1] over the
+    generators g of P_n and the chart basis.  g1 g2 - 1 = (g1 - 1) g2 +
+    (g2 - 1), so the g - 1 over the generators span I as a right ideal and
+    the sum of the (g - 1) V is IV."""
+    spec = LatticeSpec(n)
+    chart = [standard_weight(j, j + 1, spec) for j in range(1, n)]
+    return echelon_mod_p(
+        (pack_mod_p(basis_coordinates([x - y for x, y in zip(act(g, a), a)]), p)
+         for g in sylow_subgroup(n, p).generators for a in chart),
+        p, spec.rank)
 
 
 def min_invariant_generating_size(
@@ -198,11 +165,22 @@ def min_invariant_generating_size(
     budget: int = 10_000_000,
 ) -> SearchResult:
     """Exact minimum size of an invariant generating subset of the zero-sum
-    lattice mod q, certified optimal by exhausting all cheaper orbit unions.
+    lattice mod q, found by the greedy over the coinvariants.
 
-    By Nakayama a union generates the Z/q-lattice iff its chart coordinates
-    have full F_p rank, so the search runs entirely over F_p; the witness it
-    returns is certified once over Z by the Smith normal form span test.
+    The union of orbits with representatives v_1, ..., v_k spans the
+    submodule W of V generated by them, and by Nakayama W = V iff W + IV =
+    V, that is iff the images of the v_i span the coinvariants C = V / IV.
+    Generating mod q is generating mod p, again by Nakayama.  So the minimum
+    is a minimum-weight basis of the linear matroid of the orbits' images in
+    C, weighted by orbit size, and the greedy in (size, representative)
+    order finds it (Edmonds 1971).  Its k-th orbit comes no later in that
+    order than the k-th orbit of any other basis (Gale), so among the
+    optimal unions its sorted orbit indices are lexicographically least: it
+    is the first optimal union in canonical inclusion order.  An orbit's
+    image in C is that of its first element, since g v - v lies in IV, so
+    one echelon step per orbit examined decides it; ``budget`` caps the
+    orbits examined.  The witness is certified once over Z by the Smith
+    normal form span test.
     """
     if prime_power_root(p) != p:
         raise BoundsError(f"p={p} is not a prime")
@@ -215,56 +193,29 @@ def min_invariant_generating_size(
     spec = LatticeSpec(n, q)
     orbits = _nonzero_orbits(spec, p)
     target = spec.rank
-    sizes = [len(o) for o in orbits]
-    orbit_spans = orbit_spans_mod_p(orbits, p, target)
-    # suffix[i]: F_p span of orbits i, i+1, ...; full spans are shared
-    suffix = [{}]
-    for span in reversed(orbit_spans):
-        rest = suffix[-1]
-        suffix.append(rest if len(rest) == target else echelon_mod_p(span.values(), p, target, rest))
-    suffix.reverse()
-    if len(suffix[0]) < target:
-        raise BoundsError("no invariant generating subset exists")
-    lower = _rank_cover_bounds(sizes, [len(s) for s in orbit_spans], target)
-
-    # Depth-first over include/exclude decisions, orbit i at depth i, with
-    # include explored first: unions are met in canonical inclusion order,
-    # and only strict improvements are kept, so the final choice is the first
-    # generating union of optimal size in that order.  The first descent is
-    # the greedy union, which seeds the bound.  A node carries the echelon
-    # basis of its chosen orbits, copied only when an orbit is added.
-    best = math.inf
-    nodes = 0
-    choice: Tuple[int, ...] = ()
-    stack = [(0, {}, 0, ())]
-    while stack:
-        i, basis, size, chosen = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExhausted(f"node budget {budget} exhausted")
-        deficit = target - len(basis)
-        if size + lower[i][deficit] >= best:
-            continue
-        if not deficit:
-            best, choice = size, chosen
-            continue
-        # leaving orbit i out, the later orbits must still complete the rank
-        rest = suffix[i + 1]
-        if len(rest) == target or len(echelon_mod_p(rest.values(), p, target, basis)) == target:
-            stack.append((i + 1, basis, size, chosen))
-        # an orbit inside the current span only adds size
-        grown = echelon_mod_p(orbit_spans[i].values(), p, target, basis)
+    basis = coinvariant_radical(n, p)
+    chosen: List[WeightSet] = []
+    examined = 0
+    for o in orbits:
+        if len(basis) == target:
+            break
+        examined += 1
+        if examined > budget:
+            raise BudgetExhausted(f"budget of {budget} orbits examined exhausted")
+        grown = echelon_mod_p([pack_mod_p(basis_coordinates(o.elements[0]), p)],
+                              p, target, basis)
         if len(grown) > len(basis):
-            stack.append((i + 1, grown, size + sizes[i], chosen + (i,)))
+            basis = grown
+            chosen.append(o)
 
-    witness = WeightSet.of([w for i in choice for w in orbits[i].elements], spec)
+    witness = WeightSet.of([w for o in chosen for w in o.elements], spec)
     if not spans(witness):
         # cannot happen for free modules over Z/p^e (Nakayama)
-        raise BoundsError("mod-p rank full but lift-to-Z span test failed")
+        raise BoundsError("coinvariants spanned but lift-to-Z span test failed")
     return SearchResult(
-        minimum=best,
+        minimum=len(witness),
         witness=witness,
-        nodes_explored=nodes,
+        nodes_explored=examined,
         orbit_count=len(orbits),
         elapsed=time.perf_counter() - start,
     )

@@ -5,7 +5,7 @@ reproduce-all.  JSON payloads use sorted keys and integer-only values so that
 parse + re-serialize round-trips byte-identically.
 
 Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error,
-3 verification failure, 4 search node budget exhausted.
+3 verification failure, 4 search budget of orbits examined exhausted.
 """
 
 from __future__ import annotations
@@ -118,16 +118,17 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-def _node_budget(args) -> int:
+def _orbit_budget(args) -> int:
     if not math.isfinite(args.budget):
-        raise SystemExit(f"--budget must be a finite number of nodes, got {args.budget}")
+        raise SystemExit(
+            f"--budget must be a finite number of orbits examined, got {args.budget}")
     if args.budget < 1:
-        raise SystemExit(f"--budget must be at least 1 node, got {args.budget:g}")
+        raise SystemExit(f"--budget must be at least 1 orbit examined, got {args.budget:g}")
     return int(args.budget)
 
 
 def cmd_search_min(args) -> int:
-    result = min_invariant_generating_size(args.n, args.p, args.q, budget=_node_budget(args))
+    result = min_invariant_generating_size(args.n, args.p, args.q, budget=_orbit_budget(args))
     payload = {"n": args.n, "p": args.p, "q": args.q}
     payload.update(result.to_json())
     info = predicted_bound(args.n, args.p, args.q)
@@ -140,7 +141,7 @@ def cmd_search_min(args) -> int:
     else:
         print(f"minimal invariant generating set of X_{args.n} mod {args.q}: "
               f"{result.minimum} elements "
-              f"({result.nodes_explored} nodes, {result.orbit_count} orbits)")
+              f"({result.nodes_explored} of {result.orbit_count} orbits examined)")
         if not info["within_hypothesis"]:
             print(f"  note: {info['note']}")
         print("  witness:")
@@ -168,7 +169,7 @@ def cmd_verify(args) -> int:
         q = args.q if args.q is not None else args.p
     else:
         raise SystemExit("verify needs --prop or --lemma")
-    report = verify_lower_bound(n, args.p, q, budget=_node_budget(args))
+    report = verify_lower_bound(n, args.p, q, budget=_orbit_budget(args))
     if args.json:
         emit_json(report)
     else:

@@ -2,15 +2,19 @@
 path of the package: brute force written from the definitions, the witness
 sets of cases (c) and (d) in closed form, the Smith normal form as the
 package computed it before its updates followed the matrix's support, and
-the F_p echelon basis over tuple rows as it was before rows were packed."""
+the F_p echelon basis over tuple rows as it was before rows were packed,
+and the branch-and-bound search the coinvariant greedy replaced."""
 
+import math
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from essdim.bounds import BudgetExhausted, _nonzero_orbits
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
-                            kernel_generators_mod)
+                            basis_coordinates, kernel_generators_mod, pack_mod_p)
+from essdim.lattice import echelon_mod_p as packed_echelon
 from essdim.permgroup import Perm, p_adic_digits
 
 
@@ -250,3 +254,107 @@ def echelon_mod_p(
         if len(out) == len(new):
             break
     return out
+
+
+# The exact search as the package ran it before the coinvariant greedy: a
+# depth-first branch-and-bound over orbit unions on packed F_p echelon bases.
+# The greedy must return its minimum and its witness.
+def rank_cover_bounds(sizes: Sequence[int], ranks: Sequence[int],
+                      target: int) -> List[Tuple[float, ...]]:
+    """Entry [i][d] is a lower bound on the total size of orbits i, i+1, ...
+    that raise the F_p rank by d: the fractional knapsack in which orbit j
+    covers at most ranks[j], filled in ascending size/rank order (inf when
+    the ranks cannot add up to d).  The cover never needs more than target
+    orbits, since every useful orbit has rank at least 1."""
+    # float ratios order exactly here: distinct size/rank ratios of small
+    # integers never round to the same double
+    cheapest: List[Tuple[float, int, int]] = []
+    bounds = [(0,) + (math.inf,) * target]
+    for size, rank in zip(reversed(sizes), reversed(ranks)):
+        if rank:
+            cheapest = sorted(cheapest + [(size / rank, size, rank)])[:target]
+        row = [0]
+        for deficit in range(1, target + 1):
+            cost, need = 0, deficit
+            for _, s, r in cheapest:
+                if r >= need:
+                    cost += -(-s * need // r)
+                    need = 0
+                    break
+                cost += s
+                need -= r
+            row.append(math.inf if need else cost)
+        bounds.append(tuple(row))
+    bounds.reverse()
+    return bounds
+
+
+def orbit_spans_mod_p(orbits: Sequence[WeightSet], p: int,
+                      dim: int) -> List[Dict[int, int]]:
+    """The packed F_p echelon basis of each orbit's chart coordinates.
+    Reduction mod p commutes with P_n and with the prefix-sum chart, so an
+    orbit's span is that of the orbit of its first element mod p; orbits
+    with the same first element mod p share one dict, computed once."""
+    by_residue: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    out = []
+    for o in orbits:
+        key = tuple(x % p for x in o.elements[0])
+        span = by_residue.get(key)
+        if span is None:
+            span = by_residue[key] = packed_echelon(
+                (pack_mod_p(basis_coordinates(w), p) for w in o), p, dim)
+        out.append(span)
+    return out
+
+
+def branch_and_bound_min(n: int, p: int, q: int,
+                         budget: int = 10_000_000) -> Tuple[int, WeightSet, int]:
+    """(minimum, witness, nodes explored) of the invariant generating
+    subsets of the zero-sum lattice mod q, by exhausting all cheaper orbit
+    unions.
+
+    Depth-first over include/exclude decisions, orbit i at depth i, with
+    include explored first: unions are met in canonical inclusion order,
+    and only strict improvements are kept, so the final choice is the first
+    generating union of optimal size in that order.  Branches are pruned by
+    the fractional rank-cover bound and by the rank the later orbits (their
+    suffix spans) can still reach.  A node carries the echelon basis of its
+    chosen orbits, copied only when an orbit is added."""
+    spec = LatticeSpec(n, q)
+    orbits = _nonzero_orbits(spec, p)
+    target = spec.rank
+    sizes = [len(o) for o in orbits]
+    orbit_spans = orbit_spans_mod_p(orbits, p, target)
+    # suffix[i]: F_p span of orbits i, i+1, ...; full spans are shared
+    suffix = [{}]
+    for span in reversed(orbit_spans):
+        rest = suffix[-1]
+        suffix.append(rest if len(rest) == target
+                      else packed_echelon(span.values(), p, target, rest))
+    suffix.reverse()
+    lower = rank_cover_bounds(sizes, [len(s) for s in orbit_spans], target)
+    best = math.inf
+    nodes = 0
+    choice: Tuple[int, ...] = ()
+    stack = [(0, {}, 0, ())]
+    while stack:
+        i, basis, size, chosen = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExhausted(f"node budget {budget} exhausted")
+        deficit = target - len(basis)
+        if size + lower[i][deficit] >= best:
+            continue
+        if not deficit:
+            best, choice = size, chosen
+            continue
+        # leaving orbit i out, the later orbits must still complete the rank
+        rest = suffix[i + 1]
+        if len(rest) == target or len(packed_echelon(rest.values(), p, target, basis)) == target:
+            stack.append((i + 1, basis, size, chosen))
+        # an orbit inside the current span only adds size
+        grown = packed_echelon(orbit_spans[i].values(), p, target, basis)
+        if len(grown) > len(basis):
+            stack.append((i + 1, grown, size + sizes[i], chosen + (i,)))
+    witness = WeightSet.of([w for i in choice for w in orbits[i].elements], spec)
+    return best, witness, nodes

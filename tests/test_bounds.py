@@ -8,6 +8,7 @@ import pytest
 from essdim.bounds import (
     BoundsError,
     BudgetExhausted,
+    coinvariant_radical,
     fiber_check,
     lattice_elements,
     min_invariant_generating_size,
@@ -16,14 +17,15 @@ from essdim.bounds import (
     naive_min_invariant_generating_size,
     nakayama_filter,
     orbit_decomposition,
-    orbit_spans_mod_p,
     predicted_bound,
     sigma_map,
     verify_lower_bound,
 )
 from essdim.lattice import (LatticeSpec, WeightSet, basis_coordinates, echelon_mod_p,
-                            pack_mod_p, spans)
+                            pack_mod_p, spans, standard_weight, unpack_mod_p)
 from essdim.permgroup import Perm, act, orbit, sylow_subgroup
+from oracles import branch_and_bound_min, group_elements, orbit_spans_mod_p
+from oracles import echelon_mod_p as tuple_echelon_mod_p
 
 
 def random_mod_weight(rng, n, q):
@@ -239,35 +241,71 @@ class TestSearch:
                 and spans(WeightSet.of([w for i in combo for w in orbits[i]], spec)))
             assert result.witness == WeightSet.of([w for i in first for w in orbits[i]], spec)
 
-    # (minimum, nodes explored, orbit count, sha256 of the witness's JSON with
-    # sorted keys and no spaces), recorded before the F_p rows were packed
-    # and the orbit spans shared between residue classes
+    # (minimum, orbits examined, orbit count, sha256 of the witness's JSON
+    # with sorted keys and no spaces).  The minima and hashes of the first
+    # six points were recorded from the branch-and-bound search the greedy
+    # replaced; the orbits examined are the greedy's.  Each minimum is the
+    # published bound.
     @pytest.mark.parametrize("n,p,q,pinned", [
-        (10, 2, 2, (16, 9832, 33,
+        (10, 2, 2, (16, 20, 33,
                     "eb2687fcdbbd015582dd9f36b6479feb55f5af12c2b2df734b21332f3a0e1bd0")),
-        (6, 3, 3, (9, 44891, 42,
+        (6, 3, 3, (9, 21, 42,
                    "50fce57626d02cc2131a734003e2a3466458edd41ed1409183d31351aa0ccb26")),
-        (9, 3, 3, (27, 125543, 156,
+        (9, 3, 3, (27, 29, 156,
                    "60218a5170ccd2b80eaceb33d92672491f1151d37782b96fa182d1eed76ff836")),
-        (5, 5, 25, (5, 7, 78128,
+        (5, 5, 25, (5, 5, 78128,
                     "9fcff30a3e860d1d341ab0cd15c04410c6d6adf119ce8212a9ac9bb04a357a3c")),
+        (12, 2, 2, (32, 39, 67,
+                    "97356ba8cb636946cb81432b15516fbe0616c04411b6ed4d526bdcf237a57339")),
+        (8, 2, 4, (32, 129, 399,
+                   "a3aeadcbcc6e34be61b6bfe406c95cbbacbc6888bdd47b24d6964fc2eab6ef7c")),
+        (14, 2, 2, (24, 67, 193,
+                    "b3793e82582a4a704c9a394c2568f1ce131b988516a0849d9eca4e348042f730")),
+        (12, 3, 3, (27, 183, 1666,
+                    "4ea362999ed1603c22e2dcc5cdf0cdc55ee3528d689df6e3e6d9fd4750192bf7")),
     ])
     def test_frontier_pinned(self, n, p, q, pinned):
         result = min_invariant_generating_size(n, p, q)
         witness = json.dumps(result.witness.to_json(), sort_keys=True, separators=(",", ":"))
         assert (result.minimum, result.nodes_explored, result.orbit_count,
                 hashlib.sha256(witness.encode()).hexdigest()) == pinned
+        assert result.minimum == predicted_bound(n, p, q)["bound"]
+
+    @pytest.mark.parametrize("n,p,q", [
+        (4, 2, 4), (4, 2, 8), (5, 5, 5), (3, 3, 27), (3, 2, 16), (4, 3, 9),
+        (6, 2, 2), (7, 2, 2), (8, 2, 2), (10, 2, 2), (6, 3, 3), (9, 3, 3)])
+    def test_greedy_matches_branch_and_bound(self, n, p, q):
+        result = min_invariant_generating_size(n, p, q)
+        minimum, witness, _ = branch_and_bound_min(n, p, q)
+        assert (result.minimum, result.witness) == (minimum, witness)
 
     @pytest.mark.parametrize("n,p,q", [(4, 2, 8), (3, 3, 27), (4, 3, 9), (3, 2, 16)])
     def test_shared_orbit_spans_are_each_orbits_own(self, n, p, q):
-        # the search computes one span per residue class of an orbit's first
-        # element; a key too coarse would hand some orbit a foreign span
+        # the branch-and-bound oracle computes one span per residue class of
+        # an orbit's first element; a key too coarse would hand some orbit a
+        # foreign span
         orbits = _nonzero_orbits(LatticeSpec(n, q), p)
         shared = orbit_spans_mod_p(orbits, p, n - 1)
         assert len({id(s) for s in shared}) < len(orbits)
         for o, span in zip(orbits, shared):
             assert span == echelon_mod_p((pack_mod_p(basis_coordinates(w), p) for w in o),
                                          p, n - 1)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_coinvariant_radical_over_every_group_element(self, n, p):
+        # g - 1 over the generators spans the augmentation ideal as a right
+        # ideal, so IV is the span of (g - 1) v over every g and every v
+        spec = LatticeSpec(n)
+        chart = [standard_weight(j, j + 1, spec) for j in range(1, n)]
+        brute = tuple_echelon_mod_p(
+            (basis_coordinates([x - y for x, y in zip(act(g, a), a)])
+             for g in group_elements(sylow_subgroup(n, p)) for a in chart), p)
+        radical = coinvariant_radical(n, p)
+        dim_c = n - 1 - len(radical)
+        assert dim_c == n - 1 - len(brute)
+        assert dim_c >= 1
+        assert {col: unpack_mod_p(row, p, n - 1) for col, row in radical.items()} == brute
 
     def test_witness_deterministic(self):
         a = min_invariant_generating_size(4, 2, 4).witness

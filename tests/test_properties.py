@@ -1,14 +1,15 @@
-"""Property tests for the Smith normal form, the kernel generators and the
-Sylow orbits, with fixed, derandomized settings so the suite's time stays
-flat."""
+"""Property tests for the Smith normal form, the kernel generators, the
+Sylow orbits and the exact search, with fixed, derandomized settings so the
+suite's time stays flat."""
 
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
+from essdim.bounds import BudgetExhausted, min_invariant_generating_size
 from essdim.constructions import phi_image
 from essdim.lattice import (
     IntegerMatrix,
@@ -18,7 +19,7 @@ from essdim.lattice import (
     smith_normal_form,
 )
 from essdim.permgroup import act, orbit, sylow_subgroup
-from oracles import dense_smith_normal_form, group_elements, matmul
+from oracles import branch_and_bound_min, dense_smith_normal_form, group_elements, matmul
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -107,3 +108,23 @@ def test_orbit_stabilizer(data):
     group = sylow_subgroup(n, p)
     stabilizer = [g for g in group_elements(group) if act(g, w) == w]
     assert len(orbit(group, w, spec)) * len(stabilizer) == p ** group.order_exponent
+
+
+# every (n, p, q) with q = p^e and at most 4096 lattice elements
+search_points = st.sampled_from([
+    (n, p, p ** e) for p in (2, 3, 5, 7, 11, 13) for e in range(1, 13) for n in range(2, 14)
+    if p ** (e * (n - 1)) <= 4096])
+
+
+@settings(FIXED, max_examples=40)
+@given(search_points)
+def test_greedy_matches_branch_and_bound(npq):
+    # points the oracle cannot finish within its node budget, such as
+    # (12,2,2) and (8,3,3), are rejected; test_frontier_pinned holds the
+    # oracle's witness for (12,2,2)
+    try:
+        minimum, witness, _ = branch_and_bound_min(*npq, budget=150_000)
+    except BudgetExhausted:
+        reject()
+    result = min_invariant_generating_size(*npq)
+    assert (result.minimum, result.witness) == (minimum, witness)
