@@ -1,5 +1,5 @@
-"""Lower-bound machinery: block-sum homomorphism, Nakayama filter, fiber
-counting, and the exact minimum of an invariant generating set.
+"""Lower-bound machinery: the exact minimum of an invariant generating set of
+the zero-sum lattice mod q, its orbit representatives, and naive oracles.
 
 The minimum rests on one lemma.  P_n is a p-group, so F_p[P_n] is local with
 maximal ideal its augmentation ideal I, and by Nakayama a union of orbits
@@ -7,29 +7,32 @@ generates X_n / q iff its orbit representatives span the coinvariants
 V / IV, V = X_n / p X_n.  The minimum is then a minimum-weight basis of a
 linear matroid, which the greedy in ascending orbit order finds exactly
 (Edmonds 1971): one packed F_p echelon step (``lattice.echelon_mod_p``) per
-orbit examined.  The witness is certified by the lift-to-Z span test.
+orbit examined.  The orbits come from ``orbit_representatives``, which
+builds each orbit's least element from canonical forms of the Sylow
+subgroup's blocks, in the greedy's order and without listing the lattice.
+The witness is certified by the lift-to-Z span test.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .lattice import (
     LatticeSpec,
     WeightSet,
     basis_coordinates,
     echelon_mod_p,
-    in_p_multiple,
     pack_mod_p,
     prime_power_root,
     spans,
     standard_weight,
     vp,
 )
-from .permgroup import PermGroupSpec, act, orbit, sylow_subgroup
+from .permgroup import PermGroupSpec, act, legendre_exponent, orbit, sylow_subgroup
 
 
 class BoundsError(ValueError):
@@ -56,59 +59,6 @@ class SearchResult:
             "orbit_count": self.orbit_count,
             "elapsed_ms": int(self.elapsed * 1000),
         }
-
-
-def sigma_map(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> Tuple[int, ...]:
-    """Block-sum homomorphism from spec to the lattice of length n/p with
-    the same modulus: entry i of the image is the sum of w's entries over
-    the i-th consecutive p-run."""
-    n = spec.n
-    if n % p != 0:
-        raise BoundsError(f"p={p} does not divide n={n}")
-    sums = [
-        sum(w[(i - 1) * p: i * p]) for i in range(1, n // p + 1)
-    ]
-    return LatticeSpec(n // p, spec.modulus).weight(sums)
-
-
-def nakayama_filter(lam: WeightSet, p: int) -> WeightSet:
-    """Drop the elements lying in p * X_n; the rest still generates."""
-    q = lam.spec.modulus
-    if not q or prime_power_root(q) != p:
-        raise BoundsError("nakayama_filter needs a mod-p^e lattice")
-    if not spans(lam):
-        raise BoundsError("input set does not generate the lattice")
-    kept = WeightSet.of(
-        [w for w in lam.elements if not in_p_multiple(w, p, lam.spec)], lam.spec)
-    assert spans(kept), "Nakayama filtering lost generation"
-    return kept
-
-
-def fiber_check(lam: WeightSet, p: int) -> dict:
-    """Count preimages in Lambda over each non-p-multiple block-sum image;
-    the fiber-counting argument needs every count >= p^2."""
-    images: Dict[Tuple[int, ...], int] = {}
-    for w in lam.elements:
-        s = sigma_map(w, p, lam.spec)
-        images[s] = images.get(s, 0) + 1
-    # in_p_multiple reads only the modulus, which sigma_map keeps
-    tested = {s: c for s, c in images.items() if not in_p_multiple(s, p, lam.spec)}
-    if not tested:
-        return {
-            "tested_fibers": 0,
-            "minimum_count": None,
-            "attained_at": None,
-            "violation": False,
-            "note": "no fibers tested: every block-sum image lies in p*X",
-        }
-    smin = min(tested, key=lambda s: (tested[s], s))
-    return {
-        "tested_fibers": len(tested),
-        "minimum_count": tested[smin],
-        "attained_at": list(smin),
-        "violation": tested[smin] < p * p,
-        "required": p * p,
-    }
 
 
 def lattice_elements(spec: LatticeSpec) -> List[Tuple[int, ...]]:
@@ -142,6 +92,137 @@ def _nonzero_orbits(spec: LatticeSpec, p: int) -> List[WeightSet]:
     """The P_n-orbits of the finite lattice, without the zero orbit."""
     return [o for o in orbit_decomposition(sylow_subgroup(spec.n, p), spec)
             if not (len(o) == 1 and not any(o.elements[0]))]
+
+
+def _part_levels(group: PermGroupSpec) -> List[int]:
+    """The layout of group as parts: r for a block of size p^r, 0 for each
+    fixed point, in position order."""
+    fixed = group.blocks[0][0] - 1 if group.blocks else group.n
+    return [0] * fixed + [vp(hi - lo + 1, group.p) for lo, hi in group.blocks]
+
+
+def orbit_representatives(group: PermGroupSpec, q: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """(size, least element) of each nonzero orbit of group, a Sylow
+    subgroup, on the zero-sum lattice mod q, in (size, representative)
+    order, without listing the lattice.
+
+    On a block of size p^r, the wreath product of P_{p^(r-1)} with the
+    rotation of its p sub-blocks, an orbit's least element is the least
+    rotation of the p sub-blocks' least forms, and its size exponent is p
+    times the sub-exponent when the p forms are equal, else 1 plus their sum.
+    Across the fixed points and blocks, the orbits are products, the least
+    element is the concatenation and the exponents add.  So each exponent
+    is walked in lexicographic order part by part, the zero-sum condition
+    fixing the residue of the last part, whose forms are generated lazily;
+    the other parts' form lists are listed once per call.
+    """
+    p = group.p
+    levels = _part_levels(group)
+    caps = [legendre_exponent(p ** r, p) for r in levels]
+    reach = [sum(caps[k:]) for k in range(len(caps) + 1)]
+    listed: Dict[int, list] = {}
+    keyed: Dict[int, dict] = {}
+
+    def listing(r):
+        if r not in listed:
+            listed[r] = list(forms(r))
+        return listed[r]
+
+    def forms(r, want=None):
+        """(form, exponent, residue) of the level-r block's orbits in
+        lexicographic order; only those with (exponent, residue) = want."""
+        if r == 0:
+            for v in (range(q) if want is None else [want[1]] if want[0] == 0 else []):
+                yield (v,), 0, v
+            return
+        sub = listing(r - 1)
+        cap = legendre_exponent(p ** (r - 1), p)
+        if want is not None and r - 1 not in keyed:
+            keyed[r - 1] = index = {}
+            for i, (_, e, s) in enumerate(sub):
+                index.setdefault((e, s), []).append(i)
+
+        def fits(e, slots):
+            # whether slots more sub-forms can bring the exponent sum e to want's
+            return want is None or e <= want[0] - 1 <= e + slots * cap
+
+        def necklaces(t, e, s):
+            # index tuples t + (...) of length p, each entry at least t[0],
+            # that are strictly least among their rotations
+            slots = p - len(t)
+            if slots == 1:
+                if want is None:
+                    tail = range(t[0], len(sub))
+                else:
+                    tail = keyed[r - 1].get((want[0] - 1 - e, (want[1] - s) % q), [])
+                    tail = tail[bisect_left(tail, t[0]):]
+                for i in tail:
+                    u = t + (i,)
+                    if all(u[k:] + u[:k] > u for k in range(1, p)):
+                        yield u, e + sub[i][1], (s + sub[i][2]) % q
+                return
+            for i in range(t[0], len(sub)):
+                _, ei, si = sub[i]
+                if fits(e + ei, slots - 1):
+                    yield from necklaces(t + (i,), e + ei, s + si)
+
+        for i0, (f0, e0, s0) in enumerate(sub):
+            if want is None or want == (p * e0, p * s0 % q):
+                yield f0 * p, p * e0, p * s0 % q
+            if fits(e0, p - 1):
+                for u, e, s in necklaces((i0,), e0, s0):
+                    yield tuple(x for i in u for x in sub[i][0]), e + 1, s
+
+    last = len(levels) - 1
+
+    def parts(k, e, s, head):
+        # the elements head + ... whose parts k.. have exponent e and residue s
+        if k == last:
+            for f, _, _ in forms(levels[k], (e, s % q)):
+                yield head + f
+            return
+        for f, ek, sk in listing(levels[k]):
+            if ek <= e <= ek + reach[k + 1]:
+                yield from parts(k + 1, e - ek, s - sk, head + f)
+
+    for e in range(group.order_exponent + 1):
+        for rep in parts(0, e, 0, ()):
+            if e or any(rep):
+                yield p ** e, rep
+
+
+def count_orbits(group: PermGroupSpec, q: int) -> int:
+    """The number of nonzero orbits of group, a Sylow subgroup, on the
+    zero-sum lattice mod q, without listing them: per level r, the orbits
+    of a block of size p^r by residue of their entry sum, by Burnside over
+    the rotation of its p sub-blocks (only the constant p-tuples of
+    sub-orbits are fixed by a nontrivial rotation), convolved over the
+    parts."""
+    if group.n == 1:  # the lattice is {0}
+        return 0
+    p = group.p
+
+    def convolve(a, b):
+        for x, y in ((a, b), (b, a)):
+            if min(x) == max(x):  # a constant vector spreads the other's total
+                return [x[0] * sum(y)] * q
+        return [sum(x * b[(t - s) % q] for s, x in enumerate(a)) for t in range(q)]
+
+    levels = _part_levels(group)
+    counts = [[1] * q]
+    for _ in range(max(levels)):
+        sub = counts[-1]
+        tuples = sub
+        for _ in range(p - 1):
+            tuples = convolve(sub, tuples)
+        constant = [0] * q
+        for s, c in enumerate(sub):
+            constant[p * s % q] += c
+        counts.append([(a + (p - 1) * b) // p for a, b in zip(tuples, constant)])
+    total = counts[levels[0]]
+    for r in levels[1:]:
+        total = convolve(counts[r], total)
+    return total[0] - 1
 
 
 def coinvariant_radical(n: int, p: int) -> Dict[int, int]:
@@ -191,22 +272,21 @@ def min_invariant_generating_size(
         raise BoundsError(f"search space q^(n-1) = {q}^{n - 1} too large")
     start = time.perf_counter()
     spec = LatticeSpec(n, q)
-    orbits = _nonzero_orbits(spec, p)
+    group = sylow_subgroup(n, p)
     target = spec.rank
     basis = coinvariant_radical(n, p)
     chosen: List[WeightSet] = []
     examined = 0
-    for o in orbits:
+    for _, rep in orbit_representatives(group, q):
         if len(basis) == target:
             break
         examined += 1
         if examined > budget:
             raise BudgetExhausted(f"budget of {budget} orbits examined exhausted")
-        grown = echelon_mod_p([pack_mod_p(basis_coordinates(o.elements[0]), p)],
-                              p, target, basis)
+        grown = echelon_mod_p([pack_mod_p(basis_coordinates(rep), p)], p, target, basis)
         if len(grown) > len(basis):
             basis = grown
-            chosen.append(o)
+            chosen.append(orbit(group, rep, spec))
 
     witness = WeightSet.of([w for o in chosen for w in o.elements], spec)
     if not spans(witness):
@@ -216,7 +296,7 @@ def min_invariant_generating_size(
         minimum=len(witness),
         witness=witness,
         nodes_explored=examined,
-        orbit_count=len(orbits),
+        orbit_count=count_orbits(group, q),
         elapsed=time.perf_counter() - start,
     )
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -292,6 +293,7 @@ def cmd_reproduce_all(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
+@functools.cache  # no option has a mutable default, so main can reuse one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="essdim",

@@ -1,21 +1,77 @@
 """References the tests compare the library against, reached from no code
 path of the package: brute force written from the definitions, the witness
 sets of cases (c) and (d) in closed form, the Smith normal form as the
-package computed it before its updates followed the matrix's support, and
+package computed it before its updates followed the matrix's support,
 the F_p echelon basis over tuple rows as it was before rows were packed,
-and the branch-and-bound search the coinvariant greedy replaced."""
+the branch-and-bound search the coinvariant greedy replaced, and the
+paper's block-sum map, Nakayama filter and fiber count, which the greedy's
+coinvariant argument supersedes."""
 
 import math
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from essdim.bounds import BudgetExhausted, _nonzero_orbits
+from essdim.bounds import BoundsError, BudgetExhausted, _nonzero_orbits
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
-                            basis_coordinates, kernel_generators_mod, pack_mod_p)
+                            basis_coordinates, in_p_multiple, kernel_generators_mod,
+                            pack_mod_p, prime_power_root, spans)
 from essdim.lattice import echelon_mod_p as packed_echelon
 from essdim.permgroup import Perm, p_adic_digits
+
+
+def sigma_map(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> Tuple[int, ...]:
+    """Block-sum homomorphism from spec to the lattice of length n/p with
+    the same modulus: entry i of the image is the sum of w's entries over
+    the i-th consecutive p-run."""
+    n = spec.n
+    if n % p != 0:
+        raise BoundsError(f"p={p} does not divide n={n}")
+    sums = [
+        sum(w[(i - 1) * p: i * p]) for i in range(1, n // p + 1)
+    ]
+    return LatticeSpec(n // p, spec.modulus).weight(sums)
+
+
+def nakayama_filter(lam: WeightSet, p: int) -> WeightSet:
+    """Drop the elements lying in p * X_n; the rest still generates."""
+    q = lam.spec.modulus
+    if not q or prime_power_root(q) != p:
+        raise BoundsError("nakayama_filter needs a mod-p^e lattice")
+    if not spans(lam):
+        raise BoundsError("input set does not generate the lattice")
+    kept = WeightSet.of(
+        [w for w in lam.elements if not in_p_multiple(w, p, lam.spec)], lam.spec)
+    assert spans(kept), "Nakayama filtering lost generation"
+    return kept
+
+
+def fiber_check(lam: WeightSet, p: int) -> dict:
+    """Count preimages in Lambda over each non-p-multiple block-sum image;
+    the fiber-counting argument needs every count >= p^2."""
+    images: Dict[Tuple[int, ...], int] = {}
+    for w in lam.elements:
+        s = sigma_map(w, p, lam.spec)
+        images[s] = images.get(s, 0) + 1
+    # in_p_multiple reads only the modulus, which sigma_map keeps
+    tested = {s: c for s, c in images.items() if not in_p_multiple(s, p, lam.spec)}
+    if not tested:
+        return {
+            "tested_fibers": 0,
+            "minimum_count": None,
+            "attained_at": None,
+            "violation": False,
+            "note": "no fibers tested: every block-sum image lies in p*X",
+        }
+    smin = min(tested, key=lambda s: (tested[s], s))
+    return {
+        "tested_fibers": len(tested),
+        "minimum_count": tested[smin],
+        "attained_at": list(smin),
+        "violation": tested[smin] < p * p,
+        "required": p * p,
+    }
 
 
 def is_identity(g):

@@ -13,8 +13,6 @@ from essdim.bounds import (
     naive_min_by_subsets,
     naive_min_invariant_generating_size,
     predicted_bound,
-    sigma_map,
-    nakayama_filter,
 )
 from essdim.cli import CLAIMS
 from essdim.constructions import build_plan, kernel_witness, permute_coefficients, phi_image
@@ -28,7 +26,7 @@ from essdim.permgroup import (
     orbit,
     sylow_subgroup,
 )
-from oracles import faithful_by_enumeration, order
+from oracles import faithful_by_enumeration, nakayama_filter, order, sigma_map
 
 
 def report(name, ok):

@@ -9,22 +9,22 @@ from essdim.bounds import (
     BoundsError,
     BudgetExhausted,
     coinvariant_radical,
-    fiber_check,
+    count_orbits,
     lattice_elements,
     min_invariant_generating_size,
     naive_min_by_subsets,
     _nonzero_orbits,
     naive_min_invariant_generating_size,
-    nakayama_filter,
     orbit_decomposition,
+    orbit_representatives,
     predicted_bound,
-    sigma_map,
     verify_lower_bound,
 )
 from essdim.lattice import (LatticeSpec, WeightSet, basis_coordinates, echelon_mod_p,
                             pack_mod_p, spans, standard_weight, unpack_mod_p)
 from essdim.permgroup import Perm, act, orbit, sylow_subgroup
-from oracles import branch_and_bound_min, group_elements, orbit_spans_mod_p
+from oracles import (branch_and_bound_min, fiber_check, group_elements, nakayama_filter,
+                     orbit_spans_mod_p, sigma_map)
 from oracles import echelon_mod_p as tuple_echelon_mod_p
 
 
@@ -244,8 +244,9 @@ class TestSearch:
     # (minimum, orbits examined, orbit count, sha256 of the witness's JSON
     # with sorted keys and no spaces).  The minima and hashes of the first
     # six points were recorded from the branch-and-bound search the greedy
-    # replaced; the orbits examined are the greedy's.  Each minimum is the
-    # published bound.
+    # replaced; the orbits examined are the greedy's.  The last five were
+    # recorded from the greedy over the listed lattice, before the orbit
+    # representatives were generated.  Each minimum is the published bound.
     @pytest.mark.parametrize("n,p,q,pinned", [
         (10, 2, 2, (16, 20, 33,
                     "eb2687fcdbbd015582dd9f36b6479feb55f5af12c2b2df734b21332f3a0e1bd0")),
@@ -263,6 +264,16 @@ class TestSearch:
                     "b3793e82582a4a704c9a394c2568f1ce131b988516a0849d9eca4e348042f730")),
         (12, 3, 3, (27, 183, 1666,
                     "4ea362999ed1603c22e2dcc5cdf0cdc55ee3528d689df6e3e6d9fd4750192bf7")),
+        (7, 7, 7, (7, 7, 16812,
+                   "d4b1a19ef3399f03788f376852f8e57d478e386a17e5c8b91b9b6e904354e803")),
+        (13, 3, 3, (12, 127, 4960,
+                    "25d23b4c9c78f238069179647c47acc45c54cbb7f561250ea39a9bd4de143eb4")),
+        (20, 2, 2, (64, 122, 715,
+                    "44c6d5a6f44ff8a5253f39972bc4a70efe3c0d18d39faa95f9064ea2a16af0aa")),
+        (21, 2, 2, (20, 68, 1385,
+                    "ea8a6398a55532ec9e88894968776f86c27fde097ec300a220b425f26253f209")),
+        (9, 5, 5, (8, 749, 78624,
+                   "68a3aad728df0968edd014b7029620dc6f233e623ab5d74dc838db3925f7f787")),
     ])
     def test_frontier_pinned(self, n, p, q, pinned):
         result = min_invariant_generating_size(n, p, q)
@@ -311,6 +322,25 @@ class TestSearch:
         a = min_invariant_generating_size(4, 2, 4).witness
         b = min_invariant_generating_size(4, 2, 4).witness
         assert a == b
+
+
+class TestOrbitRepresentatives:
+    # multi-block (12,2,2), (14,2,2), (7,2,4) and (12,3,3); deep-block
+    # (8,2,4), (6,3,9) and (3,2,16); fixed points only at n = 1
+    @pytest.mark.parametrize("n,p,q", [
+        (1, 2, 2), (2, 2, 2), (2, 2, 4), (3, 3, 3), (4, 2, 4), (4, 2, 8), (5, 5, 5),
+        (3, 3, 27), (3, 2, 16), (4, 3, 9), (6, 2, 2), (7, 2, 4), (8, 2, 4), (6, 3, 9),
+        (10, 2, 2), (12, 2, 2), (14, 2, 2), (9, 3, 3), (7, 7, 7), (12, 3, 3)])
+    def test_matches_listing(self, n, p, q):
+        listed = [(len(o), o.elements[0]) for o in _nonzero_orbits(LatticeSpec(n, q), p)]
+        group = sylow_subgroup(n, p)
+        assert list(orbit_representatives(group, q)) == listed
+        assert count_orbits(group, q) == len(listed)
+
+    def test_trivial_lattice_with_a_large_modulus(self):
+        # q^(n-1) = 1 passes the size cap for any q; nothing may be sized by q
+        result = min_invariant_generating_size(1, 7, 7 ** 12)
+        assert (result.minimum, result.nodes_explored, result.orbit_count) == (0, 0, 0)
 
 
 class TestVerify:

@@ -9,7 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings, strategies as st
 
-from essdim.bounds import BudgetExhausted, min_invariant_generating_size
+from essdim.bounds import (BudgetExhausted, _nonzero_orbits, count_orbits,
+                           min_invariant_generating_size, orbit_representatives)
 from essdim.constructions import phi_image
 from essdim.lattice import (
     IntegerMatrix,
@@ -128,3 +129,13 @@ def test_greedy_matches_branch_and_bound(npq):
         reject()
     result = min_invariant_generating_size(*npq)
     assert (result.minimum, result.witness) == (minimum, witness)
+
+
+@settings(FIXED, max_examples=40)
+@given(search_points)
+def test_orbit_representatives_match_listing(npq):
+    n, p, q = npq
+    listed = [(len(o), o.elements[0]) for o in _nonzero_orbits(LatticeSpec(n, q), p)]
+    group = sylow_subgroup(n, p)
+    assert list(orbit_representatives(group, q)) == listed
+    assert count_orbits(group, q) == len(listed)
