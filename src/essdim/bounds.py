@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .lattice import (
     LatticeSpec,
@@ -43,8 +42,7 @@ class BudgetExhausted(RuntimeError):
     """The search examined its budget of orbits before the rank was full."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     minimum: int
     witness: WeightSet
     nodes_explored: int

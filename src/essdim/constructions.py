@@ -7,8 +7,7 @@ Case tags: (a) p does not divide n, (b) n = p, (c) n = p^r with r >= 2,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .lattice import LatticeSpec, WeightSet, prime_power_root, standard_weight, vp
 from .permgroup import act, orbit, p_adic_digits, sylow_subgroup
@@ -18,14 +17,12 @@ class ConstructionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RepPlan:
-    """A representation plan: torus weights plus opaque extra summands.
+# A witness set of more than this many entries (|Lambda| weights of length
+# n) is refused before any of it is built.
+MAX_WITNESS_ENTRIES = 2 ** 24
 
-    total_dimension - (n - 1) is the essential dimension value the plan
-    witnesses; edcalc cross-checks this.
-    """
 
+class _RepPlanFields(NamedTuple):
     case_tag: str
     n: int
     p: int
@@ -33,11 +30,24 @@ class RepPlan:
     extra_summands: Tuple[Tuple[int, str], ...]
     total_dimension: int
 
-    def __post_init__(self) -> None:
-        expected = len(self.torus_weights) + sum(d for d, _ in self.extra_summands)
-        if expected != self.total_dimension:
+
+class RepPlan(_RepPlanFields):
+    """A representation plan: torus weights plus opaque extra summands.
+
+    total_dimension - (n - 1) is the essential dimension value the plan
+    witnesses; edcalc cross-checks this.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, case_tag: str, n: int, p: int, torus_weights: WeightSet,
+                extra_summands: Tuple[Tuple[int, str], ...], total_dimension: int) -> "RepPlan":
+        expected = len(torus_weights) + sum(d for d, _ in extra_summands)
+        if expected != total_dimension:
             raise ConstructionError(
-                f"dimension bookkeeping broken: {expected} != {self.total_dimension}")
+                f"dimension bookkeeping broken: {expected} != {total_dimension}")
+        return super().__new__(cls, case_tag, n, p, torus_weights, extra_summands,
+                               total_dimension)
 
     def to_json(self) -> dict:
         return {
@@ -50,12 +60,24 @@ class RepPlan:
         }
 
 
+def _check_size(size: int, n: int) -> None:
+    """Refuse a witness set of ``size`` weights of length n, computed from its
+    formula, if it has more than MAX_WITNESS_ENTRIES entries."""
+    entries = size * n
+    if entries > MAX_WITNESS_ENTRIES:
+        # a power of two, not the count: the count of a large case has too
+        # many digits to print
+        raise ConstructionError(f"witness set too large: at least 2^{entries.bit_length() - 1} "
+                                f"entries, more than {MAX_WITNESS_ENTRIES}")
+
+
 def lambda_a(n: int, p: int) -> RepPlan:
     """Case (a): the fan of weights a[1,i] out of the fixed position 1, plus a
     faithful permutation summand of dimension [n/p]."""
     if n % p == 0:
         raise ConstructionError(f"case (a) needs p not dividing n; got n={n}, p={p}")
     spec = LatticeSpec(n)
+    _check_size(n - 1, n)
     weights = WeightSet.of([standard_weight(1, i, spec) for i in range(2, n + 1)], spec)
     m = n // p
     extras = ((m, f"faithful permutation summand of the {p}-cycle normalizer, dim [n/p]"),)
@@ -66,6 +88,7 @@ def lambda_b(p: int) -> RepPlan:
     """Case (b), n = p: the cyclic chain a[1,2], ..., a[p-1,p], a[p,1] plus a
     1-dimensional faithful character of Z/p."""
     spec = LatticeSpec(p)
+    _check_size(p, p)
     chain = [standard_weight(i, i + 1, spec) for i in range(1, p)]
     chain.append(standard_weight(p, 1, spec))
     weights = WeightSet.of(chain, spec)
@@ -80,6 +103,7 @@ def lambda_c(p: int, r: int) -> RepPlan:
         raise ConstructionError("case (c) needs r >= 2")
     n = p ** r
     spec = LatticeSpec(n)
+    _check_size(p ** (2 * r - 1), n)
     group = sylow_subgroup(n, p)
     seed = standard_weight(1, p ** (r - 1) + 1, spec)
     weights = orbit(group, seed, spec)
@@ -95,7 +119,9 @@ def lambda_d(n: int, p: int) -> RepPlan:
     fixed, digits = p_adic_digits(n, p)
     if fixed or len(digits) == 1 and digits[0][0] == 1:
         raise ConstructionError("case (d) needs n divisible by p and not a p-power")
+    s = p ** digits[0][1]  # the smallest block
     spec = LatticeSpec(n)
+    _check_size(s * (n - s), n)
     group = sylow_subgroup(n, p)
     blocks = group.blocks
     accum: set = set()
@@ -106,7 +132,8 @@ def lambda_d(n: int, p: int) -> RepPlan:
 
 
 def build_plan(case_tag: str, n: int, p: int) -> RepPlan:
-    """Dispatch to the constructor matching the case tag, validating (n, p)."""
+    """Dispatch to the constructor matching the case tag, validating (n, p);
+    a witness set past MAX_WITNESS_ENTRIES is refused before it is built."""
     if prime_power_root(p) != p:
         raise ConstructionError(f"p={p} is not a prime")
     if case_tag == "a":

@@ -7,7 +7,7 @@ unity; the reports carry that hypothesis as informational text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import build_plan
 from .lattice import prime_power_root, vp
@@ -20,8 +20,7 @@ class EdError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EdReport:
+class EdReport(NamedTuple):
     n: int
     p: int
     case_tag: str

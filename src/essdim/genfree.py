@@ -15,8 +15,7 @@ This holds for every Sylow subgroup, with or without fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .constructions import RepPlan
 from .lattice import WeightSet, kernel_generators_mod, spans
@@ -27,8 +26,7 @@ class GenFreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GenFreeVerdict:
+class GenFreeVerdict(NamedTuple):
     spans_ok: bool
     kernel_faithful: bool
     method: str

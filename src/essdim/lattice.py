@@ -8,10 +8,9 @@ a[1,2], a[2,3], ..., a[n-1,n].  All arithmetic is exact (Python ints).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class LatticeError(ValueError):
@@ -43,20 +42,24 @@ def vp(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Ambient length n plus coefficient modulus (0 = integers, q = p^e)."""
-
+class _LatticeSpecFields(NamedTuple):
     n: int
     modulus: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise LatticeError(f"ambient length must be positive, got {self.n}")
-        if self.modulus < 0:
+
+class LatticeSpec(_LatticeSpecFields):
+    """Ambient length n plus coefficient modulus (0 = integers, q = p^e)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, modulus: int = 0) -> "LatticeSpec":
+        if n < 1:
+            raise LatticeError(f"ambient length must be positive, got {n}")
+        if modulus < 0:
             raise LatticeError("modulus must be non-negative")
-        if self.modulus and prime_power_root(self.modulus) is None:
-            raise LatticeError(f"modulus {self.modulus} is not a prime power")
+        if modulus and prime_power_root(modulus) is None:
+            raise LatticeError(f"modulus {modulus} is not a prime power")
+        return super().__new__(cls, n, modulus)
 
     @property
     def prime(self) -> Optional[int]:
@@ -82,14 +85,31 @@ class LatticeSpec:
         return entries
 
 
-@dataclass(frozen=True)
 class WeightSet:
     """Deduplicated, sorted collection of weights of the lattice ``spec``.
 
-    A weight is a tuple of ints in the form LatticeSpec.weight returns."""
+    A weight is a tuple of ints in the form LatticeSpec.weight returns.
+    Immutable; the ``__dict__`` holds only the cached derived data."""
 
-    elements: Tuple[Tuple[int, ...], ...]
-    spec: LatticeSpec
+    __slots__ = ("elements", "spec", "__dict__")
+
+    def __init__(self, elements: Tuple[Tuple[int, ...], ...], spec: LatticeSpec) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "spec", spec)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: WeightSet is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elements, self.spec) == (other.elements, other.spec)
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.spec))
+
+    def __repr__(self) -> str:
+        return f"WeightSet(elements={self.elements!r}, spec={self.spec!r})"
 
     @classmethod
     def of(cls, weights: Iterable[Tuple[int, ...]], spec: LatticeSpec) -> "WeightSet":
@@ -134,8 +154,7 @@ class WeightSet:
         return [list(w) for w in self.elements]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(NamedTuple):
     rows: int
     cols: int
     entries: Tuple[Tuple[int, ...], ...]
@@ -427,14 +446,3 @@ def rank_mod_p(lam: WeightSet, p: int, rank: int) -> int:
     ``rank`` (Gaussian elimination, exact)."""
     return min(rank, len(echelon_mod_p(
         (pack_mod_p(basis_coordinates(w), p) for w in lam), p, lam.spec.rank)))
-
-
-def in_p_multiple(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> bool:
-    """True iff the weight w of spec lies in p * X_n, i.e. every entry is
-    divisible by p in Z/q."""
-    q = spec.modulus
-    if not q:
-        raise LatticeError("in_p_multiple requires a mod-q lattice")
-    if spec.prime != p:
-        raise LatticeError(f"prime {p} does not match modulus {q}")
-    return all(e % p == 0 for e in w)

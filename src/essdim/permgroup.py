@@ -8,10 +8,9 @@ the recursive wreath structure uses consecutive sub-blocks of size p^(r-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .lattice import LatticeSpec, WeightSet, prime_power_root
 
@@ -20,11 +19,33 @@ class PermError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
 class Perm:
-    """Permutation of {1..n}; images[i-1] is the image of i."""
+    """Permutation of {1..n}; images[i-1] is the image of i.  Immutable and
+    ordered by images; the ``__dict__`` holds only the cached gather."""
 
-    images: Tuple[int, ...]
+    __slots__ = ("images", "__dict__")
+
+    def __init__(self, images: Tuple[int, ...]) -> None:
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Perm is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images < other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Perm(images={self.images!r})"
 
     @classmethod
     def of(cls, images: Sequence[int]) -> "Perm":
@@ -107,8 +128,7 @@ class Perm:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
 
 
-@dataclass(frozen=True)
-class PermGroupSpec:
+class PermGroupSpec(NamedTuple):
     """Generating set of a Sylow p-subgroup of S_n plus its block layout;
     order_exponent is v_p(|group|)."""
 

@@ -4,8 +4,8 @@ sets of cases (c) and (d) in closed form, the Smith normal form as the
 package computed it before its updates followed the matrix's support,
 the F_p echelon basis over tuple rows as it was before rows were packed,
 the branch-and-bound search the coinvariant greedy replaced, and the
-paper's block-sum map, Nakayama filter and fiber count, which the greedy's
-coinvariant argument supersedes."""
+paper's block-sum map, p-multiple test, Nakayama filter and fiber count,
+which the greedy's coinvariant argument supersedes."""
 
 import math
 from itertools import chain
@@ -15,10 +15,21 @@ from essdim.bounds import BoundsError, BudgetExhausted, _nonzero_orbits
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
-                            basis_coordinates, in_p_multiple, kernel_generators_mod,
+                            basis_coordinates, kernel_generators_mod,
                             pack_mod_p, prime_power_root, spans)
 from essdim.lattice import echelon_mod_p as packed_echelon
 from essdim.permgroup import Perm, p_adic_digits
+
+
+def in_p_multiple(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> bool:
+    """True iff the weight w of spec lies in p * X_n, i.e. every entry is
+    divisible by p in Z/q."""
+    q = spec.modulus
+    if not q:
+        raise LatticeError("in_p_multiple requires a mod-q lattice")
+    if spec.prime != p:
+        raise LatticeError(f"prime {p} does not match modulus {q}")
+    return all(e % p == 0 for e in w)
 
 
 def sigma_map(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> Tuple[int, ...]:

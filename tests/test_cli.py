@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,17 @@ def run_subprocess(argv):
                           capture_output=True, text=True, timeout=60)
 
 
+def test_start_up_loads_no_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, about a
+    # fifth of the CLI's start-up; -S keeps site's .pth files out of the count
+    probe = ("import sys, essdim.cli as c; c.build_parser(); "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 class TestUsageErrors:
     def test_missing_case_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -305,6 +317,27 @@ class TestUsageErrors:
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr
         assert len(done.stderr) < 200
+
+    @pytest.mark.parametrize("argv", [
+        ("ed", "--n", "1024", "--p", "2"),  # case (c): 2^19 weights of length 2^10
+        ("ed", "--n", "100000", "--p", "2"),  # case (d): 32 * 99,968 weights
+        ("ed", "--n", "100001", "--p", "2"),  # case (a): 100,000 weights
+        ("construct", "--case", "b", "--p", "1000003"),
+        # |Lambda| = 2^15999 has more digits than int-to-str conversion allows
+        ("construct", "--case", "c", "--p", "2", "--r", "8000"),
+        ("check-genfree", "--case", "d", "--n", "100000", "--p", "2"),
+    ])
+    def test_oversized_witness_set_refused(self, argv):
+        # |Lambda| * n is computed from the case's formula and refused past
+        # 2^24 entries; without the cap ed --n 1024 --p 2 would start building
+        # 2^19 weights of length 1024
+        start = time.monotonic()
+        done = run_subprocess(argv)
+        assert time.monotonic() - start < 10
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: witness set too large")
+        assert done.stderr.count("\n") == 1 and len(done.stderr) < 200
 
     @pytest.mark.parametrize("argv", [
         ("check-genfree", "--case", "a", "--n", "17", "--p", "2"),

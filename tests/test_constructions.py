@@ -1,5 +1,6 @@
 import pytest
 
+from essdim import constructions
 from essdim.constructions import (
     ConstructionError,
     build_plan,
@@ -143,6 +144,19 @@ class TestClosedFormOrbits:
         for n in range(2 * p, 101):
             if detect_case(n, p) == "d":
                 assert lambda_d(n, p).torus_weights == closed_lambda_d(n, p), n
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize("case,n,p", [("a", 5, 2), ("b", 5, 5), ("c", 8, 2), ("d", 12, 2)])
+    def test_cap_is_the_formula_size(self, monkeypatch, case, n, p):
+        # the refusal reads |Lambda| * n from the formula, so a cap of
+        # exactly that many entries builds the plan and one less refuses it
+        entries = len(build_plan(case, n, p).torus_weights) * n
+        monkeypatch.setattr(constructions, "MAX_WITNESS_ENTRIES", entries)
+        build_plan(case, n, p)
+        monkeypatch.setattr(constructions, "MAX_WITNESS_ENTRIES", entries - 1)
+        with pytest.raises(ConstructionError, match="witness set too large"):
+            build_plan(case, n, p)
 
 
 class TestPadicExpansion:

@@ -16,7 +16,6 @@ from essdim.lattice import (
     basis_coordinates,
     coordinate_matrix,
     echelon_mod_p,
-    in_p_multiple,
     kernel_basis,
     kernel_generators_mod,
     pack_mod_p,
@@ -29,7 +28,7 @@ from essdim.lattice import (
     vp,
 )
 import oracles
-from oracles import dense_smith_normal_form, identity, matmul
+from oracles import dense_smith_normal_form, identity, in_p_multiple, matmul
 
 
 def chain_basis(spec):
