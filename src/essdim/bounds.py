@@ -6,7 +6,7 @@ maximal ideal its augmentation ideal I, and by Nakayama a union of orbits
 generates X_n / q iff its orbit representatives span the coinvariants
 V / IV, V = X_n / p X_n.  The minimum is then a minimum-weight basis of a
 linear matroid, which the greedy in ascending orbit order finds exactly
-(Edmonds 1971): one packed F_p echelon step (``lattice.echelon_mod_p``) per
+(Edmonds 1971): one F_p echelon step (``lattice.echelon_mod_p``) per
 orbit examined.  The orbits come from ``orbit_representatives``, which
 builds each orbit's least element from canonical forms of the Sylow
 subgroup's blocks, in the greedy's order and without listing the lattice.
@@ -25,7 +25,6 @@ from .lattice import (
     WeightSet,
     basis_coordinates,
     echelon_mod_p,
-    pack_mod_p,
     prime_power_root,
     spans,
     standard_weight,
@@ -223,7 +222,7 @@ def count_orbits(group: PermGroupSpec, q: int) -> int:
     return total[0] - 1
 
 
-def coinvariant_radical(n: int, p: int) -> Dict[int, int]:
+def coinvariant_radical(n: int, p: int) -> Dict[int, Tuple[int, ...]]:
     """The F_p echelon basis of IV in the chart, V = X_n / p X_n and I the
     augmentation ideal of F_p[P_n]: the vectors (g - 1) a[j, j+1] over the
     generators g of P_n and the chart basis.  g1 g2 - 1 = (g1 - 1) g2 +
@@ -232,7 +231,7 @@ def coinvariant_radical(n: int, p: int) -> Dict[int, int]:
     spec = LatticeSpec(n)
     chart = [standard_weight(j, j + 1, spec) for j in range(1, n)]
     return echelon_mod_p(
-        (pack_mod_p(basis_coordinates([x - y for x, y in zip(act(g, a), a)]), p)
+        (basis_coordinates([x - y for x, y in zip(act(g, a), a)])
          for g in sylow_subgroup(n, p).generators for a in chart),
         p, spec.rank)
 
@@ -281,7 +280,7 @@ def min_invariant_generating_size(
         examined += 1
         if examined > budget:
             raise BudgetExhausted(f"budget of {budget} orbits examined exhausted")
-        grown = echelon_mod_p([pack_mod_p(basis_coordinates(rep), p)], p, target, basis)
+        grown = echelon_mod_p([basis_coordinates(rep)], p, target, basis)
         if len(grown) > len(basis):
             basis = grown
             chosen.append(orbit(group, rep, spec))

@@ -27,7 +27,7 @@ from .bounds import (
     predicted_bound,
     verify_lower_bound,
 )
-from .constructions import build_plan, kernel_witness_coefficients
+from .constructions import build_plan, case_c_length, kernel_witness_coefficients
 from .edcalc import ed_value
 from .genfree import certify
 from .lattice import LatticeSpec, vp
@@ -65,7 +65,7 @@ def _plan_n(args) -> int:
     if args.case == "c":
         if args.r is None:
             raise SystemExit("case (c) needs --r")
-        n, rule = args.p ** args.r, f"p^r = {args.p}^{args.r}"
+        n, rule = case_c_length(args.p, args.r), f"p^r = {args.p}^{args.r}"
     elif args.case == "b":
         n, rule = args.p, f"p = {args.p}"
     elif args.n is None:
@@ -159,6 +159,8 @@ def cmd_verify(args) -> int:
             raise SystemExit("verifying the p-power bound needs --r")
         if args.r < 1:
             raise SystemExit(f"verifying the p-power bound needs --r >= 1, got {args.r}")
+        if args.r > 20:  # n - 1 = p^r - 1 > 20, which the search refuses; not built
+            raise SystemExit(f"search space q^(n-1) too large: n = {args.p}^{args.r}")
         n = args.p ** args.r
         q = args.q if args.q is not None else (4 if args.p == 2 else args.p)
     elif args.lemma is not None:

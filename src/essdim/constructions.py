@@ -9,17 +9,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .lattice import LatticeSpec, WeightSet, prime_power_root, standard_weight, vp
+from .lattice import (MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, prime_power_root,
+                      standard_weight, vp)
 from .permgroup import act, orbit, p_adic_digits, sylow_subgroup
 
 
 class ConstructionError(ValueError):
     pass
-
-
-# A witness set of more than this many entries (|Lambda| weights of length
-# n) is refused before any of it is built.
-MAX_WITNESS_ENTRIES = 2 ** 24
 
 
 class _RepPlanFields(NamedTuple):
@@ -60,15 +56,28 @@ class RepPlan(_RepPlanFields):
         }
 
 
+def _too_large(bits: int) -> ConstructionError:
+    # a power of two, not the count: the count of a large case has too many
+    # digits to print
+    return ConstructionError(f"witness set too large: at least 2^{bits} entries, "
+                             f"more than {MAX_WITNESS_ENTRIES}")
+
+
 def _check_size(size: int, n: int) -> None:
     """Refuse a witness set of ``size`` weights of length n, computed from its
     formula, if it has more than MAX_WITNESS_ENTRIES entries."""
     entries = size * n
     if entries > MAX_WITNESS_ENTRIES:
-        # a power of two, not the count: the count of a large case has too
-        # many digits to print
-        raise ConstructionError(f"witness set too large: at least 2^{entries.bit_length() - 1} "
-                                f"entries, more than {MAX_WITNESS_ENTRIES}")
+        raise _too_large(entries.bit_length() - 1)
+
+
+def case_c_length(p: int, r: int) -> int:
+    """n = p^r of case (c), refused before it is built when the witness set,
+    p^(2r-1) weights of length p^r, has at least 2^(3r-1) > MAX_WITNESS_ENTRIES
+    entries (p >= 2)."""
+    if 3 * r - 1 >= MAX_WITNESS_ENTRIES.bit_length():
+        raise _too_large(3 * r - 1)
+    return p ** r
 
 
 def lambda_a(n: int, p: int) -> RepPlan:
@@ -101,7 +110,7 @@ def lambda_c(p: int, r: int) -> RepPlan:
     p^(2r-1), no extra summands."""
     if r < 2:
         raise ConstructionError("case (c) needs r >= 2")
-    n = p ** r
+    n = case_c_length(p, r)
     spec = LatticeSpec(n)
     _check_size(p ** (2 * r - 1), n)
     group = sylow_subgroup(n, p)

@@ -17,6 +17,11 @@ class LatticeError(ValueError):
     pass
 
 
+# A weight set of more than this many entries (weights times their length)
+# is refused before it is built: a witness set or an orbit.
+MAX_WITNESS_ENTRIES = 2 ** 24
+
+
 # An integer vector by its nonzero entries: (position, coefficient) pairs in
 # increasing position.
 SparseVector = Tuple[Tuple[int, int], ...]
@@ -32,13 +37,26 @@ def prime_power_root(q: int) -> Optional[int]:
 
 
 def vp(n: int, p: int) -> int:
-    """The p-adic valuation of n: the largest e with p^e dividing n."""
+    """The p-adic valuation of n: the largest e with p^e dividing n.
+
+    n is divided by p, p^2, p^4, ... while they divide it, then by the same
+    powers in descending order, each at most once, so a large n takes a
+    number of divisions logarithmic in e rather than e of them."""
     if n == 0:
         raise LatticeError("the p-adic valuation of 0 is infinite")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
+    powers = []  # p, p^2, p^4, ..., each dividing n when it was reached
+    d = p
+    while n % d == 0:
+        powers.append(d)
+        n //= d
+        d *= d
+    # d = p^(2^len(powers)) does not divide what is left, so its valuation
+    # is below 2^len(powers)
+    e = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
     return e
 
 
@@ -352,90 +370,41 @@ def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
     return tuple(gens)
 
 
-def field_width(p: int, dim: int) -> int:
-    """Bits per coordinate of a packed F_p row of length ``dim``: 1 for p = 2;
-    for odd p, room for an entry below p plus dim lazy updates of at most
-    (p - 1)^2 each, so that no field carries into the next."""
-    return 1 if p == 2 else (p - 1 + dim * (p - 1) ** 2).bit_length()
-
-
-def pack_mod_p(vec: Sequence[int], p: int) -> int:
-    """The F_p vector ``vec`` reduced mod p and packed into one int:
-    coordinate i in the field at bit i * field_width(p, len(vec))."""
-    width = field_width(p, len(vec))
-    return sum(x % p << i * width for i, x in enumerate(vec))
-
-
-def unpack_mod_p(row: int, p: int, dim: int) -> Tuple[int, ...]:
-    """The coordinates of a packed row of length ``dim``, reduced mod p."""
-    width = field_width(p, dim)
-    mask = (1 << width) - 1
-    return tuple((row >> i * width & mask) % p for i in range(dim))
-
-
 def echelon_mod_p(
-    vectors: Iterable[int],
+    vectors: Iterable[Sequence[int]],
     p: int,
     dim: int,
-    basis: Optional[Dict[int, int]] = None,
-) -> Dict[int, int]:
+    basis: Optional[Dict[int, Tuple[int, ...]]] = None,
+) -> Dict[int, Tuple[int, ...]]:
     """Reduced row-echelon basis over F_p of the span of ``basis`` and
-    ``vectors``, as a new dict from pivot column to packed row.
+    ``vectors``, as a new dict from pivot column to row.
 
-    Vectors and rows are packed by ``pack_mod_p`` with entries below p, all
-    of length ``dim``; ``basis`` must itself come from this function and is
-    left unchanged.  Each row is 1 at its own pivot and 0 at every other
-    pivot, so one pass over the rows, in any order, reduces a vector, and the
-    pivot entries it reads are the vector's own.  For p = 2 a row is a bit
-    mask, reduction is XOR and the pivot is the lowest set bit.  For odd p a
-    vector takes each update ``v + (p - f) * row`` without reducing its
-    fields, which ``field_width`` leaves room for; once it has passed every
-    row its pivot fields are 0 mod p and dropped, and its other fields are
-    reduced in one pass, as are those of each back-substituted row.  The
-    vectors stop being read once the rank reaches ``dim``.
+    Vectors have length ``dim`` and any integer entries; rows are tuples
+    with entries below p.  ``basis`` must itself come from this function
+    and is left unchanged.  Each row is 1 at its own pivot and 0 left of
+    it and at every other pivot, so one pass over the rows, in any order,
+    reduces a vector (its entries are reduced mod p once, at the end), and
+    the rows are the unique reduced echelon basis of the span.  The vectors
+    stop being read once the rank reaches ``dim``.
     """
     out = dict(basis) if basis else {}
-    if p == 2:
-        for v in vectors:
-            for col, row in out.items():
-                if v >> col & 1:
-                    v ^= row
-            if v:
-                low = v & -v
-                for col, row in out.items():
-                    if row & low:
-                        out[col] = row ^ v
-                out[low.bit_length() - 1] = v
-                if len(out) == dim:
-                    break
-        return out
-    width = field_width(p, dim)
-    mask = (1 << width) - 1
-    # the shifts of the non-pivot fields, the only ones a reduced vector keeps
-    free = [i * width for i in range(dim) if i not in out]
-    for v in vectors:
-        u = v
+    for vec in vectors:
+        v = vec
         for col, row in out.items():
-            f = u >> col * width & mask
+            f = v[col] % p
             if f:
-                u += (p - f) * row
-        if u != v:
-            u = sum((u >> s & mask) % p << s for s in free)
-        if not u:
+                v = [a - f * b for a, b in zip(v, row)]
+        v = [x % p for x in v]
+        if not any(v):
             continue
-        lead = ((u & -u).bit_length() - 1) // width
-        low = lead * width
-        f = u >> low & mask
-        if f != 1:
-            u *= pow(f, -1, p)
-            u = sum((u >> s & mask) % p << s for s in free)
-        free.remove(low)
+        lead = next(i for i, x in enumerate(v) if x)
+        inv = pow(v[lead], -1, p)
+        new = tuple(v) if inv == 1 else tuple(x * inv % p for x in v)
         for col, row in out.items():
-            f = row >> low & mask
+            f = row[lead]
             if f:
-                row += (p - f) * u
-                out[col] = sum((row >> s & mask) % p << s for s in free) | 1 << col * width
-        out[lead] = u
+                out[col] = tuple((a - f * b) % p for a, b in zip(row, new))
+        out[lead] = new
         if len(out) == dim:
             break
     return out
@@ -444,5 +413,4 @@ def echelon_mod_p(
 def rank_mod_p(lam: WeightSet, p: int, rank: int) -> int:
     """F_p-rank of the chart coordinates of the weights of lam, capped at
     ``rank`` (Gaussian elimination, exact)."""
-    return min(rank, len(echelon_mod_p(
-        (pack_mod_p(basis_coordinates(w), p) for w in lam), p, lam.spec.rank)))
+    return min(rank, len(echelon_mod_p(map(basis_coordinates, lam), p, lam.spec.rank)))

@@ -12,7 +12,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
-from .lattice import LatticeSpec, WeightSet, prime_power_root
+from .lattice import MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, prime_power_root
 
 
 class PermError(ValueError):
@@ -218,7 +218,9 @@ def act(g: Perm, w: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> WeightSet:
     """Closure of {w} under the generators (breadth-first), as a weight set
-    of spec, the lattice w lies in."""
+    of spec, the lattice w lies in; refused as soon as it holds more than
+    MAX_WITNESS_ENTRIES entries (weights times n)."""
+    limit = MAX_WITNESS_ENTRIES // spec.n
     seen = {w}
     frontier = [w]
     while frontier:
@@ -229,6 +231,9 @@ def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> Weight
                 size = len(seen)
                 seen.add(y)  # one hash per image
                 if len(seen) > size:
+                    if size >= limit:
+                        raise PermError(f"orbit too large: more than {MAX_WITNESS_ENTRIES} "
+                                        f"entries ({limit} weights of length {spec.n})")
                     nxt.append(y)
         frontier = nxt
     return WeightSet.of(seen, spec)

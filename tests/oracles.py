@@ -2,22 +2,21 @@
 path of the package: brute force written from the definitions, the witness
 sets of cases (c) and (d) in closed form, the Smith normal form as the
 package computed it before its updates followed the matrix's support,
-the F_p echelon basis over tuple rows as it was before rows were packed,
-the branch-and-bound search the coinvariant greedy replaced, and the
-paper's block-sum map, p-multiple test, Nakayama filter and fiber count,
-which the greedy's coinvariant argument supersedes."""
+sympy's reduced row echelon form over GF(p), the branch-and-bound search
+the coinvariant greedy replaced, and the paper's block-sum map, p-multiple
+test, Nakayama filter and fiber count, which the greedy's coinvariant
+argument supersedes."""
 
 import math
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from essdim.bounds import BoundsError, BudgetExhausted, _nonzero_orbits
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
-                            basis_coordinates, kernel_generators_mod,
-                            pack_mod_p, prime_power_root, spans)
-from essdim.lattice import echelon_mod_p as packed_echelon
+                            basis_coordinates, echelon_mod_p, kernel_generators_mod,
+                            prime_power_root, spans)
 from essdim.permgroup import Perm, p_adic_digits
 
 
@@ -287,44 +286,24 @@ def dense_smith_normal_form(
     )
 
 
-# The F_p echelon basis over tuple rows, as the package computed it before
-# its rows were packed into ints: the packed one, unpacked, must equal it.
-def echelon_mod_p(
-    vectors: Iterable[Sequence[int]],
-    p: int,
-    basis: Optional[Dict[int, Tuple[int, ...]]] = None,
-) -> Dict[int, Tuple[int, ...]]:
-    """Reduced row-echelon basis over F_p of the span of ``basis`` and
-    ``vectors``, as a new dict from pivot column to row.
+def sympy_rref_mod_p(vectors: Iterable[Sequence[int]], p: int,
+                     dim: int) -> Dict[int, Tuple[int, ...]]:
+    """The reduced row echelon basis over GF(p) of the span of ``vectors``,
+    each of length ``dim``, by sympy's ``DomainMatrix.rref``, as a dict from
+    pivot column to row with entries in [0, p).  The reduced echelon basis
+    of a span is unique, so the package's ``echelon_mod_p`` must equal it."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
 
-    ``basis`` must itself come from this function and is left unchanged.
-    Each row is 1 at its own pivot and 0 at every other pivot, so one pass
-    over the rows, in any order, reduces a vector.
-    """
-    out = dict(basis) if basis else {}
-    for vec in vectors:
-        v = [x % p for x in vec]
-        for col, row in out.items():
-            f = v[col]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], -1, p)
-        new = tuple(x * inv % p for x in v)
-        for col, row in list(out.items()):
-            f = row[lead]
-            if f:
-                out[col] = tuple((a - f * b) % p for a, b in zip(row, new))
-        out[lead] = new
-        if len(out) == len(new):
-            break
-    return out
+    field = GF(p)
+    rows = [[field(x) for x in v] for v in vectors]
+    reduced, pivots = DomainMatrix(rows, (len(rows), dim), field).rref()
+    return {col: tuple(int(x) % p for x in row)
+            for col, row in zip(pivots, reduced.to_list())}
 
 
 # The exact search as the package ran it before the coinvariant greedy: a
-# depth-first branch-and-bound over orbit unions on packed F_p echelon bases.
+# depth-first branch-and-bound over orbit unions on F_p echelon bases.
 # The greedy must return its minimum and its witness.
 def rank_cover_bounds(sizes: Sequence[int], ranks: Sequence[int],
                       target: int) -> List[Tuple[float, ...]]:
@@ -357,19 +336,18 @@ def rank_cover_bounds(sizes: Sequence[int], ranks: Sequence[int],
 
 
 def orbit_spans_mod_p(orbits: Sequence[WeightSet], p: int,
-                      dim: int) -> List[Dict[int, int]]:
-    """The packed F_p echelon basis of each orbit's chart coordinates.
+                      dim: int) -> List[Dict[int, Tuple[int, ...]]]:
+    """The F_p echelon basis of each orbit's chart coordinates.
     Reduction mod p commutes with P_n and with the prefix-sum chart, so an
     orbit's span is that of the orbit of its first element mod p; orbits
     with the same first element mod p share one dict, computed once."""
-    by_residue: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    by_residue: Dict[Tuple[int, ...], Dict[int, Tuple[int, ...]]] = {}
     out = []
     for o in orbits:
         key = tuple(x % p for x in o.elements[0])
         span = by_residue.get(key)
         if span is None:
-            span = by_residue[key] = packed_echelon(
-                (pack_mod_p(basis_coordinates(w), p) for w in o), p, dim)
+            span = by_residue[key] = echelon_mod_p(map(basis_coordinates, o), p, dim)
         out.append(span)
     return out
 
@@ -397,7 +375,7 @@ def branch_and_bound_min(n: int, p: int, q: int,
     for span in reversed(orbit_spans):
         rest = suffix[-1]
         suffix.append(rest if len(rest) == target
-                      else packed_echelon(span.values(), p, target, rest))
+                      else echelon_mod_p(span.values(), p, target, rest))
     suffix.reverse()
     lower = rank_cover_bounds(sizes, [len(s) for s in orbit_spans], target)
     best = math.inf
@@ -417,10 +395,10 @@ def branch_and_bound_min(n: int, p: int, q: int,
             continue
         # leaving orbit i out, the later orbits must still complete the rank
         rest = suffix[i + 1]
-        if len(rest) == target or len(packed_echelon(rest.values(), p, target, basis)) == target:
+        if len(rest) == target or len(echelon_mod_p(rest.values(), p, target, basis)) == target:
             stack.append((i + 1, basis, size, chosen))
         # an orbit inside the current span only adds size
-        grown = packed_echelon(orbit_spans[i].values(), p, target, basis)
+        grown = echelon_mod_p(orbit_spans[i].values(), p, target, basis)
         if len(grown) > len(basis):
             stack.append((i + 1, grown, size + sizes[i], chosen + (i,)))
     witness = WeightSet.of([w for i in choice for w in orbits[i].elements], spec)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from essdim import permgroup
 from essdim.cli import main
 
 
@@ -338,6 +339,36 @@ class TestUsageErrors:
         assert done.stdout == ""
         assert done.stderr.startswith("error: witness set too large")
         assert done.stderr.count("\n") == 1 and len(done.stderr) < 200
+
+    @pytest.mark.parametrize("argv,message", [
+        (("construct", "--case", "c", "--p", "2", "--r", "100000"), "witness set too large"),
+        (("construct", "--case", "c", "--p", "3", "--r", "1000000000"), "witness set too large"),
+        (("check-genfree", "--case", "c", "--p", "3", "--r", "1000000000"),
+         "witness set too large"),
+        (("verify", "--prop", "7.2", "--p", "3", "--r", "1000000000"), "too large"),
+    ])
+    def test_oversized_r_refused_before_p_to_the_r(self, capsys, argv, message):
+        # p^r was built first: --p 2 --r 100000 took 1.8 s to be refused and
+        # --p 3 --r 1000000000 did not finish
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_oversized_orbit_refused(self, capsys, monkeypatch):
+        # the closure stops past MAX_WITNESS_ENTRIES entries; a 2^31-element
+        # orbit at n = 32 ended in a SystemError traceback
+        monkeypatch.setattr(permgroup, "MAX_WITNESS_ENTRIES", 4 * 4)
+        code, out, _ = run(capsys, "orbit", "--n", "4", "--p", "2", "--weight", "1,-1,0,0")
+        assert code == 0 and "4 elements" in out
+        code, out, err = run(capsys, "orbit", "--n", "4", "--p", "2", "--weight", "1,0,-1,0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: orbit too large")
+        assert err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize("argv", [
         ("check-genfree", "--case", "a", "--n", "17", "--p", "2"),

@@ -4,6 +4,7 @@ from essdim import constructions
 from essdim.constructions import (
     ConstructionError,
     build_plan,
+    case_c_length,
     kernel_witness,
     lambda_a,
     lambda_b,
@@ -157,6 +158,14 @@ class TestSizeBudget:
         monkeypatch.setattr(constructions, "MAX_WITNESS_ENTRIES", entries - 1)
         with pytest.raises(ConstructionError, match="witness set too large"):
             build_plan(case, n, p)
+
+    def test_case_c_length_refused_before_the_power(self):
+        # p^(3r-1) >= 2^(3r-1) entries: r = 9 is past 2^24 for every p, and
+        # refused without building p^r
+        assert case_c_length(2, 8) == 256
+        for p, r in [(2, 9), (3, 10 ** 9), (10 ** 6 + 3, 10 ** 9)]:
+            with pytest.raises(ConstructionError, match="witness set too large"):
+                case_c_length(p, r)
 
 
 class TestPadicExpansion:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -18,13 +19,11 @@ from essdim.lattice import (
     echelon_mod_p,
     kernel_basis,
     kernel_generators_mod,
-    pack_mod_p,
     prime_power_root,
     rank_mod_p,
     smith_normal_form,
     spans,
     standard_weight,
-    unpack_mod_p,
     vp,
 )
 import oracles
@@ -258,8 +257,7 @@ class TestSpans:
                 ent = [rng.randrange(q) for _ in range(n - 1)]
                 lam.append(spec.weight(ent + [-sum(ent)]))
             ws = WeightSet.of(lam, spec)
-            packed = echelon_mod_p((pack_mod_p(basis_coordinates(w), p) for w in ws), p, n - 1)
-            basis = {col: unpack_mod_p(row, p, n - 1) for col, row in packed.items()}
+            basis = echelon_mod_p(map(basis_coordinates, ws), p, n - 1)
             for col, row in basis.items():
                 assert row[col] == 1
                 assert all(row[other] == 0 for other in basis if other != col)
@@ -270,14 +268,17 @@ class TestSpans:
 
 
 class TestPackedEchelon:
-    @staticmethod
-    def unpacked(basis, p, dim):
-        return {col: unpack_mod_p(row, p, dim) for col, row in basis.items()}
+    """echelon_mod_p against sympy's reduced row echelon form over GF(p).
+    The names are those of the test that compared packed rows with tuple
+    rows, kept so that the test ids carry over."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_matches_tuple_rows(self, p):
         # every dimension 1..12, entries outside [0, p) included, each input
-        # holding zero vectors and repeats, with and without a starting basis
+        # holding zero vectors and repeats, with and without a starting basis;
+        # the reduced echelon basis of a span is unique, so the rows must be
+        # sympy's exactly
+        pytest.importorskip("sympy")
         rng = random.Random(p)
         for dim in range(1, 13):
             for trial in range(12):
@@ -288,21 +289,12 @@ class TestPackedEchelon:
                 rng.shuffle(vectors)
                 start = [[rng.randrange(p) for _ in range(dim)]
                          for _ in range(rng.randint(0, dim) if trial % 2 else 0)]
-                start_tuples = oracles.echelon_mod_p(start, p)
-                start_packed = echelon_mod_p((pack_mod_p(v, p) for v in start), p, dim)
-                assert self.unpacked(start_packed, p, dim) == start_tuples
-                kept = dict(start_packed)
-                got = echelon_mod_p((pack_mod_p(v, p) for v in vectors), p, dim,
-                                    start_packed or None)
-                assert self.unpacked(got, p, dim) == oracles.echelon_mod_p(
-                    vectors, p, start_tuples or None)
-                assert start_packed == kept
-
-    def test_pack_round_trip(self):
-        for p in (2, 3, 5, 7, 11, 101):
-            for dim in (1, 2, 12, 20):
-                vec = [(7 * i + 3) * (-1) ** i for i in range(dim)]
-                assert unpack_mod_p(pack_mod_p(vec, p), p, dim) == tuple(x % p for x in vec)
+                start_basis = echelon_mod_p(start, p, dim)
+                assert start_basis == oracles.sympy_rref_mod_p(start, p, dim)
+                kept = dict(start_basis)
+                got = echelon_mod_p(vectors, p, dim, start_basis or None)
+                assert got == oracles.sympy_rref_mod_p(start + vectors, p, dim)
+                assert start_basis == kept
 
 
 class TestKernelBasis:
@@ -464,3 +456,12 @@ def test_vp_against_definition():
             assert vp(n, p) == max(e for e in range(12) if n % p ** e == 0)
     with pytest.raises(LatticeError):
         vp(0, 2)
+
+
+@pytest.mark.parametrize("p,e", [(2, 100000), (3, 60000), (2, 1), (5, 2 ** 10 - 1), (7, 2 ** 10)])
+def test_vp_of_large_powers(p, e):
+    # by halving exponents, not one division per factor: 2^100000 took 1.7 s
+    start = time.perf_counter()
+    for unit in (1, -1, p + 1, (p + 1) * (7 * p + 1) ** 40):
+        assert vp(unit * p ** e, p) == e
+    assert time.perf_counter() - start < 1

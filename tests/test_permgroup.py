@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from essdim import permgroup
 from essdim.lattice import LatticeSpec, standard_weight
 from essdim.permgroup import (
     Perm,
@@ -152,6 +153,21 @@ class TestOrbit:
             size = len(orbit(g, w, LatticeSpec(n)))
             assert (p ** g.order_exponent) % size == 0
             count += 1
+
+
+class TestOrbitCap:
+    @pytest.mark.parametrize("n,p,weight", [
+        (4, 2, (1, 0, -1, 0)), (6, 3, (2, -1, 0, 0, 0, -1)), (9, 3, (1, 0, 0, 0, 0, 0, 0, 0, -1))])
+    def test_cap_is_the_orbit_size(self, monkeypatch, n, p, weight):
+        # the closure is refused once it holds more than MAX_WITNESS_ENTRIES
+        # entries: a cap of exactly |orbit| * n builds it, one less refuses it
+        group, spec = sylow_subgroup(n, p), LatticeSpec(n)
+        entries = len(orbit(group, weight, spec)) * n
+        monkeypatch.setattr(permgroup, "MAX_WITNESS_ENTRIES", entries)
+        assert len(orbit(group, weight, spec)) * n == entries
+        monkeypatch.setattr(permgroup, "MAX_WITNESS_ENTRIES", entries - 1)
+        with pytest.raises(PermError, match="orbit too large"):
+            orbit(group, weight, spec)
 
 
 class TestCenter:
