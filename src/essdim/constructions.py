@@ -7,7 +7,8 @@ Case tags: (a) p does not divide n, (b) n = p, (c) n = p^r with r >= 2,
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from itertools import chain
+from typing import Iterable, NamedTuple, Tuple
 
 from .lattice import (MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, prime_power_root,
                       standard_weight, vp)
@@ -105,17 +106,42 @@ def lambda_b(p: int) -> RepPlan:
     return RepPlan("b", p, p, weights, extras, len(weights) + 1)
 
 
+def standard_weights(pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> WeightSet:
+    """The weight set of the a[i,j] for distinct pairs (i, j) with i != j,
+    which the caller lists in the canonical order of their weights; built
+    without sorting."""
+    row = [0] * spec.n
+    out = []
+    for i, j in pairs:
+        row[i - 1], row[j - 1] = 1, -1
+        out.append(tuple(row))
+        row[i - 1] = row[j - 1] = 0
+    return WeightSet(tuple(out), spec)
+
+
 def lambda_c(p: int, r: int) -> RepPlan:
-    """Case (c), n = p^r, r >= 2: the P_n-orbit of a[1, p^(r-1)+1]; size
-    p^(2r-1), no extra summands."""
+    """Case (c), n = p^r, r >= 2: the P_n-orbit of a[1, m+1], m = p^(r-1);
+    size p^(2r-1), no extra summands.
+
+    Listed in closed form, with no group built.  P_n is (P_m)^p, one factor
+    transitive on each sub-block B_t = [t*m+1, (t+1)*m], extended by the
+    rotation B_t -> B_(t+1 mod p); every element maps each B_t onto B_(t+k)
+    for one k.  So the orbit lies in the union over t of B_t x B_(t+1) (the
+    pairs (i, j) of a[i,j]), and fills it: (P_m)^p moves a[1, m+1] onto
+    every pair of B_0 x B_1, and the rotation carries B_0 x B_1 onto each
+    B_t x B_(t+1).  By orbit-stabilizer these p * m^2 = p^(2r-1) weights
+    are the index of the stabilizer of a[1, m+1] in P_n.  In canonical
+    order the a[i,j] with j < i (B_(p-1) x B_0) come first, by j up, then i
+    down; then B_t x B_(t+1) for t = p-2, ..., 0, by i down, then j up."""
     if r < 2:
         raise ConstructionError("case (c) needs r >= 2")
     n = case_c_length(p, r)
-    spec = LatticeSpec(n)
     _check_size(p ** (2 * r - 1), n)
-    group = sylow_subgroup(n, p)
-    seed = standard_weight(1, p ** (r - 1) + 1, spec)
-    weights = orbit(group, seed, spec)
+    m = n // p
+    last = ((i, j) for j in range(1, m + 1) for i in range(n, n - m, -1))
+    rest = ((i, j) for t in range(p - 2, -1, -1) for i in range((t + 1) * m, t * m, -1)
+            for j in range((t + 1) * m + 1, (t + 2) * m + 1))
+    weights = standard_weights(chain(last, rest), LatticeSpec(n))
     return RepPlan("c", n, p, weights, (), len(weights))
 
 

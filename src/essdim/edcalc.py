@@ -53,7 +53,16 @@ def detect_case(n: int, p: int) -> str:
 
 def ed_value(n: int, p: int) -> EdReport:
     """Evaluate the closed-form value for (n, p) and cross-check it against
-    the constructed witness dimension."""
+    the constructed witness dimension.
+
+    consistency is whether the plan's total dimension minus n - 1 equals
+    the value, so it compares, by case: (a) the n - 1 weights a[1,i] plus
+    the [n/p]-dimensional permutation summand with n - 1 + [n/p]; (b) the
+    p-weight cyclic chain plus one character with p + 1; (c) |Lambda_c|,
+    listed in closed form, with n^2/p = p^(2r-1), which rests on the tests
+    checking that form against the orbit closure at every (p, r) the
+    witness-size budget admits; (d) |Lambda_d|, a union of orbit closures,
+    with p^e (n - p^e)."""
     if n < 1:
         raise EdError("n must be positive")
     if prime_power_root(p) != p:

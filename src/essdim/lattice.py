@@ -27,13 +27,71 @@ MAX_WITNESS_ENTRIES = 2 ** 24
 SparseVector = Tuple[Tuple[int, int], ...]
 
 
+# Miller-Rabin on these bases decides primality exactly below
+# MILLER_RABIN_EXACT_BELOW (Sorenson and Webster, 2015)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n, odd and with no factor in _SMALL_PRIMES, is prime, by
+    Miller-Rabin on those bases: a base that witnesses compositeness settles
+    it at any size, but a probable prime is refused from the bound up."""
+    d = (n - 1) >> 1
+    s = 1
+    while d % 2 == 0:
+        d >>= 1
+        s += 1
+    for b in _SMALL_PRIMES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MILLER_RABIN_EXACT_BELOW:
+        raise LatticeError(f"cannot decide whether {n} is prime: primality is exact "
+                           f"only below {MILLER_RABIN_EXACT_BELOW}")
+    return True
+
+
+def _integer_root(q: int, e: int) -> int:
+    """The largest x with x^e <= q, for q >= 1, by Newton's method.  It
+    starts just above a floating-point estimate, since from below its first
+    step overshoots by a factor that grows with e; after one step it stays
+    at or above the answer (AM-GM) and falls until it reaches it."""
+    t = math.log2(q) / e
+    k = max(int(t) - 50, 0)
+    x = (int(2.0 ** (t - k) * (1 + 2 ** -30)) + 1) << k
+    x = ((e - 1) * x + q // x ** (e - 1)) // e
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_root(q: int) -> Optional[int]:
-    """Return p if q = p^e for a prime p and e >= 1, else None."""
+    """Return p if q = p^e for a prime p and e >= 1, else None.
+
+    q with a factor in _SMALL_PRIMES is a power of it or of no prime.
+    Otherwise every prime factor is at least 43 > 2^5, so e < bits / 5, and
+    the integer e-th roots of q are tried from the largest e down: a prime
+    power has exactly one e whose root is exact and prime.  A root whose
+    primality is out of the test's exact range is refused (LatticeError)."""
     if q < 2:
         return None
-    # the smallest divisor above 1 is prime, and q is a power of it or of no prime
-    d = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-    return d if q == d ** vp(q, d) else None
+    for b in _SMALL_PRIMES:
+        if q % b == 0:
+            return b if q == b ** vp(q, b) else None
+    for e in range(q.bit_length() // 5, 0, -1):
+        x = _integer_root(q, e)
+        if x ** e == q and _is_prime(x):
+            return x
+    return None
 
 
 def vp(n: int, p: int) -> int:

@@ -216,11 +216,47 @@ def act(g: Perm, w: Tuple[int, ...]) -> Tuple[int, ...]:
     return g.gather(w)  # a permuted valid weight is valid
 
 
+def orbit_size(group: PermGroupSpec, w: Tuple[int, ...]) -> int:
+    """|orbit of w| under group, a Sylow subgroup, without closing it.
+
+    On a block of size p^r, the wreath product of P_{p^(r-1)} with the
+    rotation of its p sub-blocks, the orbit is the union over the rotations
+    of the product of the sub-blocks' orbits; two rotations give the same
+    product or disjoint ones.  So its size is the number of distinct
+    rotations of the p sub-blocks' least forms times the product of their
+    orbit sizes, and its least form is the least rotation, concatenated.
+    Across the fixed points and blocks the orbit is a product."""
+    p = group.p
+
+    def form(lo: int, size: int) -> Tuple[Tuple[int, ...], int]:
+        # (least form, orbit size) of w[lo:lo+size], a block of the wreath tower
+        if size == 1:
+            return w[lo:lo + 1], 1
+        sub = size // p
+        parts = [form(lo + t * sub, sub) for t in range(p)]
+        forms = [f for f, _ in parts]
+        rotations = {tuple(forms[k:] + forms[:k]) for k in range(p)}
+        count = len(rotations)
+        for _, s in parts:
+            count *= s
+        return sum(min(rotations), ()), count
+
+    total = 1
+    for lo, hi in group.blocks:
+        total *= form(lo - 1, hi - lo + 1)[1]
+    return total
+
+
 def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> WeightSet:
     """Closure of {w} under the generators (breadth-first), as a weight set
-    of spec, the lattice w lies in; refused as soon as it holds more than
-    MAX_WITNESS_ENTRIES entries (weights times n)."""
-    limit = MAX_WITNESS_ENTRIES // spec.n
+    of spec, the lattice w lies in; refused before it starts when the orbit
+    has more than MAX_WITNESS_ENTRIES entries (weights times n)."""
+    # |orbit| divides |group|, so only a large group can pass the budget
+    if group.p ** group.order_exponent * spec.n > MAX_WITNESS_ENTRIES:
+        count = orbit_size(group, w)
+        if count * spec.n > MAX_WITNESS_ENTRIES:
+            raise PermError(f"orbit too large: {count} weights of length {spec.n}, "
+                            f"more than {MAX_WITNESS_ENTRIES} entries")
     seen = {w}
     frontier = [w]
     while frontier:
@@ -231,9 +267,6 @@ def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> Weight
                 size = len(seen)
                 seen.add(y)  # one hash per image
                 if len(seen) > size:
-                    if size >= limit:
-                        raise PermError(f"orbit too large: more than {MAX_WITNESS_ENTRIES} "
-                                        f"entries ({limit} weights of length {spec.n})")
                     nxt.append(y)
         frontier = nxt
     return WeightSet.of(seen, spec)

@@ -1,6 +1,8 @@
 """References the tests compare the library against, reached from no code
 path of the package: brute force written from the definitions, the witness
-sets of cases (c) and (d) in closed form, the Smith normal form as the
+set of case (d) in closed form (the package builds it as an orbit closure;
+case (c)'s closed form is the package's own, and the tests check it against
+the closure instead), the Smith normal form as the
 package computed it before its updates followed the matrix's support,
 sympy's reduced row echelon form over GF(p), the branch-and-bound search
 the coinvariant greedy replaced, and the paper's block-sum map, p-multiple
@@ -8,11 +10,10 @@ test, Nakayama filter and fiber count, which the greedy's coinvariant
 argument supersedes."""
 
 import math
-from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from essdim.bounds import BoundsError, BudgetExhausted, _nonzero_orbits
-from essdim.constructions import permute_coefficients
+from essdim.constructions import permute_coefficients, standard_weights
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
                             basis_coordinates, echelon_mod_p, kernel_generators_mod,
@@ -118,35 +119,6 @@ def pgl_upper_bound(p, r):
     if r < 2:
         raise EdError("upper bound requires r >= 2 (the r = 1 value is at least 2)")
     return p ** (2 * r - 1) - p ** r + 1
-
-
-def standard_weights(pairs, spec):
-    """The weight set of the a[i,j] for distinct (i, j) pairs listed in the
-    canonical order of their weights, built without sorting."""
-    row = [0] * spec.n
-    out = []
-    for i, j in pairs:
-        row[i - 1], row[j - 1] = 1, -1
-        out.append(tuple(row))
-        row[i - 1] = row[j - 1] = 0
-    return WeightSet(tuple(out), spec)
-
-
-def closed_lambda_c(p, r):
-    """Case (c)'s witness set, the P_n-orbit of a[1, m+1] for n = p^r and
-    m = p^(r-1), in closed form.
-
-    P_n is (P_m)^p, one factor transitive on each sub-block B_t = [t*m+1,
-    (t+1)*m], extended by the rotation B_t -> B_(t+1 mod p); so the orbit is
-    the union over t of B_t x B_(t+1): p * m^2 weights, the index of their
-    stabilizer.  In canonical order: the a[i,j] with j < i (B_(p-1) x B_0)
-    by j up, i down, then those with i < j by i down, j up."""
-    n = p ** r
-    m = n // p
-    last = ((i, j) for j in range(1, m + 1) for i in range(n, n - m, -1))
-    rest = ((i, j) for t in range(p - 2, -1, -1) for i in range((t + 1) * m, t * m, -1)
-            for j in range((t + 1) * m + 1, (t + 2) * m + 1))
-    return standard_weights(chain(last, rest), LatticeSpec(n))
 
 
 def closed_lambda_d(n, p):

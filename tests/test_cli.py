@@ -358,6 +358,34 @@ class TestUsageErrors:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and len(err) < 200
 
+    @pytest.mark.parametrize("argv,message", [
+        (("ed", "--n", "12", "--p", "1000000000000000000000000000057"),
+         "cannot decide whether 1000000000000000000000000000057 is prime"),
+        (("orbit", "--n", "32", "--p", "2",
+          "--weight", ",".join(map(str, range(1, 32))) + ",-496"), "orbit too large"),
+    ])
+    def test_refused_at_once(self, capsys, argv, message):
+        # the prime p, past Miller-Rabin's exact range, was trial-divided up
+        # to its square root and did not finish; the 2^31-element orbit was
+        # closed up to the cap (0.9 s, 190 MB) before it was refused
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+    def test_large_prime_in_range_decided(self, capsys):
+        # 10^9 + 7 and 2^61 - 1 are prime; 12 < p puts n in case (a)
+        for p in ("1000000007", "2305843009213693951"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "ed", "--n", "12", "--p", p, "--json")
+            assert time.perf_counter() - start < 1
+            assert code == 0 and err == ""
+            report = json.loads(out)
+            assert (report["case"], report["value"], report["consistency"]) == ("a", 0, True)
+
     def test_oversized_orbit_refused(self, capsys, monkeypatch):
         # the closure stops past MAX_WITNESS_ENTRIES entries; a 2^31-element
         # orbit at n = 32 ended in a SystemError traceback

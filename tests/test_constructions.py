@@ -14,9 +14,10 @@ from essdim.constructions import (
     phi_image,
 )
 from essdim.edcalc import detect_case
-from essdim.lattice import spans
-from essdim.permgroup import act, center_order_p_elements, p_adic_digits, sylow_subgroup
-from oracles import closed_lambda_c, closed_lambda_d
+from essdim.lattice import LatticeSpec, spans, standard_weight
+from essdim.permgroup import (act, center_order_p_elements, orbit, p_adic_digits,
+                              sylow_subgroup)
+from oracles import closed_lambda_d
 
 
 def assert_invariant(weights, group):
@@ -131,14 +132,38 @@ class TestCaseD:
             assert spans(plan.torus_weights)
 
 
-class TestClosedFormOrbits:
-    """The witness sets, built as orbit closures, against their closed forms
-    in tests/oracles.py, element for element in canonical order."""
+# every (p, r) whose case (c) witness set, p^(2r-1) weights of length p^r,
+# fits in MAX_WITNESS_ENTRIES: all that lambda_c, and so ed, accepts
+CASE_C_DOMAIN = ([(2, r) for r in range(2, 9)] + [(3, r) for r in range(2, 6)]
+                 + [(p, r) for p in (5, 7) for r in (2, 3)]
+                 + [(p, 2) for p in (11, 13, 17, 19, 23)])
 
-    @pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5, 7, 11, 13)
-                                     for r in range(2, 8) if p ** r <= 243])
+
+class TestClosedFormOrbits:
+    """The witness sets against their definitions, element for element in
+    canonical order: case (c)'s closed form against the P_n-orbit closure of
+    a[1, p^(r-1)+1], and case (d)'s orbit closures against the closed form
+    in tests/oracles.py."""
+
+    @pytest.mark.parametrize("p,r", CASE_C_DOMAIN)
     def test_lambda_c(self, p, r):
-        assert lambda_c(p, r).torus_weights == closed_lambda_c(p, r)
+        n = p ** r
+        spec = LatticeSpec(n)
+        closure = orbit(sylow_subgroup(n, p), standard_weight(1, p ** (r - 1) + 1, spec), spec)
+        assert lambda_c(p, r).torus_weights == closure
+
+    def test_lambda_c_domain_is_complete(self):
+        # the next r for each prime above, and every larger prime, is refused
+        for p, r in [(2, 9), (3, 6), (5, 4), (7, 4), (11, 3), (23, 3), (29, 2)]:
+            with pytest.raises(ConstructionError, match="witness set too large"):
+                lambda_c(p, r)
+
+    def test_lambda_c_builds_no_orbit(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lambda_c closed an orbit")
+
+        monkeypatch.setattr(constructions, "orbit", refuse)
+        assert len(lambda_c(2, 6).torus_weights) == 2 ** 11
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_lambda_d(self, p):

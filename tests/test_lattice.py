@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from essdim import lattice
 from essdim.bounds import min_invariant_generating_size
 from essdim.cli import CLAIMS
 from essdim.constructions import build_plan
@@ -447,6 +448,35 @@ def test_prime_power_root_against_definition():
     powers = {p ** e: p for p in primes for e in range(1, 12) if p ** e < 3000}
     for q in range(-5, 3000):
         assert prime_power_root(q) == powers.get(q)
+
+
+def test_prime_power_root_of_large_numbers():
+    # Miller-Rabin, exact below its bound, against sympy: q = b^e with the
+    # largest e is a prime power iff b is prime
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1509)
+    below = lattice.MILLER_RABIN_EXACT_BELOW
+    cases = [below - 1, 2 ** 61 - 1, (2 ** 61 - 1) ** 7, 3 ** 5000, 2 * 3 ** 100,
+             (10 ** 9 + 7) ** 300, 43 ** 2 * 47]
+    for _ in range(300):
+        p = sympy.randprime(2, 10 ** rng.randint(2, 12))
+        cases += [p ** rng.randint(1, 6), p * sympy.randprime(2, 10 ** 8),
+                  rng.randrange(2, below)]
+    for q in cases:
+        power = sympy.perfect_power(q)
+        base = power[0] if power else q
+        assert prime_power_root(q) == (base if sympy.isprime(base) else None), q
+
+
+def test_prime_power_root_refuses_out_of_range():
+    # a probable prime past the exact range, or its power, is refused rather
+    # than trial-divided; a composite there is still decided
+    big = 10 ** 30 + 57  # prime
+    for q in (big, big ** 3):
+        with pytest.raises(LatticeError, match="cannot decide"):
+            prime_power_root(q)
+    assert prime_power_root(big * (10 ** 27 + 61)) is None
+    assert prime_power_root(big * 2) is None
 
 
 def test_vp_against_definition():

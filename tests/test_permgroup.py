@@ -11,6 +11,7 @@ from essdim.permgroup import (
     center_order_p_elements,
     legendre_exponent,
     orbit,
+    orbit_size,
     p_adic_digits,
     sylow_subgroup,
 )
@@ -153,6 +154,22 @@ class TestOrbit:
             size = len(orbit(g, w, LatticeSpec(n)))
             assert (p ** g.order_exponent) % size == 0
             count += 1
+
+
+    def test_orbit_size_matches_closure(self):
+        # read from the blocks' least forms, before anything is closed
+        rng = random.Random(23)
+        for _ in range(300):
+            p = rng.choice((2, 3, 5))
+            n, q = rng.randint(1, 12), rng.choice((0, p, p * p))
+            g = sylow_subgroup(n, p)
+            w = random_weight(rng, n, q)
+            assert orbit_size(g, w) == len(orbit(g, w, LatticeSpec(n, q)))
+        # distinct entries have a trivial stabilizer: the orbit is all of P_n
+        for n, p in [(32, 2), (27, 3), (30, 5)]:
+            g = sylow_subgroup(n, p)
+            w = LatticeSpec(n).weight(list(range(1, n)) + [-n * (n - 1) // 2])
+            assert orbit_size(g, w) == p ** g.order_exponent
 
 
 class TestOrbitCap:

@@ -19,7 +19,7 @@ from essdim.lattice import (
     kernel_generators_mod,
     smith_normal_form,
 )
-from essdim.permgroup import act, orbit, sylow_subgroup
+from essdim.permgroup import act, orbit, orbit_size, sylow_subgroup
 from oracles import branch_and_bound_min, dense_smith_normal_form, group_elements, matmul
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -109,6 +109,7 @@ def test_orbit_stabilizer(data):
     group = sylow_subgroup(n, p)
     stabilizer = [g for g in group_elements(group) if act(g, w) == w]
     assert len(orbit(group, w, spec)) * len(stabilizer) == p ** group.order_exponent
+    assert orbit_size(group, w) * len(stabilizer) == p ** group.order_exponent
 
 
 # every (n, p, q) with q = p^e and at most 4096 lattice elements
