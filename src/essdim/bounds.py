@@ -63,11 +63,7 @@ def lattice_elements(spec: LatticeSpec) -> List[Tuple[int, ...]]:
     q = spec.modulus
     if not q:
         raise BoundsError("finite enumeration needs a modulus")
-    out = []
-    for head in itertools.product(range(q), repeat=spec.n - 1):
-        last = (-sum(head)) % q
-        out.append(head + (last,))
-    return out
+    return [head + (-sum(head) % q,) for head in itertools.product(range(q), repeat=spec.n - 1)]
 
 
 def orbit_decomposition(group: PermGroupSpec, spec: LatticeSpec) -> List[WeightSet]:
@@ -98,6 +94,24 @@ def _part_levels(group: PermGroupSpec) -> List[int]:
     return [0] * fixed + [vp(hi - lo + 1, group.p) for lo, hi in group.blocks]
 
 
+class _Points:
+    """The level-0 forms ((v,), 0, v), v < q, and their (exponent, residue) index, unlisted."""
+
+    def __init__(self, q: int) -> None:
+        self.q = q
+
+    def __len__(self) -> int:
+        return self.q
+
+    def __getitem__(self, v: int) -> Tuple[Tuple[int], int, int]:
+        if not 0 <= v < self.q:
+            raise IndexError(v)
+        return (v,), 0, v
+
+    def get(self, key: Tuple[int, int], default: list) -> list:
+        return [key[1]] if key[0] == 0 else default
+
+
 def orbit_representatives(group: PermGroupSpec, q: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
     """(size, least element) of each nonzero orbit of group, a Sylow
     subgroup, on the zero-sum lattice mod q, in (size, representative)
@@ -111,14 +125,14 @@ def orbit_representatives(group: PermGroupSpec, q: int) -> Iterator[Tuple[int, T
     element is the concatenation and the exponents add.  So each exponent
     is walked in lexicographic order part by part, the zero-sum condition
     fixing the residue of the last part, whose forms are generated lazily;
-    the other parts' form lists are listed once per call.
+    the other parts' form lists are listed once per call (level 0's is range(q)).
     """
     p = group.p
     levels = _part_levels(group)
     caps = [legendre_exponent(p ** r, p) for r in levels]
     reach = [sum(caps[k:]) for k in range(len(caps) + 1)]
-    listed: Dict[int, list] = {}
-    keyed: Dict[int, dict] = {}
+    listed: Dict[int, list] = {0: _Points(q)}
+    keyed: Dict[int, dict] = {0: listed[0]}
 
     def listing(r):
         if r not in listed:
@@ -128,9 +142,11 @@ def orbit_representatives(group: PermGroupSpec, q: int) -> Iterator[Tuple[int, T
     def forms(r, want=None):
         """(form, exponent, residue) of the level-r block's orbits in
         lexicographic order; only those with (exponent, residue) = want."""
-        if r == 0:
-            for v in (range(q) if want is None else [want[1]] if want[0] == 0 else []):
-                yield (v,), 0, v
+        if want is not None and want[0] == 0:
+            # an orbit of size 1 is a constant block (v, ..., v), p^r v = want[1]
+            g = min(p ** r, q)  # gcd(p^r, q): v = want[1] / g mod q / g
+            for v in range(want[1] // g, q, q // g) if want[1] % g == 0 else ():
+                yield (v,) * p ** r, 0, want[1]
             return
         sub = listing(r - 1)
         cap = legendre_exponent(p ** (r - 1), p)
@@ -222,18 +238,18 @@ def count_orbits(group: PermGroupSpec, q: int) -> int:
     return total[0] - 1
 
 
-def coinvariant_radical(n: int, p: int) -> Dict[int, Tuple[int, ...]]:
+def coinvariant_radical(group: PermGroupSpec) -> Dict[int, Tuple[int, ...]]:
     """The F_p echelon basis of IV in the chart, V = X_n / p X_n and I the
-    augmentation ideal of F_p[P_n]: the vectors (g - 1) a[j, j+1] over the
-    generators g of P_n and the chart basis.  g1 g2 - 1 = (g1 - 1) g2 +
-    (g2 - 1), so the g - 1 over the generators span I as a right ideal and
+    augmentation ideal of F_p[P_n], P_n = group: the vectors (g - 1) a[j, j+1]
+    over the generators g of P_n and the chart basis.  g1 g2 - 1 = (g1 - 1) g2
+    + (g2 - 1), so the g - 1 over the generators span I as a right ideal and
     the sum of the (g - 1) V is IV."""
-    spec = LatticeSpec(n)
-    chart = [standard_weight(j, j + 1, spec) for j in range(1, n)]
+    spec = LatticeSpec(group.n)
+    chart = [standard_weight(j, j + 1, spec) for j in range(1, group.n)]
     return echelon_mod_p(
         (basis_coordinates([x - y for x, y in zip(act(g, a), a)])
-         for g in sylow_subgroup(n, p).generators for a in chart),
-        p, spec.rank)
+         for g in group.generators for a in chart),
+        group.p, spec.rank)
 
 
 def min_invariant_generating_size(
@@ -271,7 +287,7 @@ def min_invariant_generating_size(
     spec = LatticeSpec(n, q)
     group = sylow_subgroup(n, p)
     target = spec.rank
-    basis = coinvariant_radical(n, p)
+    basis = coinvariant_radical(group)
     chosen: List[WeightSet] = []
     examined = 0
     for _, rep in orbit_representatives(group, q):
@@ -312,9 +328,8 @@ def naive_min_invariant_generating_size(n: int, p: int, q: int) -> Tuple[int, We
             if best is not None and len(members) >= best[0]:
                 continue
             ws = WeightSet.of(members, spec)
-            if spans(ws):
-                if best is None or len(members) < best[0]:
-                    best = (len(members), ws)
+            if spans(ws):  # smaller than best, by the test above
+                best = (len(members), ws)
     if best is None:
         raise BoundsError("no invariant generating subset exists")
     return best
@@ -329,7 +344,6 @@ def naive_min_by_subsets(n: int, p: int, q: int) -> int:
     if len(elements) > 16:
         raise BoundsError("subset enumeration infeasible")
     best = None
-    members = set(elements)
     for mask in range(1, 1 << len(elements)):
         subset = [elements[i] for i in range(len(elements)) if mask >> i & 1]
         if best is not None and len(subset) >= best:

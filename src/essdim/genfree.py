@@ -48,12 +48,17 @@ class GenFreeVerdict(NamedTuple):
 
 
 def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
-    for g in group.generators:
-        for w in lam.elements:
-            if act(g, w) not in lam:
-                raise GenFreeError(
-                    f"weight set is not invariant: generator {g.cycle_string()} "
-                    f"moves {w} outside the set")
+    # g fixes the weights that are zero from the first to the last point it
+    # moves; the rest take one lookup pass, and the offender is sought on failure
+    for g in group.generators if lam.elements else ():
+        act(g, lam.elements[0])  # raises on a degree mismatch
+        lo, *_, hi = [i for i, x in enumerate(g.images) if x != i + 1]  # 2+ points move
+        movable = [w for w in lam.elements if any(w[lo:hi + 1])]
+        if not all(map(lam.__contains__, map(g.gather, movable))):
+            w = next(w for w in movable if g.gather(w) not in lam)
+            raise GenFreeError(
+                f"weight set is not invariant: generator {g.cycle_string()} "
+                f"moves {w} outside the set")
 
 
 def kernel_action_faithful(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -216,7 +216,7 @@ class WeightSet:
         and the columns of its right transform past the rank, which generate
         the integer kernel, as sparse vectors.  Computed once, for spans and
         the kernel."""
-        diag, _, right = smith_normal_form(coordinate_matrix(self))
+        diag, right = smith_normal_form(coordinate_matrix(self))
         d = diag.diagonal()
         rank = sum(1 for x in d if x)
         return d, tuple(tuple(sorted(col.items())) for col in right[rank:])
@@ -259,25 +259,20 @@ def standard_weight(i: int, j: int, spec: LatticeSpec) -> Tuple[int, ...]:
     return spec.weight(ent)
 
 
-def smith_normal_form(
-        m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[Dict[int, int]]]:
-    """Return (diagonal, left, right) with left*m*right = diagonal,
-    left/right unimodular and non-negative diagonal d1 | d2 | ... ;
-    ``right`` is given as the list of its columns, each a dict from row to
-    nonzero entry.  The rows stay dense lists, but a row update runs over the
-    source row's nonzero columns only and a column update over the rows
-    nonzero in the source column."""
+def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, List[Dict[int, int]]]:
+    """Return (diagonal, right) with left*m*right = diagonal, left and right
+    unimodular and non-negative diagonal d1 | d2 | ... ; ``right`` is the list
+    of its columns, each a dict from row to nonzero entry, and those past the
+    rank generate the integer kernel of m.  No left is built: nothing reads it.
+    The rows stay dense lists, but a row update runs over the source row's
+    nonzero columns only and a column update over the rows nonzero in the
+    source column."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [{j: 1} for j in range(cols)]
 
     def support(i):  # the nonzero columns of row i
         return list(compress(range(cols), a[i]))
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -289,7 +284,6 @@ def smith_normal_form(
             s, d = a[src], a[dst]
             for k in src_support:
                 d[k] += f * s[k]
-            left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
 
     def add_col(src, dst, f, holders):  # holders: the rows nonzero at column src
         if not f:
@@ -303,10 +297,6 @@ def smith_normal_form(
                 col[k] = x
             else:
                 del col[k]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
 
     t = 0
     while t < rows and t < cols:
@@ -323,7 +313,7 @@ def smith_normal_form(
         if piv is None:
             break
         size, i = piv
-        swap_rows(t, i)
+        a[t], a[i] = a[i], a[t]
         swap_cols(t, next(j for j in range(t, cols) if abs(a[t][j]) == size))
         while True:
             dirty = False
@@ -332,7 +322,7 @@ def smith_normal_form(
                 if a[i][t]:
                     add_row(t, i, -(a[i][t] // a[t][t]), pivot_support)
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         pivot_support = support(t)
                         dirty = True
             row = a[t]
@@ -358,13 +348,9 @@ def smith_normal_form(
                 break
             add_row(offender, t, 1, support(offender))
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
-    return (
-        IntegerMatrix(rows, cols, tuple(map(tuple, a))),
-        IntegerMatrix(rows, rows, tuple(map(tuple, left))),
-        right,
-    )
+    return IntegerMatrix(rows, cols, tuple(map(tuple, a))), right
 
 
 def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -374,12 +360,7 @@ def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
     the prefix-sum sequence of the entries without the last, so a mod-q
     weight gets the coordinates of its lift that sums to zero exactly.
     """
-    coords = []
-    acc = 0
-    for e in w[:-1]:
-        acc += e
-        coords.append(acc)
-    return tuple(coords)
+    return tuple(accumulate(w[:-1]))
 
 
 def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:

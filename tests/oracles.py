@@ -4,6 +4,7 @@ set of case (d) in closed form (the package builds it as an orbit closure;
 case (c)'s closed form is the package's own, and the tests check it against
 the closure instead), the Smith normal form as the
 package computed it before its updates followed the matrix's support,
+with the left transform the package no longer builds,
 sympy's reduced row echelon form over GF(p), the branch-and-bound search
 the coinvariant greedy replaced, and the paper's block-sum map, p-multiple
 test, Nakayama filter and fiber count, which the greedy's coinvariant
@@ -166,8 +167,9 @@ def faithful_by_enumeration(lam, group):
 
 
 # The Smith normal form with whole-row and whole-column updates, as the
-# package computed it before its updates followed the matrix's support: the
-# package's must repeat its every operation.
+# package computed it before its updates followed the matrix's support and
+# before it stopped building left: the package's must repeat its every
+# operation and return its diagonal and right.
 def dense_smith_normal_form(
         m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[Dict[int, int]]]:
     """Return (diagonal, left, right) with left*m*right = diagonal,

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -310,7 +311,7 @@ class TestSearch:
         brute = echelon_mod_p(
             (basis_coordinates([x - y for x, y in zip(act(g, a), a)])
              for g in group_elements(sylow_subgroup(n, p)) for a in chart), p, n - 1)
-        radical = coinvariant_radical(n, p)
+        radical = coinvariant_radical(sylow_subgroup(n, p))
         dim_c = n - 1 - len(radical)
         assert dim_c == n - 1 - len(brute)
         assert dim_c >= 1
@@ -334,6 +335,18 @@ class TestOrbitRepresentatives:
         group = sylow_subgroup(n, p)
         assert list(orbit_representatives(group, q)) == listed
         assert count_orbits(group, q) == len(listed)
+
+    def test_first_orbits_without_listing_the_points(self):
+        # the level-0 forms were listed and indexed first, q of each: at
+        # q = 2^20 that took 4 s, and at these moduli it would not finish
+        start = time.perf_counter()
+        q = 2 ** 40
+        first = list(itertools.islice(orbit_representatives(sylow_subgroup(2, 2), q), 3))
+        assert first == [(1, (q // 2, q // 2)), (2, (1, q - 1)), (2, (2, q - 2))]
+        q = 3 ** 25
+        first = list(itertools.islice(orbit_representatives(sylow_subgroup(3, 3), q), 3))
+        assert first == [(1, (q // 3,) * 3), (1, (2 * q // 3,) * 3), (3, (0, 1, q - 1))]
+        assert time.perf_counter() - start < 1
 
     def test_trivial_lattice_with_a_large_modulus(self):
         # q^(n-1) = 1 passes the size cap for any q; nothing may be sized by q

@@ -11,12 +11,14 @@ from essdim.constructions import (
 )
 from essdim.genfree import (
     GenFreeError,
+    _require_invariant,
     check_lemma32,
     check_lemma34,
     kernel_action_faithful,
 )
 from essdim.lattice import LatticeSpec, WeightSet, kernel_generators_mod, standard_weight
-from essdim.permgroup import center_order_p_elements, orbit, sylow_subgroup
+from essdim.permgroup import (PermError, act, center_order_p_elements, orbit,
+                              sylow_subgroup)
 from oracles import faithful_by_enumeration
 
 
@@ -67,6 +69,50 @@ class TestLemma34:
         lam = WeightSet.of([standard_weight(1, 3, spec)], spec)
         with pytest.raises(GenFreeError):
             check_lemma34(lam, sylow_subgroup(4, 2))
+
+    @pytest.mark.parametrize("case, n, p, dropped, message", [
+        # named by the second generator: the first, (1 2), fixes the dropped
+        # weight
+        ("c", 8, 2, (0, 0, -1, 0, 0, 0, 0, 1),
+         "generator (1 3)(2 4) moves (-1, 0, 0, 0, 0, 0, 0, 1) outside the set"),
+        ("d", 12, 3, (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, -1, 0),
+         "generator (1 2 3) moves (0, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0) outside the set"),
+    ])
+    def test_plan_missing_one_weight_refused(self, case, n, p, dropped, message):
+        lam = build_plan(case, n, p).torus_weights
+        assert dropped in lam
+        cut = WeightSet.of([w for w in lam if w != dropped], lam.spec)
+        with pytest.raises(GenFreeError) as excinfo:
+            check_lemma34(cut, sylow_subgroup(n, p))
+        assert str(excinfo.value) == "weight set is not invariant: " + message
+
+    def test_invariance_matches_every_image(self):
+        # the check looks up only the weights nonzero where a generator moves
+        # points; against every image of every weight, with the same offender
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n, p = rng.choice([(4, 2), (6, 2), (8, 2), (9, 3), (12, 3), (10, 5)])
+            group = sylow_subgroup(n, p)
+            spec = LatticeSpec(n)
+            lam = random_invariant_set(rng, group, spec)
+            if rng.random() < 0.8:
+                drop = set(rng.sample(lam.elements, rng.randint(1, 2)))
+                lam = WeightSet.of([w for w in lam if w not in drop], spec)
+            offender = next(((g, w) for g in group.generators for w in lam
+                             if act(g, w) not in lam), None)
+            if offender is None:
+                _require_invariant(lam, group)
+                continue
+            with pytest.raises(GenFreeError) as excinfo:
+                _require_invariant(lam, group)
+            g, w = offender
+            assert str(excinfo.value) == (f"weight set is not invariant: generator "
+                                          f"{g.cycle_string()} moves {w} outside the set")
+
+    def test_degree_mismatch_refused(self):
+        with pytest.raises(PermError) as excinfo:
+            check_lemma34(build_plan("c", 4, 2).torus_weights, sylow_subgroup(8, 2))
+        assert str(excinfo.value) == "degree 8 vs lattice length 4"
 
     def test_witnesses_recorded(self):
         verdict = check_lemma34(build_plan("c", 4, 2).torus_weights,

@@ -42,6 +42,26 @@ def from_columns(columns):
                              for i in range(len(columns))])
 
 
+def smith_against_dense(m):
+    """smith_normal_form(m), which must equal the whole-row oracle's diag
+    and right; the oracle's left must then bring m * right to diag, and the
+    columns of right past the rank must be kernel vectors of m.  Returns
+    (diag, oracle left, right)."""
+    d, right = smith_normal_form(m)
+    od, left, oright = dense_smith_normal_form(m)
+    assert (d, right) == (od, oright)
+    assert matmul(matmul(left, m), from_columns(right)).entries == d.entries
+    assert_kernel_columns(m, d, right)
+    return d, left, right
+
+
+def assert_kernel_columns(m, d, right):
+    """m * right[rank:] == 0, over right's sparse columns."""
+    rank = sum(1 for x in d.diagonal() if x)
+    for col in right[rank:]:
+        assert not any(sum(row[k] * c for k, c in col.items()) for row in m.entries)
+
+
 def densify(vec, size):
     """A kernel generator as a dense coefficient tuple of length ``size``;
     accepts a dense tuple or (position, coefficient) pairs."""
@@ -80,19 +100,39 @@ class TestStandardWeight:
                     assert not any(s)
 
 
+class TestBasisCoordinates:
+    def test_prefix_sums(self):
+        # coordinate k is the sum of the entries 0..k, over the chart
+        # a[1,2], ..., a[n-1,n], for integer and reduced mod-q weights
+        rng = random.Random(20261019)
+        for _ in range(400):
+            n = rng.randint(1, 130)
+            q = rng.choice([0, 0, 2, 3, 4, 9, 25, 2 ** 20])
+            spec = LatticeSpec(n, q)
+            ent = [rng.randint(-50, 50) for _ in range(n - 1)]
+            w = spec.weight(ent + [-sum(ent)])
+            coords = basis_coordinates(w)
+            assert coords == tuple(sum(w[:k + 1]) for k in range(n - 1))
+            assert all(type(c) is int for c in coords)
+            # in the chart they rebuild w's lift that sums to zero exactly
+            rebuilt = [0] * n
+            for k, c in enumerate(coords):
+                rebuilt[k] += c
+                rebuilt[k + 1] -= c
+            assert tuple(rebuilt) == w[:-1] + (-sum(w[:-1]),)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
-        d, _, _ = smith_normal_form(identity(2))
+        d, _ = smith_normal_form(identity(2))
         assert d.diagonal() == (1, 1)
 
     def test_two_three(self):
-        m = IntegerMatrix.of([[2, 0], [0, 3]])
-        d, left, right = smith_normal_form(m)
+        d, _, _ = smith_against_dense(IntegerMatrix.of([[2, 0], [0, 3]]))
         assert d.diagonal() == (1, 6)
-        assert matmul(matmul(left, m), from_columns(right)).entries == d.entries
 
     def test_zero_matrix(self):
-        d, _, _ = smith_normal_form(IntegerMatrix.of([[0, 0, 0], [0, 0, 0]]))
+        d, _ = smith_normal_form(IntegerMatrix.of([[0, 0, 0], [0, 0, 0]]))
         assert d.diagonal() == (0, 0)
 
     def test_random_roundtrip_and_divisibility(self):
@@ -102,8 +142,7 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 6)
             m = IntegerMatrix.of(
                 [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-            d, left, right = smith_normal_form(m)
-            assert matmul(matmul(left, m), from_columns(right)).entries == d.entries
+            d, _, _ = smith_against_dense(m)
             diag = [x for x in d.diagonal()]
             assert all(x >= 0 for x in diag)
             nz = [x for x in diag if x]
@@ -131,12 +170,11 @@ class TestSmithNormalForm:
             grids.append([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
         for grid in grids:
             m = IntegerMatrix.of(grid)
-            d, left, right = smith_normal_form(m)
+            d, _, right = smith_against_dense(m)
             assert len(right) == m.cols
             for col in right:
                 assert col and all(col.values())
                 assert all(0 <= k < m.cols for k in col)
-            assert matmul(matmul(left, m), from_columns(right)).entries == d.entries
 
 
 class TestSmithNormalFormOracle:
@@ -146,12 +184,10 @@ class TestSmithNormalFormOracle:
     def check(m):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-        d, left, right = smith_normal_form(m)
+        d, left, right = smith_against_dense(m)
         ref = sympy_snf(sympy.Matrix([list(r) for r in m.entries]), domain=sympy.ZZ)
         assert d.diagonal() == tuple(abs(ref[i, i]) for i in range(min(m.rows, m.cols)))
-        right = from_columns(right)
-        assert matmul(matmul(left, m), right).entries == d.entries
-        for t in (left, right):
+        for t in (left, from_columns(right)):
             assert abs(sympy.Matrix([list(r) for r in t.entries]).det()) == 1
 
     def test_random_matrices(self):
@@ -179,12 +215,17 @@ SNF_BLOWUP = {
 
 class TestSparseMatchesDense:
     """The SNF whose updates follow the matrix's support repeats every
-    operation of the whole-row one in tests/oracles.py, so diag, left and
-    right are identical, not only equivalent."""
+    operation of the whole-row one in tests/oracles.py, so diag and right
+    are identical, not only equivalent; the columns of right past the rank
+    are kernel vectors.  (The oracle's left is checked on the small
+    matrices above: multiplying it out here would take minutes.)"""
 
     @staticmethod
     def check(m):
-        assert smith_normal_form(m) == dense_smith_normal_form(m)
+        d, right = smith_normal_form(m)
+        od, _, oright = dense_smith_normal_form(m)
+        assert (d, right) == (od, oright)
+        assert_kernel_columns(m, d, right)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_witness_coordinate_matrices(self, p):
@@ -262,7 +303,7 @@ class TestSpans:
             for col, row in basis.items():
                 assert row[col] == 1
                 assert all(row[other] == 0 for other in basis if other != col)
-            diag, _, _ = smith_normal_form(coordinate_matrix(ws))
+            diag, _ = smith_normal_form(coordinate_matrix(ws))
             assert len(basis) == sum(1 for d in diag.diagonal() if d % p)
             assert rank_mod_p(ws, p, n - 1) == len(basis)
             assert (len(basis) == n - 1) == spans(ws)
