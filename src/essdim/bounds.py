@@ -30,7 +30,12 @@ from .lattice import (
     standard_weight,
     vp,
 )
+from .constructions import witness_size
 from .permgroup import PermGroupSpec, act, legendre_exponent, orbit, sylow_subgroup
+
+
+# The default number of orbits a search may examine.
+DEFAULT_BUDGET = 10_000_000
 
 
 class BoundsError(ValueError):
@@ -206,11 +211,11 @@ def orbit_representatives(group: PermGroupSpec, q: int) -> Iterator[Tuple[int, T
 
 def count_orbits(group: PermGroupSpec, q: int) -> int:
     """The number of nonzero orbits of group, a Sylow subgroup, on the
-    zero-sum lattice mod q, without listing them: per level r, the orbits
-    of a block of size p^r by residue of their entry sum, by Burnside over
-    the rotation of its p sub-blocks (only the constant p-tuples of
-    sub-orbits are fixed by a nontrivial rotation), convolved over the
-    parts."""
+    zero-sum lattice mod q, a power of p, without listing them: per level r,
+    the orbits of a block of size p^r by residue of their entry sum, by
+    Burnside over the rotation of its p sub-blocks (only the constant
+    p-tuples of sub-orbits are fixed by a nontrivial rotation), convolved
+    over the parts."""
     if group.n == 1:  # the lattice is {0}
         return 0
     p = group.p
@@ -228,9 +233,9 @@ def count_orbits(group: PermGroupSpec, q: int) -> int:
         tuples = sub
         for _ in range(p - 1):
             tuples = convolve(sub, tuples)
+        # p s mod q depends on s mod q/p only: the p slices of sub add up
         constant = [0] * q
-        for s, c in enumerate(sub):
-            constant[p * s % q] += c
+        constant[::p] = map(sum, zip(*(sub[t:t + q // p] for t in range(0, q, q // p))))
         counts.append([(a + (p - 1) * b) // p for a, b in zip(tuples, constant)])
     total = counts[levels[0]]
     for r in levels[1:]:
@@ -256,7 +261,7 @@ def min_invariant_generating_size(
     n: int,
     p: int,
     q: int,
-    budget: int = 10_000_000,
+    budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Exact minimum size of an invariant generating subset of the zero-sum
     lattice mod q, found by the greedy over the coinvariants.
@@ -364,21 +369,19 @@ def predicted_bound(n: int, p: int, q: int) -> dict:
         raise BoundsError(f"p={p} is not a prime")
     e_q = vp(q, p)
     r = vp(n, p)
+    bound = witness_size(n, p)
     if n == p ** r and r >= 1:
-        bound = p ** (2 * r - 1)
         source = "p-power bound (minimal invariant generating sets in X_{p^r})"
         within = e_q >= (2 if p == 2 else 1)
         note = "" if within else "outside stated hypothesis: q must be >= p^2 when p = 2"
     else:
-        e = r  # highest power of p dividing n
-        bound = p ** e * (n - p ** e)
         source = "composite-n bound p^e(n - p^e)"
         within = q == p
         note = "" if within else "outside stated hypothesis: composite-n bound assumes q = p"
     return {"bound": bound, "source": source, "within_hypothesis": within, "note": note}
 
 
-def verify_lower_bound(n: int, p: int, q: int, budget: int = 10_000_000) -> dict:
+def verify_lower_bound(n: int, p: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Run the exact search and compare against the published bound."""
     info = predicted_bound(n, p, q)
     result = min_invariant_generating_size(n, p, q, budget=budget)

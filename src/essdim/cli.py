@@ -21,16 +21,17 @@ from typing import List, Optional
 
 from . import __version__
 from .bounds import (
+    DEFAULT_BUDGET,
     BudgetExhausted,
     min_invariant_generating_size,
     naive_min_invariant_generating_size,
     predicted_bound,
     verify_lower_bound,
 )
-from .constructions import build_plan, case_c_length, kernel_witness_coefficients
+from .constructions import build_plan, case_c_length, kernel_witness_coefficients, witness_size
 from .edcalc import ed_value
 from .genfree import certify
-from .lattice import LatticeSpec, vp
+from .lattice import LatticeSpec
 from .permgroup import act, orbit as orbit_of, sylow_subgroup
 
 EXIT_OK = 0
@@ -208,7 +209,7 @@ def cmd_ed(args) -> int:
 
 
 # The paper's claims that reproduce-all checks, in report order: value
-# tables, witness sizes |Lambda_c| = p^(2r-1) and |Lambda_d| = p^e(n - p^e),
+# tables, the sizes of the built Lambda_c and Lambda_d against their formula,
 # generic freeness, the exact minima behind Prop 7.2 and Lemma 8.2, naive
 # cross-checks of two of them (full profile only), and the excluded p = q = 2
 # case.
@@ -232,13 +233,10 @@ def claim_holds(command: str, params: dict) -> bool:
     """Whether one row of CLAIMS holds."""
     if command == "ed-table":
         return all(ed_value(n, params["p"]).consistency for n in range(1, params["max_n"] + 1))
-    if command == "witness-size-c":
-        p, r = params["p"], params["r"]
-        return len(build_plan("c", p ** r, p).torus_weights) == p ** (2 * r - 1)
-    if command == "witness-size-d":
-        n, p = params["n"], params["p"]
-        pe = p ** vp(n, p)
-        return len(build_plan("d", n, p).torus_weights) == pe * (n - pe)
+    if command in ("witness-size-c", "witness-size-d"):
+        case, p = command[-1], params["p"]
+        n = p ** params["r"] if case == "c" else params["n"]
+        return len(build_plan(case, n, p).torus_weights) == witness_size(n, p)
     if command == "check-genfree":
         return certify(build_plan(params["case"], params["n"], params["p"])).overall
     n, p, q = params["n"], params["p"], params["q"]
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--budget", type=float, default=1e7)
+    sp.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_search_min)
 
@@ -340,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--budget", type=float, default=1e7)
+    sp.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 

@@ -57,6 +57,15 @@ class RepPlan(_RepPlanFields):
         }
 
 
+def witness_size(n: int, p: int) -> int:
+    """|Lambda| of the plan for (n, p), also the published lower bound on an
+    invariant generating set: p^(2e-1) when n = p^e, e >= 1, and p^e (n - p^e)
+    otherwise, p^e the largest power of p dividing n (n - 1 in case (a))."""
+    e = vp(n, p)
+    pe = p ** e
+    return p ** (2 * e - 1) if n == pe and e else pe * (n - pe)
+
+
 def _too_large(bits: int) -> ConstructionError:
     # a power of two, not the count: the count of a large case has too many
     # digits to print
@@ -64,10 +73,10 @@ def _too_large(bits: int) -> ConstructionError:
                              f"more than {MAX_WITNESS_ENTRIES}")
 
 
-def _check_size(size: int, n: int) -> None:
-    """Refuse a witness set of ``size`` weights of length n, computed from its
-    formula, if it has more than MAX_WITNESS_ENTRIES entries."""
-    entries = size * n
+def _check_size(n: int, p: int) -> None:
+    """Refuse the witness set of (n, p), witness_size(n, p) weights of
+    length n, if it has more than MAX_WITNESS_ENTRIES entries."""
+    entries = witness_size(n, p) * n
     if entries > MAX_WITNESS_ENTRIES:
         raise _too_large(entries.bit_length() - 1)
 
@@ -81,31 +90,6 @@ def case_c_length(p: int, r: int) -> int:
     return p ** r
 
 
-def lambda_a(n: int, p: int) -> RepPlan:
-    """Case (a): the fan of weights a[1,i] out of the fixed position 1, plus a
-    faithful permutation summand of dimension [n/p]."""
-    if n % p == 0:
-        raise ConstructionError(f"case (a) needs p not dividing n; got n={n}, p={p}")
-    spec = LatticeSpec(n)
-    _check_size(n - 1, n)
-    weights = WeightSet.of([standard_weight(1, i, spec) for i in range(2, n + 1)], spec)
-    m = n // p
-    extras = ((m, f"faithful permutation summand of the {p}-cycle normalizer, dim [n/p]"),)
-    return RepPlan("a", n, p, weights, extras, (n - 1) + m)
-
-
-def lambda_b(p: int) -> RepPlan:
-    """Case (b), n = p: the cyclic chain a[1,2], ..., a[p-1,p], a[p,1] plus a
-    1-dimensional faithful character of Z/p."""
-    spec = LatticeSpec(p)
-    _check_size(p, p)
-    chain = [standard_weight(i, i + 1, spec) for i in range(1, p)]
-    chain.append(standard_weight(p, 1, spec))
-    weights = WeightSet.of(chain, spec)
-    extras = ((1, "faithful character of the cyclic group Z/p"),)
-    return RepPlan("b", p, p, weights, extras, len(weights) + 1)
-
-
 def standard_weights(pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> WeightSet:
     """The weight set of the a[i,j] for distinct pairs (i, j) with i != j,
     which the caller lists in the canonical order of their weights; built
@@ -117,6 +101,31 @@ def standard_weights(pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> Wei
         out.append(tuple(row))
         row[i - 1] = row[j - 1] = 0
     return WeightSet(tuple(out), spec)
+
+
+def lambda_a(n: int, p: int) -> RepPlan:
+    """Case (a): the fan of weights a[1,i] out of the fixed position 1, plus a
+    faithful permutation summand of dimension [n/p].  In canonical order: i
+    up."""
+    if n % p == 0:
+        raise ConstructionError(f"case (a) needs p not dividing n; got n={n}, p={p}")
+    spec = LatticeSpec(n)
+    _check_size(n, p)
+    weights = standard_weights(((1, i) for i in range(2, n + 1)), spec)
+    m = n // p
+    extras = ((m, f"faithful permutation summand of the {p}-cycle normalizer, dim [n/p]"),)
+    return RepPlan("a", n, p, weights, extras, (n - 1) + m)
+
+
+def lambda_b(p: int) -> RepPlan:
+    """Case (b), n = p: the cyclic chain a[1,2], ..., a[p-1,p], a[p,1] plus a
+    1-dimensional faithful character of Z/p.  In canonical order: a[p,1],
+    then a[i,i+1] for i down."""
+    _check_size(p, p)
+    pairs = chain([(p, 1)], ((i, i + 1) for i in range(p - 1, 0, -1)))
+    weights = standard_weights(pairs, LatticeSpec(p))
+    extras = ((1, "faithful character of the cyclic group Z/p"),)
+    return RepPlan("b", p, p, weights, extras, len(weights) + 1)
 
 
 def lambda_c(p: int, r: int) -> RepPlan:
@@ -136,7 +145,7 @@ def lambda_c(p: int, r: int) -> RepPlan:
     if r < 2:
         raise ConstructionError("case (c) needs r >= 2")
     n = case_c_length(p, r)
-    _check_size(p ** (2 * r - 1), n)
+    _check_size(n, p)
     m = n // p
     last = ((i, j) for j in range(1, m + 1) for i in range(n, n - m, -1))
     rest = ((i, j) for t in range(p - 2, -1, -1) for i in range((t + 1) * m, t * m, -1)
@@ -154,13 +163,11 @@ def lambda_d(n: int, p: int) -> RepPlan:
     fixed, digits = p_adic_digits(n, p)
     if fixed or len(digits) == 1 and digits[0][0] == 1:
         raise ConstructionError("case (d) needs n divisible by p and not a p-power")
-    s = p ** digits[0][1]  # the smallest block
     spec = LatticeSpec(n)
-    _check_size(s * (n - s), n)
+    _check_size(n, p)
     group = sylow_subgroup(n, p)
-    blocks = group.blocks
     accum: set = set()
-    for lo, _hi in blocks[1:]:
+    for lo, _hi in group.blocks[1:]:
         accum.update(orbit(group, standard_weight(1, lo, spec), spec))
     weights = WeightSet.of(accum, spec)
     return RepPlan("d", n, p, weights, (), len(weights))
@@ -231,12 +238,3 @@ def permute_coefficients(g, lam: WeightSet, coeffs: Tuple[int, ...]) -> Tuple[in
     for c, w in zip(coeffs, lam.elements):
         out[lam.index(act(g, w))] = c
     return tuple(out)
-
-
-def phi_image(lam: WeightSet, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
-    """phi: Z[Lambda] -> X, sum of coeff * weight."""
-    acc = [0] * lam.spec.n
-    for c, w in zip(coeffs, lam.elements):
-        if c:
-            acc = [a + c * e for a, e in zip(acc, w)]
-    return lam.spec.weight(acc)

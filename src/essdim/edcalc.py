@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constructions import build_plan
+from .constructions import build_plan, witness_size
 from .lattice import prime_power_root, vp
 
 
@@ -58,11 +58,12 @@ def ed_value(n: int, p: int) -> EdReport:
     consistency is whether the plan's total dimension minus n - 1 equals
     the value, so it compares, by case: (a) the n - 1 weights a[1,i] plus
     the [n/p]-dimensional permutation summand with n - 1 + [n/p]; (b) the
-    p-weight cyclic chain plus one character with p + 1; (c) |Lambda_c|,
-    listed in closed form, with n^2/p = p^(2r-1), which rests on the tests
-    checking that form against the orbit closure at every (p, r) the
-    witness-size budget admits; (d) |Lambda_d|, a union of orbit closures,
-    with p^e (n - p^e)."""
+    p-weight cyclic chain plus one character with p + 1; (c) and (d) the
+    built |Lambda| with the formula constructions.witness_size: |Lambda_c|,
+    listed in closed form, with p^(2r-1), which rests on the tests checking
+    that form against the orbit closure at every (p, r) the witness-size
+    budget admits, and |Lambda_d|, a union of orbit closures, with
+    p^e (n - p^e)."""
     if n < 1:
         raise EdError("n must be positive")
     if prime_power_root(p) != p:
@@ -73,12 +74,9 @@ def ed_value(n: int, p: int) -> EdReport:
         value = n // p
     elif case == "b":
         value = 2
-    elif case == "c":
-        value = n * n // p - n + 1
     else:
-        value = pe * (n - pe) - n + 1
-    plan = build_plan(case, n, p)
-    witness_total = plan.total_dimension
+        value = witness_size(n, p) - n + 1
+    witness_total = build_plan(case, n, p).total_dimension
     return EdReport(
         n=n,
         p=p,

@@ -138,10 +138,6 @@ class LatticeSpec(_LatticeSpecFields):
         return super().__new__(cls, n, modulus)
 
     @property
-    def prime(self) -> Optional[int]:
-        return prime_power_root(self.modulus) if self.modulus else None
-
-    @property
     def rank(self) -> int:
         return self.n - 1
 
@@ -216,15 +212,9 @@ class WeightSet:
         and the columns of its right transform past the rank, which generate
         the integer kernel, as sparse vectors.  Computed once, for spans and
         the kernel."""
-        diag, right = smith_normal_form(coordinate_matrix(self))
-        d = diag.diagonal()
+        d, right = smith_normal_form(coordinate_matrix(self))
         rank = sum(1 for x in d if x)
         return d, tuple(tuple(sorted(col.items())) for col in right[rank:])
-
-    def reduce(self, q: int) -> "WeightSet":
-        """Entrywise reduction into the mod-q lattice of the same length."""
-        spec = LatticeSpec(self.spec.n, q)
-        return WeightSet.of(map(spec.weight, self.elements), spec)
 
     def to_json(self) -> list:
         return [list(w) for w in self.elements]
@@ -243,9 +233,6 @@ class IntegerMatrix(NamedTuple):
             raise LatticeError("ragged matrix")
         return cls(rows, cols, tuple(tuple(int(x) for x in r) for r in grid))
 
-    def diagonal(self) -> Tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
 
 def standard_weight(i: int, j: int, spec: LatticeSpec) -> Tuple[int, ...]:
     """The weight a[i,j]: +1 at position i, -1 at position j (1-based)."""
@@ -259,11 +246,12 @@ def standard_weight(i: int, j: int, spec: LatticeSpec) -> Tuple[int, ...]:
     return spec.weight(ent)
 
 
-def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, List[Dict[int, int]]]:
-    """Return (diagonal, right) with left*m*right = diagonal, left and right
-    unimodular and non-negative diagonal d1 | d2 | ... ; ``right`` is the list
-    of its columns, each a dict from row to nonzero entry, and those past the
-    rank generate the integer kernel of m.  No left is built: nothing reads it.
+def smith_normal_form(m: IntegerMatrix) -> Tuple[Tuple[int, ...], List[Dict[int, int]]]:
+    """Return (d, right) with left*m*right the diagonal matrix of d, left and
+    right unimodular and d1 | d2 | ... non-negative; ``d`` is the tuple of
+    the min(rows, cols) diagonal entries, ``right`` the list of its columns,
+    each a dict from row to nonzero entry, and those past the rank generate
+    the integer kernel of m.  No left is built: nothing reads it.
     The rows stay dense lists, but a row update runs over the source row's
     nonzero columns only and a column update over the rows nonzero in the
     source column."""
@@ -350,7 +338,7 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[IntegerMatrix, List[Dict[int, i
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
         t += 1
-    return IntegerMatrix(rows, cols, tuple(map(tuple, a))), right
+    return tuple(a[i][i] for i in range(min(rows, cols))), right
 
 
 def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -382,24 +370,17 @@ def spans(lam: WeightSet) -> bool:
     return len(d) == lam.spec.rank and all(x == 1 for x in d)
 
 
-def kernel_basis(lam: WeightSet) -> Tuple[SparseVector, ...]:
-    """Integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} (modulus 0),
-    each a sparse vector indexed by the canonical order of Lambda."""
-    if lam.spec.modulus:
-        raise LatticeError("kernel_basis requires modulus 0; see kernel_generators_mod")
-    return lam._smith[1]
-
-
 def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
-    """Generators of {c in Z[Lambda] : sum c_i * lambda_i = 0 in (Z/q)-lattice},
-    each a sparse vector indexed by the canonical order of Lambda.
+    """Generators of {c in Z[Lambda] : sum c_i * lambda_i = 0} in the lattice
+    of lam, each a sparse vector indexed by the canonical order of Lambda.
 
-    Computed as the projection of the integer kernel of [A | q*I] onto the
-    Z[Lambda] coordinates.
+    Over Z (modulus 0) they are an integer basis: the columns of the SNF's
+    right transform past the rank.  Over Z/q they are the projection of the
+    integer kernel of [A | q*I] onto the Z[Lambda] coordinates.
     """
     q = lam.spec.modulus
     if not q:
-        return kernel_basis(lam)
+        return lam._smith[1]
     s = len(lam)
     # the columns of coordinate_matrix past s are the appended q*I
     gens = [tuple(e for e in col if e[0] < s) for col in lam._smith[1]]

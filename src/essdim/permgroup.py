@@ -54,29 +54,6 @@ class Perm:
             raise PermError(f"not a bijection of 1..{len(images)}: {images}")
         return cls(images)
 
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_cycles(cls, text: str, n: int) -> "Perm":
-        """Parse cycle notation like "(1 2)(3 4)"; points are whitespace
-        separated, fixed points may be omitted."""
-        images = list(range(1, n + 1))
-        text = text.strip()
-        if text and text not in ("()", "e", "id"):
-            if not (text.startswith("(") and text.endswith(")")):
-                raise PermError(f"bad cycle notation: {text!r}")
-            for chunk in text[1:-1].split(")("):
-                pts = [int(t) for t in chunk.replace(",", " ").split()]
-                if len(set(pts)) != len(pts) or any(not 1 <= x <= n for x in pts):
-                    raise PermError(f"bad cycle {chunk!r} for n={n}")
-                for a, b in zip(pts, pts[1:] + pts[:1]):
-                    images[a - 1] = b
-        if sorted(images) != list(range(1, n + 1)):
-            raise PermError(f"cycles overlap in {text!r}")
-        return cls.of(images)
-
     @property
     def n(self) -> int:
         return len(self.images)
@@ -92,40 +69,29 @@ class Perm:
             return tuple
         return itemgetter(*(i - 1 for i in self.inverse().images))
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        """Composition: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise PermError("degree mismatch")
-        return Perm(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
-
     def inverse(self) -> "Perm":
         inv = [0] * self.n
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
         return Perm(tuple(inv))
 
-    def cycles(self) -> List[Tuple[int, ...]]:
+    def cycle_string(self) -> str:
+        """The cycles of length 2 or more, each from its least point, in the
+        order of those points; "()" for the identity."""
         seen = set()
         out = []
         for start in range(1, self.n + 1):
             if start in seen:
                 continue
             cyc = [start]
-            seen.add(start)
             x = self(start)
             while x != start:
                 cyc.append(x)
-                seen.add(x)
                 x = self(x)
+            seen.update(cyc)
             if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def cycle_string(self) -> str:
-        cyc = self.cycles()
-        if not cyc:
-            return "()"
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
+                out.append("(" + " ".join(map(str, cyc)) + ")")
+        return "".join(out) or "()"
 
 
 class PermGroupSpec(NamedTuple):
@@ -272,32 +238,19 @@ def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> Weight
     return WeightSet.of(seen, spec)
 
 
-def _block_rotation(block: Tuple[int, int], p: int, n: int) -> Perm:
-    """Product of the disjoint p-cycles rotating each consecutive p-run of the
-    block; generates the center of the wreath product on that block."""
-    lo, hi = block
-    images = list(range(1, n + 1))
-    for start in range(lo, hi + 1, p):
-        for x in range(p):
-            images[start + x - 1] = start + (x + 1) % p
-    return Perm.of(images)
-
-
 def center_order_p_elements(group: PermGroupSpec) -> Tuple[Perm, ...]:
-    """All non-identity elements of the center's p-torsion: per block, powers
-    of the product-of-p-cycles rotation; count p^(#blocks) - 1.  The fixed
-    points lie in no block and are fixed by every element."""
-    p = group.p
-    rotations = [_block_rotation(b, p, group.n) for b in group.blocks]
+    """All non-identity elements of the center's p-torsion, in sorted order:
+    per block, a power k of the rotation x -> x + 1 of each consecutive
+    p-run, which generates the center of the wreath product on that block;
+    count p^(#blocks) - 1.  The fixed points lie in no block and are fixed by
+    every element."""
+    p, blocks = group.p, group.blocks
     out: List[Perm] = []
-    total = p ** len(rotations)
-    for code in range(1, total):
-        c = code
-        g = Perm.identity(group.n)
-        for rot in rotations:
-            k = c % p
-            c //= p
-            for _ in range(k):
-                g = g * rot
-        out.append(g)
+    for code in range(1, p ** len(blocks)):
+        images = list(range(1, group.n + 1))
+        for b, (lo, hi) in enumerate(blocks):
+            k = code // p ** b % p
+            images[lo - 1:hi] = [start + (x + k) % p
+                                 for start in range(lo, hi + 1, p) for x in range(p)]
+        out.append(Perm(tuple(images)))
     return tuple(sorted(out))

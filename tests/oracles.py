@@ -1,25 +1,103 @@
 """References the tests compare the library against, reached from no code
-path of the package: brute force written from the definitions, the witness
-set of case (d) in closed form (the package builds it as an orbit closure;
-case (c)'s closed form is the package's own, and the tests check it against
-the closure instead), the Smith normal form as the
-package computed it before its updates followed the matrix's support,
-with the left transform the package no longer builds,
-sympy's reduced row echelon form over GF(p), the branch-and-bound search
-the coinvariant greedy replaced, and the paper's block-sum map, p-multiple
-test, Nakayama filter and fiber count, which the greedy's coinvariant
-argument supersedes."""
+path of the package: brute force written from the definitions, the
+permutation, weight-set and lattice helpers only the tests use (cycle
+notation, composition, the identity, mod-q reduction, the prime of a
+modulus and the map phi), the central elements as products of block
+rotations, the witness set of case (d) in closed form (the package builds
+it as an orbit closure; case (c)'s closed form is the package's own, and
+the tests check it against the closure instead), the Smith normal form as
+the package computed it before its updates followed the matrix's support,
+with the left transform the package no longer builds, sympy's reduced row
+echelon form over GF(p), the branch-and-bound search the coinvariant greedy
+replaced, and the paper's block-sum map, p-multiple test, Nakayama filter
+and fiber count, which the greedy's coinvariant argument supersedes."""
 
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from essdim.bounds import BoundsError, BudgetExhausted, _nonzero_orbits
+from essdim.bounds import DEFAULT_BUDGET, BoundsError, BudgetExhausted, _nonzero_orbits
 from essdim.constructions import permute_coefficients, standard_weights
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
                             basis_coordinates, echelon_mod_p, kernel_generators_mod,
                             prime_power_root, spans)
-from essdim.permgroup import Perm, p_adic_digits
+from essdim.permgroup import Perm, PermError, p_adic_digits
+
+
+def from_cycles(text: str, n: int) -> Perm:
+    """Parse cycle notation like "(1 2)(3 4)"; points are whitespace
+    separated, fixed points may be omitted."""
+    images = list(range(1, n + 1))
+    text = text.strip()
+    if text and text not in ("()", "e", "id"):
+        if not (text.startswith("(") and text.endswith(")")):
+            raise PermError(f"bad cycle notation: {text!r}")
+        for chunk in text[1:-1].split(")("):
+            pts = [int(t) for t in chunk.replace(",", " ").split()]
+            if len(set(pts)) != len(pts) or any(not 1 <= x <= n for x in pts):
+                raise PermError(f"bad cycle {chunk!r} for n={n}")
+            for a, b in zip(pts, pts[1:] + pts[:1]):
+                images[a - 1] = b
+    if sorted(images) != list(range(1, n + 1)):
+        raise PermError(f"cycles overlap in {text!r}")
+    return Perm.of(images)
+
+
+def compose(g: Perm, h: Perm) -> Perm:
+    """The composition g h: i -> g(h(i))."""
+    if g.n != h.n:
+        raise PermError("degree mismatch")
+    return Perm(tuple(g.images[h.images[i] - 1] for i in range(g.n)))
+
+
+def perm_identity(n: int) -> Perm:
+    return Perm(tuple(range(1, n + 1)))
+
+
+def rotation_center(group) -> Tuple[Perm, ...]:
+    """center_order_p_elements as the package built it before it wrote the
+    images from the blocks: per block, the product of the disjoint p-cycles
+    rotating each consecutive p-run, and every product of their powers."""
+    p, n = group.p, group.n
+    rotations = []
+    for lo, hi in group.blocks:
+        images = list(range(1, n + 1))
+        for start in range(lo, hi + 1, p):
+            for x in range(p):
+                images[start + x - 1] = start + (x + 1) % p
+        rotations.append(Perm.of(images))
+    powers = []  # powers[b][k]: rotation b to the k
+    for rot in rotations:
+        powers.append([perm_identity(n)])
+        for _ in range(p - 1):
+            powers[-1].append(compose(powers[-1][-1], rot))
+    out = []
+    for code in range(1, p ** len(rotations)):
+        g = perm_identity(n)
+        for b, power in enumerate(powers):
+            g = compose(g, power[code // p ** b % p])
+        out.append(g)
+    return tuple(sorted(out))
+
+
+def spec_prime(spec: LatticeSpec):
+    """The prime of the modulus of spec, None over the integers."""
+    return prime_power_root(spec.modulus) if spec.modulus else None
+
+
+def reduce_mod(lam: WeightSet, q: int) -> WeightSet:
+    """Entrywise reduction into the mod-q lattice of the same length."""
+    spec = LatticeSpec(lam.spec.n, q)
+    return WeightSet.of(map(spec.weight, lam.elements), spec)
+
+
+def phi_image(lam: WeightSet, coeffs: Tuple[int, ...]) -> Tuple[int, ...]:
+    """phi: Z[Lambda] -> X, sum of coeff * weight."""
+    acc = [0] * lam.spec.n
+    for c, w in zip(coeffs, lam.elements):
+        if c:
+            acc = [a + c * e for a, e in zip(acc, w)]
+    return lam.spec.weight(acc)
 
 
 def in_p_multiple(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> bool:
@@ -28,7 +106,7 @@ def in_p_multiple(w: Tuple[int, ...], p: int, spec: LatticeSpec) -> bool:
     q = spec.modulus
     if not q:
         raise LatticeError("in_p_multiple requires a mod-q lattice")
-    if spec.prime != p:
+    if spec_prime(spec) != p:
         raise LatticeError(f"prime {p} does not match modulus {q}")
     return all(e % p == 0 for e in w)
 
@@ -95,13 +173,23 @@ def order(g):
     k = 1
     h = g
     while not is_identity(h):
-        h = h * g
+        h = compose(h, g)
         k += 1
     return k
 
 
 def identity(n):
     return IntegerMatrix.of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def diagonal(m):
+    """The diagonal entries of an IntegerMatrix, as a tuple."""
+    return tuple(m.entries[i][i] for i in range(min(m.rows, m.cols)))
+
+
+def diagonal_matrix(d, rows, cols):
+    """The rows x cols IntegerMatrix with diagonal d and zeros elsewhere."""
+    return IntegerMatrix.of([[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
 
 
 def matmul(x, y):
@@ -138,14 +226,14 @@ def closed_lambda_d(n, p):
 def group_elements(group):
     """Every element of the group, by closing the identity under left
     multiplication by the generators, in sorted order."""
-    ident = Perm.identity(group.n)
+    ident = perm_identity(group.n)
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
             for g in group.generators:
-                y = g * x
+                y = compose(g, x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -327,7 +415,7 @@ def orbit_spans_mod_p(orbits: Sequence[WeightSet], p: int,
 
 
 def branch_and_bound_min(n: int, p: int, q: int,
-                         budget: int = 10_000_000) -> Tuple[int, WeightSet, int]:
+                         budget: int = DEFAULT_BUDGET) -> Tuple[int, WeightSet, int]:
     """(minimum, witness, nodes explored) of the invariant generating
     subsets of the zero-sum lattice mod q, by exhausting all cheaper orbit
     unions.

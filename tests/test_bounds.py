@@ -25,7 +25,7 @@ from essdim.lattice import (LatticeSpec, WeightSet, basis_coordinates, echelon_m
                             spans, standard_weight)
 from essdim.permgroup import Perm, act, orbit, sylow_subgroup
 from oracles import (branch_and_bound_min, fiber_check, group_elements, nakayama_filter,
-                     orbit_spans_mod_p, sigma_map)
+                     orbit_spans_mod_p, reduce_mod, sigma_map)
 
 
 def random_mod_weight(rng, n, q):
@@ -102,7 +102,7 @@ class TestNakayama:
 
     def test_lambda_c_reduction_unchanged(self):
         from essdim.constructions import lambda_c
-        lam = lambda_c(2, 2).torus_weights.reduce(4)
+        lam = reduce_mod(lambda_c(2, 2).torus_weights, 4)
         assert nakayama_filter(lam, 2) == lam
 
     def test_non_generating_rejected(self):
@@ -130,7 +130,7 @@ class TestNakayama:
 class TestFiberCheck:
     def test_lambda_c_reduced(self):
         from essdim.constructions import lambda_c
-        lam = lambda_c(2, 2).torus_weights.reduce(4)
+        lam = reduce_mod(lambda_c(2, 2).torus_weights, 4)
         report = fiber_check(lam, 2)
         assert report["minimum_count"] == 4
         assert not report["violation"]
@@ -335,6 +335,11 @@ class TestOrbitRepresentatives:
         group = sylow_subgroup(n, p)
         assert list(orbit_representatives(group, q)) == listed
         assert count_orbits(group, q) == len(listed)
+
+    def test_count_orbits_mod_two_to_the_twenty(self):
+        # S_2 swaps (a, -a) and (-a, a): q/2 - 1 pairs plus the fixed
+        # (2^19, 2^19), the zero weight left out
+        assert count_orbits(sylow_subgroup(2, 2), 2 ** 20) == 524288
 
     def test_first_orbits_without_listing_the_points(self):
         # the level-0 forms were listed and indexed first, q of each: at

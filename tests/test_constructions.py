@@ -11,13 +11,14 @@ from essdim.constructions import (
     lambda_c,
     lambda_d,
     permute_coefficients,
-    phi_image,
+    witness_size,
 )
-from essdim.edcalc import detect_case
-from essdim.lattice import LatticeSpec, spans, standard_weight
+from essdim.bounds import predicted_bound
+from essdim.edcalc import detect_case, ed_value
+from essdim.lattice import MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, spans, standard_weight
 from essdim.permgroup import (act, center_order_p_elements, orbit, p_adic_digits,
                               sylow_subgroup)
-from oracles import closed_lambda_d
+from oracles import closed_lambda_d, phi_image
 
 
 def assert_invariant(weights, group):
@@ -52,6 +53,16 @@ class TestCaseA:
     def test_spans(self):
         assert spans(lambda_a(5, 2).torus_weights)
 
+    def test_listed_in_canonical_order(self):
+        # the fan is listed, not sorted: it must be the sorted set of its weights
+        for n in range(1, 200):
+            for p in (2, 3, 5, 7):
+                if n % p:
+                    spec = LatticeSpec(n)
+                    weights = lambda_a(n, p).torus_weights
+                    assert weights == WeightSet.of(
+                        [standard_weight(1, i, spec) for i in range(2, n + 1)], spec)
+
 
 class TestCaseB:
     @pytest.mark.parametrize("p,size,total", [(2, 2, 3), (3, 3, 4), (5, 5, 6)])
@@ -63,6 +74,13 @@ class TestCaseB:
     def test_p2_degenerate_pair(self):
         ws = lambda_b(2).torus_weights
         assert ws.to_json() == [[-1, 1], [1, -1]]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_listed_in_canonical_order(self, p):
+        # the chain is listed, not sorted: it must be the sorted set of its weights
+        spec = LatticeSpec(p)
+        chain = [standard_weight(i, i % p + 1, spec) for i in range(1, p + 1)]
+        assert lambda_b(p).torus_weights == WeightSet.of(chain, spec)
 
     def test_cycle_orbit_structure(self):
         plan = lambda_b(3)
@@ -130,6 +148,38 @@ class TestCaseD:
             plan = lambda_d(n, p)
             assert_invariant(plan.torus_weights, sylow_subgroup(n, p))
             assert spans(plan.torus_weights)
+
+
+class TestWitnessSize:
+    """witness_size is the one formula for |Lambda|; the paper's closed forms
+    are written out again here, apart from it."""
+
+    @staticmethod
+    def paper_size(n, p):
+        pe = 1
+        while n % (pe * p) == 0:
+            pe *= p
+        if n % p:
+            return n - 1  # the fan a[1,i]
+        if n == pe:
+            return n * n // p  # p^(2r-1); p at r = 1, the chain of case (b)
+        return pe * (n - pe)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_built_bound_and_value(self, p):
+        for n in range(1, 131):
+            size = witness_size(n, p)
+            assert size == self.paper_size(n, p)
+            assert size == predicted_bound(n, p, p)["bound"]
+            if size * n > MAX_WITNESS_ENTRIES:
+                continue
+            case = detect_case(n, p)
+            assert len(build_plan(case, n, p).torus_weights) == size
+            report = ed_value(n, p)
+            if case in ("c", "d"):
+                # ed = |Lambda| - (n - 1) in the two cases without extra summands
+                assert report.value == size - n + 1
+            assert report.consistency
 
 
 # every (p, r) whose case (c) witness set, p^(2r-1) weights of length p^r,

@@ -18,7 +18,6 @@ from essdim.lattice import (
     basis_coordinates,
     coordinate_matrix,
     echelon_mod_p,
-    kernel_basis,
     kernel_generators_mod,
     prime_power_root,
     rank_mod_p,
@@ -28,7 +27,8 @@ from essdim.lattice import (
     vp,
 )
 import oracles
-from oracles import dense_smith_normal_form, identity, in_p_multiple, matmul
+from oracles import (dense_smith_normal_form, diagonal, diagonal_matrix, identity, in_p_multiple,
+                     matmul, reduce_mod)
 
 
 def chain_basis(spec):
@@ -43,21 +43,22 @@ def from_columns(columns):
 
 
 def smith_against_dense(m):
-    """smith_normal_form(m), which must equal the whole-row oracle's diag
-    and right; the oracle's left must then bring m * right to diag, and the
-    columns of right past the rank must be kernel vectors of m.  Returns
-    (diag, oracle left, right)."""
+    """smith_normal_form(m), which must equal the whole-row oracle's
+    diagonal and right; the oracle's left must then bring m * right to the
+    diagonal matrix of d, and the columns of right past the rank must be
+    kernel vectors of m.  Returns (d, oracle left, right)."""
     d, right = smith_normal_form(m)
     od, left, oright = dense_smith_normal_form(m)
-    assert (d, right) == (od, oright)
-    assert matmul(matmul(left, m), from_columns(right)).entries == d.entries
+    assert (d, right) == (diagonal(od), oright)
+    assert (matmul(matmul(left, m), from_columns(right)).entries
+            == diagonal_matrix(d, m.rows, m.cols).entries)
     assert_kernel_columns(m, d, right)
     return d, left, right
 
 
 def assert_kernel_columns(m, d, right):
     """m * right[rank:] == 0, over right's sparse columns."""
-    rank = sum(1 for x in d.diagonal() if x)
+    rank = sum(1 for x in d if x)
     for col in right[rank:]:
         assert not any(sum(row[k] * c for k, c in col.items()) for row in m.entries)
 
@@ -125,15 +126,15 @@ class TestBasisCoordinates:
 class TestSmithNormalForm:
     def test_identity(self):
         d, _ = smith_normal_form(identity(2))
-        assert d.diagonal() == (1, 1)
+        assert d == (1, 1)
 
     def test_two_three(self):
         d, _, _ = smith_against_dense(IntegerMatrix.of([[2, 0], [0, 3]]))
-        assert d.diagonal() == (1, 6)
+        assert d == (1, 6)
 
     def test_zero_matrix(self):
         d, _ = smith_normal_form(IntegerMatrix.of([[0, 0, 0], [0, 0, 0]]))
-        assert d.diagonal() == (0, 0)
+        assert d == (0, 0)
 
     def test_random_roundtrip_and_divisibility(self):
         rng = random.Random(20240817)
@@ -142,17 +143,18 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 6)
             m = IntegerMatrix.of(
                 [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-            d, _, _ = smith_against_dense(m)
-            diag = [x for x in d.diagonal()]
-            assert all(x >= 0 for x in diag)
-            nz = [x for x in diag if x]
+            d, left, right = smith_against_dense(m)
+            assert len(d) == min(m.rows, m.cols)
+            assert all(x >= 0 for x in d)
+            nz = [x for x in d if x]
             for a, b in zip(nz, nz[1:]):
                 assert b % a == 0
-            # off-diagonal of the normal form is zero
-            for i in range(d.rows):
-                for j in range(d.cols):
+            # off-diagonal of the normal form left * m * right is zero
+            normal = matmul(matmul(left, m), from_columns(right))
+            for i in range(normal.rows):
+                for j in range(normal.cols):
                     if i != j:
-                        assert d.entries[i][j] == 0
+                        assert normal.entries[i][j] == 0
 
     def test_right_columns_hold_no_zeros(self):
         # the first matrix reaches a column update with factor 0 (a smaller
@@ -186,7 +188,7 @@ class TestSmithNormalFormOracle:
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
         d, left, right = smith_against_dense(m)
         ref = sympy_snf(sympy.Matrix([list(r) for r in m.entries]), domain=sympy.ZZ)
-        assert d.diagonal() == tuple(abs(ref[i, i]) for i in range(min(m.rows, m.cols)))
+        assert d == tuple(abs(ref[i, i]) for i in range(min(m.rows, m.cols)))
         for t in (left, from_columns(right)):
             assert abs(sympy.Matrix([list(r) for r in t.entries]).det()) == 1
 
@@ -224,7 +226,7 @@ class TestSparseMatchesDense:
     def check(m):
         d, right = smith_normal_form(m)
         od, _, oright = dense_smith_normal_form(m)
-        assert (d, right) == (od, oright)
+        assert (d, right) == (diagonal(od), oright)
         assert_kernel_columns(m, d, right)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -235,7 +237,7 @@ class TestSparseMatchesDense:
                 lam = build_plan(case, n, p).torus_weights
                 for q in (0, p, p * p):
                     if (n, p, q) not in SNF_BLOWUP:
-                        self.check(coordinate_matrix(lam.reduce(q) if q else lam))
+                        self.check(coordinate_matrix(reduce_mod(lam, q) if q else lam))
 
     def test_search_min_witnesses(self):
         for command, params in CLAIMS:
@@ -284,7 +286,7 @@ class TestSpans:
                     lam.append(standard_weight(i, j, spec))
                 ws = WeightSet.of(lam, spec)
                 assert spans(ws)
-                assert spans(ws.reduce(q))
+                assert spans(reduce_mod(ws, q))
 
 
     def test_rank_mod_p_against_smith_normal_form(self):
@@ -304,7 +306,7 @@ class TestSpans:
                 assert row[col] == 1
                 assert all(row[other] == 0 for other in basis if other != col)
             diag, _ = smith_normal_form(coordinate_matrix(ws))
-            assert len(basis) == sum(1 for d in diag.diagonal() if d % p)
+            assert len(basis) == sum(1 for d in diag if d % p)
             assert rank_mod_p(ws, p, n - 1) == len(basis)
             assert (len(basis) == n - 1) == spans(ws)
 
@@ -342,7 +344,7 @@ class TestPackedEchelon:
 class TestKernelBasis:
     def test_opposite_pair(self):
         spec = LatticeSpec(2)
-        kb = kernel_basis(WeightSet.of(
+        kb = kernel_generators_mod(WeightSet.of(
             [standard_weight(1, 2, spec), standard_weight(2, 1, spec)], spec))
         assert len(kb) == 1
         # relation between the two elements, up to sign
@@ -356,7 +358,7 @@ class TestKernelBasis:
             standard_weight(2, 3, spec),
             standard_weight(3, 1, spec),
         ], spec)
-        kb = kernel_basis(lam)
+        kb = kernel_generators_mod(lam)
         assert len(kb) == 1
         v = densify(kb[0], 3)
         assert all(abs(c) == 1 for c in v) and len(set(v)) == 1
@@ -372,7 +374,7 @@ class TestKernelBasis:
                 lam.append(standard_weight(i, j, spec))
             ws = WeightSet.of(lam, spec)
             assert spans(ws)
-            assert len(kernel_basis(ws)) == len(ws) - (n - 1)
+            assert len(kernel_generators_mod(ws)) == len(ws) - (n - 1)
 
     def test_spans_iff_kernel_size(self):
         rng = random.Random(5)
@@ -384,13 +386,13 @@ class TestKernelBasis:
                 i, j = rng.sample(range(1, n + 1), 2)
                 lam.add(standard_weight(i, j, spec))
             ws = WeightSet.of(lam, spec)
-            assert spans(ws) == (len(kernel_basis(ws)) == len(ws) - (n - 1))
+            assert spans(ws) == (len(kernel_generators_mod(ws)) == len(ws) - (n - 1))
 
     def test_kernel_vectors_map_to_zero(self):
         spec = LatticeSpec(4)
         lam = WeightSet.of(chain_basis(spec) + [standard_weight(1, 4, spec),
                                                 standard_weight(3, 1, spec)], spec)
-        for v in kernel_basis(lam):
+        for v in kernel_generators_mod(lam):
             total = [0] * 4
             for c, w in zip(densify(v, len(lam)), lam.elements):
                 total = [t + c * e for t, e in zip(total, w)]
@@ -413,7 +415,7 @@ class TestKernelPinned:
     @pytest.mark.parametrize("case,n,p,size,digest", DIGESTS)
     def test_witness_kernel_digest(self, case, n, p, size, digest):
         lam = build_plan(case, n, p).torus_weights
-        kb = [list(densify(v, len(lam))) for v in kernel_basis(lam)]
+        kb = [list(densify(v, len(lam))) for v in kernel_generators_mod(lam)]
         assert len(kb) == size
         text = json.dumps(kb, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -438,12 +440,12 @@ class TestKernelPinned:
             (0, 1, 0, 0, 0, 0, 0, -1, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0),
             (0, 1, 0, 0, 0, 0, 0, 0, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1),
         )
-        assert tuple(densify(v, 27) for v in kernel_basis(lam)) == expected
+        assert tuple(densify(v, 27) for v in kernel_generators_mod(lam)) == expected
 
     def test_generators_mod_q(self):
         # a reduced case (c) set and a non-spanning set over Z/9
         cases = [
-            (build_plan("c", 4, 2).torus_weights.reduce(4),
+            (reduce_mod(build_plan("c", 4, 2).torus_weights, 4),
              [(0, -3, 0, 1, -24, 0, 0, 8), (1, -1, 0, 0, -9, 0, 0, 3),
               (0, 0, 0, 0, 8, 1, 0, -3), (0, 0, 0, 0, -3, 0, 1, 0),
               (0, -3, 1, 0, -27, 0, 0, 9), (0, 4, 0, 0, 32, 0, 0, -12),

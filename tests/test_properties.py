@@ -11,7 +11,6 @@ from hypothesis import given, reject, settings, strategies as st
 
 from essdim.bounds import (BudgetExhausted, _nonzero_orbits, count_orbits,
                            min_invariant_generating_size, orbit_representatives)
-from essdim.constructions import phi_image
 from essdim.lattice import (
     IntegerMatrix,
     LatticeSpec,
@@ -20,7 +19,8 @@ from essdim.lattice import (
     smith_normal_form,
 )
 from essdim.permgroup import act, orbit, orbit_size, sylow_subgroup
-from oracles import branch_and_bound_min, dense_smith_normal_form, group_elements, matmul
+from oracles import (branch_and_bound_min, dense_smith_normal_form, diagonal, diagonal_matrix,
+                     group_elements, matmul, phi_image)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -57,18 +57,19 @@ def test_smith_normal_form_properties(grid):
     # the support-following updates repeat the whole-row SNF's every
     # operation; only the oracle builds the left transform
     od, left, oright = dense_smith_normal_form(m)
-    assert (d, right) == (od, oright)
+    assert (d, right) == (diagonal(od), oright)
     dense_right = IntegerMatrix.of([[col.get(i, 0) for col in right]
                                     for i in range(m.cols)])
-    assert matmul(matmul(left, m), dense_right).entries == d.entries
-    rank = sum(1 for x in d.diagonal() if x)
+    normal = diagonal_matrix(d, m.rows, m.cols)
+    assert matmul(matmul(left, m), dense_right).entries == normal.entries
+    rank = sum(1 for x in d if x)
     assert all(row[j] == 0 for row in matmul(m, dense_right).entries for j in range(rank, m.cols))
     assert abs(determinant(left.entries)) == 1
     assert abs(determinant(dense_right.entries)) == 1
-    diag = d.diagonal()
-    assert all(x >= 0 for x in diag)
+    assert len(d) == min(m.rows, m.cols)
+    assert all(x >= 0 for x in d)
     # d_i | d_(i+1), with 0 divisible by everything and dividing only 0
-    for x, y in zip(diag, diag[1:]):
+    for x, y in zip(d, d[1:]):
         assert (y == 0) if x == 0 else (y % x == 0)
 
 

@@ -11,6 +11,7 @@ from essdim.edcalc import EdReport
 from essdim.genfree import GenFreeVerdict
 from essdim.lattice import IntegerMatrix, LatticeError, LatticeSpec, WeightSet, standard_weight
 from essdim.permgroup import Perm, PermGroupSpec
+from oracles import spec_prime
 
 
 def _weights():
@@ -89,7 +90,7 @@ def test_lattice_spec_still_validates(args):
 
 def test_lattice_spec_defaults_to_integers():
     assert LatticeSpec(5).modulus == 0
-    assert LatticeSpec(n=5, modulus=25).prime == 5
+    assert spec_prime(LatticeSpec(n=5, modulus=25)) == 5
 
 
 def test_rep_plan_checks_its_total_dimension():
