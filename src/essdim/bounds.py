@@ -30,7 +30,7 @@ from .lattice import (
     standard_weight,
     vp,
 )
-from .constructions import witness_size
+from .constructions import case_of, witness_size
 from .permgroup import PermGroupSpec, act, legendre_exponent, orbit, sylow_subgroup
 
 
@@ -368,9 +368,8 @@ def predicted_bound(n: int, p: int, q: int) -> dict:
     if prime_power_root(p) != p:
         raise BoundsError(f"p={p} is not a prime")
     e_q = vp(q, p)
-    r = vp(n, p)
-    bound = witness_size(n, p)
-    if n == p ** r and r >= 1:
+    bound = witness_size(n, p)  # before case_of: its vp(n, p) refuses n = 0
+    if case_of(n, p) in ("b", "c"):
         source = "p-power bound (minimal invariant generating sets in X_{p^r})"
         within = e_q >= (2 if p == 2 else 1)
         note = "" if within else "outside stated hypothesis: q must be >= p^2 when p = 2"

@@ -29,7 +29,7 @@ from .bounds import (
     verify_lower_bound,
 )
 from .constructions import build_plan, case_c_length, kernel_witness_coefficients, witness_size
-from .edcalc import ed_value
+from .edcalc import ed_table, ed_value
 from .genfree import certify
 from .lattice import LatticeSpec
 from .permgroup import act, orbit as orbit_of, sylow_subgroup
@@ -65,16 +65,16 @@ def _plan_n(args) -> int:
     n = p^r (case c)."""
     if args.case == "c":
         if args.r is None:
-            raise SystemExit("case (c) needs --r")
+            raise ValueError("case (c) needs --r")
         n, rule = case_c_length(args.p, args.r), f"p^r = {args.p}^{args.r}"
     elif args.case == "b":
         n, rule = args.p, f"p = {args.p}"
     elif args.n is None:
-        raise SystemExit(f"case ({args.case}) needs --n")
+        raise ValueError(f"case ({args.case}) needs --n")
     else:
         return args.n
     if args.n is not None and args.n != n:
-        raise SystemExit(f"--n {args.n} disagrees with case ({args.case}), where n = {rule}")
+        raise ValueError(f"--n {args.n} disagrees with case ({args.case}), where n = {rule}")
     return n
 
 
@@ -122,10 +122,10 @@ def cmd_orbit(args) -> int:
 
 def _orbit_budget(args) -> int:
     if not math.isfinite(args.budget):
-        raise SystemExit(
+        raise ValueError(
             f"--budget must be a finite number of orbits examined, got {args.budget}")
     if args.budget < 1:
-        raise SystemExit(f"--budget must be at least 1 orbit examined, got {args.budget:g}")
+        raise ValueError(f"--budget must be at least 1 orbit examined, got {args.budget:g}")
     return int(args.budget)
 
 
@@ -155,24 +155,24 @@ def cmd_search_min(args) -> int:
 def cmd_verify(args) -> int:
     if args.prop is not None:
         if args.prop != "7.2":
-            raise SystemExit(f"unknown proposition {args.prop!r}")
+            raise ValueError(f"unknown proposition {args.prop!r}")
         if args.r is None:
-            raise SystemExit("verifying the p-power bound needs --r")
+            raise ValueError("verifying the p-power bound needs --r")
         if args.r < 1:
-            raise SystemExit(f"verifying the p-power bound needs --r >= 1, got {args.r}")
+            raise ValueError(f"verifying the p-power bound needs --r >= 1, got {args.r}")
         if args.r > 20:  # n - 1 = p^r - 1 > 20, which the search refuses; not built
-            raise SystemExit(f"search space q^(n-1) too large: n = {args.p}^{args.r}")
+            raise ValueError(f"search space q^(n-1) too large: n = {args.p}^{args.r}")
         n = args.p ** args.r
         q = args.q if args.q is not None else (4 if args.p == 2 else args.p)
     elif args.lemma is not None:
         if args.lemma != "8.2":
-            raise SystemExit(f"unknown lemma {args.lemma!r}")
+            raise ValueError(f"unknown lemma {args.lemma!r}")
         if args.n is None:
-            raise SystemExit("verifying the composite-n bound needs --n")
+            raise ValueError("verifying the composite-n bound needs --n")
         n = args.n
         q = args.q if args.q is not None else args.p
     else:
-        raise SystemExit("verify needs --prop or --lemma")
+        raise ValueError("verify needs --prop or --lemma")
     report = verify_lower_bound(n, args.p, q, budget=_orbit_budget(args))
     if args.json:
         emit_json(report)
@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ed(args) -> int:
     if args.table:
-        rows = [ed_value(n, args.p) for n in range(1, args.max_n + 1)]
+        rows = ed_table(args.max_n, args.p)
         if args.json:
             emit_json([r.to_json() for r in rows])
         else:
@@ -196,7 +196,7 @@ def cmd_ed(args) -> int:
                 print(f"| {r.n} | {r.case_tag} | {r.value} |")
         return EXIT_OK
     if args.n is None:
-        raise SystemExit("ed needs --n (or --table)")
+        raise ValueError("ed needs --n (or --table)")
     report = ed_value(args.n, args.p)
     if args.json:
         emit_json(report.to_json())
@@ -232,7 +232,7 @@ CLAIMS = (
 def claim_holds(command: str, params: dict) -> bool:
     """Whether one row of CLAIMS holds."""
     if command == "ed-table":
-        return all(ed_value(n, params["p"]).consistency for n in range(1, params["max_n"] + 1))
+        return all(r.consistency for r in ed_table(params["max_n"], params["p"]))
     if command in ("witness-size-c", "witness-size-d"):
         case, p = command[-1], params["p"]
         n = p ** params["r"] if case == "c" else params["n"]
@@ -253,13 +253,13 @@ def claim_holds(command: str, params: dict) -> bool:
 
 def cmd_reproduce_all(args) -> int:
     if args.profile not in ("quick", "full"):
-        raise SystemExit(f"unknown profile {args.profile!r}")
+        raise ValueError(f"unknown profile {args.profile!r}")
     claims = [(command, params) for command, params in CLAIMS
               if args.profile == "full" or command != "search-min-naive-crosscheck"]
     try:  # before the run, so a bad path costs nothing
         report = open(args.report, "w")
     except OSError as exc:
-        raise SystemExit(f"cannot write the report: {exc}")
+        raise ValueError(f"cannot write the report: {exc}")
     with report:
         manifests = []
         ok = True
@@ -370,11 +370,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

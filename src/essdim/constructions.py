@@ -8,11 +8,11 @@ Case tags: (a) p does not divide n, (b) n = p, (c) n = p^r with r >= 2,
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, NamedTuple, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .lattice import (MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, prime_power_root,
                       standard_weight, vp)
-from .permgroup import act, orbit, p_adic_digits, sylow_subgroup
+from .permgroup import act, orbit, sylow_subgroup
 
 
 class ConstructionError(ValueError):
@@ -57,13 +57,28 @@ class RepPlan(_RepPlanFields):
         }
 
 
+_RULES = {"a": "p not dividing n", "b": "n = p", "c": "n = p^r with r >= 2",
+          "d": "p | n and n not a p-power"}
+
+
+def case_of(n: int, p: int) -> str:
+    """The case tag of (n, p), for n >= 1 and p a prime: the one place the
+    four cases are told apart."""
+    if n % p:
+        return "a"
+    if n == p:
+        return "b"
+    return "c" if n == p ** vp(n, p) else "d"
+
+
 def witness_size(n: int, p: int) -> int:
     """|Lambda| of the plan for (n, p), also the published lower bound on an
-    invariant generating set: p^(2e-1) when n = p^e, e >= 1, and p^e (n - p^e)
-    otherwise, p^e the largest power of p dividing n (n - 1 in case (a))."""
+    invariant generating set: p^(2e-1) in cases (b) and (c), n = p^e, and
+    p^e (n - p^e) otherwise, p^e the largest power of p dividing n (n - 1 in
+    case (a))."""
     e = vp(n, p)
     pe = p ** e
-    return p ** (2 * e - 1) if n == pe and e else pe * (n - pe)
+    return p ** (2 * e - 1) if case_of(n, p) in ("b", "c") else pe * (n - pe)
 
 
 def _too_large(bits: int) -> ConstructionError:
@@ -73,18 +88,42 @@ def _too_large(bits: int) -> ConstructionError:
                              f"more than {MAX_WITNESS_ENTRIES}")
 
 
-def _check_size(n: int, p: int) -> None:
-    """Refuse the witness set of (n, p), witness_size(n, p) weights of
-    length n, if it has more than MAX_WITNESS_ENTRIES entries."""
+def check_plan(case_tag: Optional[str], n: int, p: int) -> str:
+    """Refuse the plan of case_tag for (n, p) before anything is built, in
+    this order: p not a prime; n < 1; (n, p) outside the case; a witness
+    set, witness_size(n, p) weights of length n, of more than
+    MAX_WITNESS_ENTRIES entries.  case_tag None stands for the case of
+    (n, p), which is returned."""
+    if case_tag is not None and case_tag not in _RULES:
+        raise ConstructionError(f"unknown case tag {case_tag!r}")
+    if prime_power_root(p) != p:
+        raise ConstructionError(f"p={p} is not a prime")
+    if n < 1:
+        raise ConstructionError(f"n must be positive, got {n}")
+    case = case_of(n, p)
+    if case_tag not in (None, case):
+        raise ConstructionError(f"case ({case_tag}) needs {_RULES[case_tag]}; got n={n}, p={p}")
+    check_size(n, p)
+    return case
+
+
+def check_size(n: int, p: int) -> None:
+    """check_plan's last rule, for n >= 1 and p a prime: refuse a witness
+    set of more than MAX_WITNESS_ENTRIES entries."""
     entries = witness_size(n, p) * n
     if entries > MAX_WITNESS_ENTRIES:
         raise _too_large(entries.bit_length() - 1)
 
 
 def case_c_length(p: int, r: int) -> int:
-    """n = p^r of case (c), refused before it is built when the witness set,
-    p^(2r-1) weights of length p^r, has at least 2^(3r-1) > MAX_WITNESS_ENTRIES
-    entries (p >= 2)."""
+    """n = p^r of case (c), checked before the power is formed in
+    check_plan's order: p not a prime; r < 2; a witness set, p^(2r-1)
+    weights of length p^r, of at least 2^(3r-1) > MAX_WITNESS_ENTRIES
+    entries."""
+    if prime_power_root(p) != p:
+        raise ConstructionError(f"p={p} is not a prime")
+    if r < 2:
+        raise ConstructionError(f"case (c) needs {_RULES['c']}; got r={r}, p={p}")
     if 3 * r - 1 >= MAX_WITNESS_ENTRIES.bit_length():
         raise _too_large(3 * r - 1)
     return p ** r
@@ -107,11 +146,8 @@ def lambda_a(n: int, p: int) -> RepPlan:
     """Case (a): the fan of weights a[1,i] out of the fixed position 1, plus a
     faithful permutation summand of dimension [n/p].  In canonical order: i
     up."""
-    if n % p == 0:
-        raise ConstructionError(f"case (a) needs p not dividing n; got n={n}, p={p}")
-    spec = LatticeSpec(n)
-    _check_size(n, p)
-    weights = standard_weights(((1, i) for i in range(2, n + 1)), spec)
+    check_plan("a", n, p)
+    weights = standard_weights(((1, i) for i in range(2, n + 1)), LatticeSpec(n))
     m = n // p
     extras = ((m, f"faithful permutation summand of the {p}-cycle normalizer, dim [n/p]"),)
     return RepPlan("a", n, p, weights, extras, (n - 1) + m)
@@ -121,7 +157,7 @@ def lambda_b(p: int) -> RepPlan:
     """Case (b), n = p: the cyclic chain a[1,2], ..., a[p-1,p], a[p,1] plus a
     1-dimensional faithful character of Z/p.  In canonical order: a[p,1],
     then a[i,i+1] for i down."""
-    _check_size(p, p)
+    check_plan("b", p, p)
     pairs = chain([(p, 1)], ((i, i + 1) for i in range(p - 1, 0, -1)))
     weights = standard_weights(pairs, LatticeSpec(p))
     extras = ((1, "faithful character of the cyclic group Z/p"),)
@@ -142,10 +178,8 @@ def lambda_c(p: int, r: int) -> RepPlan:
     are the index of the stabilizer of a[1, m+1] in P_n.  In canonical
     order the a[i,j] with j < i (B_(p-1) x B_0) come first, by j up, then i
     down; then B_t x B_(t+1) for t = p-2, ..., 0, by i down, then j up."""
-    if r < 2:
-        raise ConstructionError("case (c) needs r >= 2")
     n = case_c_length(p, r)
-    _check_size(n, p)
+    check_plan("c", n, p)
     m = n // p
     last = ((i, j) for j in range(1, m + 1) for i in range(n, n - m, -1))
     rest = ((i, j) for t in range(p - 2, -1, -1) for i in range((t + 1) * m, t * m, -1)
@@ -158,13 +192,8 @@ def lambda_d(n: int, p: int) -> RepPlan:
     """Case (d), p | n, n not a p-power: union of the P_n-orbits of a[1, s]
     for s the first position of each block after the first; all a[alpha,beta]
     with alpha in the smallest block and beta outside it."""
-    if n % p != 0:
-        raise ConstructionError("case (d) needs p | n")
-    fixed, digits = p_adic_digits(n, p)
-    if fixed or len(digits) == 1 and digits[0][0] == 1:
-        raise ConstructionError("case (d) needs n divisible by p and not a p-power")
+    check_plan("d", n, p)
     spec = LatticeSpec(n)
-    _check_size(n, p)
     group = sylow_subgroup(n, p)
     accum: set = set()
     for lo, _hi in group.blocks[1:]:
@@ -174,24 +203,14 @@ def lambda_d(n: int, p: int) -> RepPlan:
 
 
 def build_plan(case_tag: str, n: int, p: int) -> RepPlan:
-    """Dispatch to the constructor matching the case tag, validating (n, p);
-    a witness set past MAX_WITNESS_ENTRIES is refused before it is built."""
-    if prime_power_root(p) != p:
-        raise ConstructionError(f"p={p} is not a prime")
+    """Dispatch to the constructor matching the case tag, each of which has
+    check_plan refuse (n, p) before anything is built."""
     if case_tag == "a":
         return lambda_a(n, p)
-    if case_tag == "b":
-        if n != p:
-            raise ConstructionError("case (b) needs n = p")
-        return lambda_b(p)
-    if case_tag == "c":
-        r = vp(n, p)
-        if n != p ** r or r < 2:
-            raise ConstructionError("case (c) needs n = p^r with r >= 2")
-        return lambda_c(p, r)
     if case_tag == "d":
         return lambda_d(n, p)
-    raise ConstructionError(f"unknown case tag {case_tag!r}")
+    check_plan(case_tag, n, p)  # lambda_b and lambda_c are not given n
+    return lambda_b(p) if case_tag == "b" else lambda_c(p, vp(n, p))
 
 
 def kernel_witness(case_tag: str, n: int, p: int) -> Tuple[Tuple[int, ...], RepPlan]:
@@ -219,10 +238,7 @@ def kernel_witness_coefficients(plan: RepPlan) -> Tuple[int, ...]:
             j = ((t + 1) % p) * big + 1
             coeffs[lam.index(standard_weight(i, j, spec))] += 1
     elif case_tag == "d":
-        fixed, digits = p_adic_digits(n, p)
-        if fixed:
-            raise ConstructionError("case (d) witness needs p | n")
-        pe = p ** digits[0][1]
+        pe = p ** vp(n, p)
         terms = [((1, pe + 1), 1), ((1, pe + 2), -1), ((2, pe + 2), 1), ((2, pe + 1), -1)]
         for (i, j), c in terms:
             coeffs[lam.index(standard_weight(i, j, spec))] += c

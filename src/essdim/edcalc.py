@@ -1,5 +1,6 @@
 """Closed-form essential dimension values for the torus-normalizer at p,
-with case detection and witness-dimension cross-checks.
+with witness-dimension cross-checks; the case and the refusals are
+constructions.check_plan's.
 
 Valid over fields of characteristic != p containing a primitive p-th root of
 unity; the reports carry that hypothesis as informational text.
@@ -7,17 +8,16 @@ unity; the reports carry that hypothesis as informational text.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import List, NamedTuple
 
-from .constructions import build_plan, witness_size
-from .lattice import prime_power_root, vp
+from .constructions import ConstructionError, build_plan, check_plan, check_size, witness_size
+from .lattice import vp
 
 
 FIELD_HYPOTHESIS = "char(k) != p and k contains a primitive p-th root of unity"
 
-
-class EdError(ValueError):
-    pass
+# ed_value refuses what check_plan refuses
+EdError = ConstructionError
 
 
 class EdReport(NamedTuple):
@@ -31,24 +31,9 @@ class EdReport(NamedTuple):
     field_hypothesis: str = FIELD_HYPOTHESIS
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "case": self.case_tag,
-            "value": self.value,
-            "p_power": self.p_power,
-            "witness_total_dimension": self.witness_total_dimension,
-            "consistency": self.consistency,
-            "field_hypothesis": self.field_hypothesis,
-        }
-
-
-def detect_case(n: int, p: int) -> str:
-    if n % p != 0:
-        return "a"
-    if n == p:
-        return "b"
-    return "c" if n == p ** vp(n, p) else "d"
+        out = self._asdict()
+        out["case"] = out.pop("case_tag")
+        return out
 
 
 def ed_value(n: int, p: int) -> EdReport:
@@ -64,12 +49,7 @@ def ed_value(n: int, p: int) -> EdReport:
     that form against the orbit closure at every (p, r) the witness-size
     budget admits, and |Lambda_d|, a union of orbit closures, with
     p^e (n - p^e)."""
-    if n < 1:
-        raise EdError("n must be positive")
-    if prime_power_root(p) != p:
-        raise EdError(f"p={p} is not a prime")
-    case = detect_case(n, p)
-    pe = p ** vp(n, p)
+    case = check_plan(None, n, p)
     if case == "a":
         value = n // p
     elif case == "b":
@@ -82,7 +62,20 @@ def ed_value(n: int, p: int) -> EdReport:
         p=p,
         case_tag=case,
         value=value,
-        p_power=pe,
+        p_power=p ** vp(n, p),
         witness_total_dimension=witness_total,
         consistency=witness_total - (n - 1) == value,
     )
+
+
+def ed_table(max_n: int, p: int) -> List[EdReport]:
+    """ed_value at n = 1, ..., max_n.  Row 1 checks p, then every row's
+    witness size is checked before any row is built, so an oversized row is
+    refused at once.  |Lambda| >= n - 1, so the first comes at n <= 4097,
+    where n (n - 1) > MAX_WITNESS_ENTRIES."""
+    ns = range(1, max_n + 1)
+    if ns:
+        check_plan(None, 1, p)
+    for n in ns:
+        check_size(n, p)
+    return [ed_value(n, p) for n in ns]

@@ -19,33 +19,14 @@ class PermError(ValueError):
     pass
 
 
-class Perm:
-    """Permutation of {1..n}; images[i-1] is the image of i.  Immutable and
-    ordered by images; the ``__dict__`` holds only the cached gather."""
+class _PermFields(NamedTuple):
+    images: Tuple[int, ...]
 
-    __slots__ = ("images", "__dict__")
 
-    def __init__(self, images: Tuple[int, ...]) -> None:
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: Perm is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __repr__(self) -> str:
-        return f"Perm(images={self.images!r})"
+class Perm(_PermFields):
+    """Permutation of {1..n}; images[i-1] is the image of i.  A NamedTuple,
+    so immutable and ordered by images; without ``__slots__`` it keeps a
+    ``__dict__``, which holds only the cached gather."""
 
     @classmethod
     def of(cls, images: Sequence[int]) -> "Perm":
@@ -106,9 +87,8 @@ class PermGroupSpec(NamedTuple):
 
 
 def p_adic_digits(n: int, p: int) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """(n mod-p fixed count, ((n_i, e_i), ...)) with e_i >= 1 increasing."""
-    if n < 1:
-        raise PermError(f"n must be positive, got {n}")
+    """(n mod-p fixed count, ((n_i, e_i), ...)) with e_i >= 1 increasing,
+    for n >= 1."""
     digits = []
     e = 0
     fixed = 0

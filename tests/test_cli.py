@@ -307,13 +307,16 @@ class TestUsageErrors:
         (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "-1"), "--budget"),
         (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "0"), "--budget"),
         (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "-1"), "--budget"),
+        (("construct", "--case", "c", "--r", "-1", "--p", "0"), "is not a prime"),
+        (("check-genfree", "--case", "c", "--r", "-1", "--p", "0"), "is not a prime"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # --budget inf raised OverflowError, r = 22 built a 4-million-digit
         # integer, n = 0 or q = 0 looped forever, and so did case (d) with
         # n = -6 in the base-p digits (-1 // p == -1); r = 0 verified n = 1
         # against the bound 0; case (b) and (c) ignored an inconsistent --n;
-        # --budget 0 and -1 reported an exhausted budget (exit 4)
+        # --budget 0 and -1 reported an exhausted budget (exit 4); case (c)
+        # with --r -1 --p 0 raised ZeroDivisionError from 0 ** -1
         done = run_subprocess(argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr
@@ -357,6 +360,21 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and len(err) < 200
+
+    @pytest.mark.parametrize("argv,bits", [
+        (("ed", "--table", "--max-n", "512", "--p", "2"), 26),  # row 512, case (c)
+        (("ed", "--table", "--max-n", "5000", "--p", "101"), 24),  # row 505, case (d)
+        (("ed", "--table", "--max-n", "5000", "--p", "2305843009213693951"), 24),  # row 4097
+    ])
+    def test_oversized_table_row_refused_before_any_row(self, capsys, argv, bits):
+        # every row before the oversized one was built first: 93.6 s at
+        # --p 2 and 4.8 s at --p 101, with nothing printed
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: witness set too large: at least 2^{bits} entries, "
+                       f"more than 16777216\n")
 
     @pytest.mark.parametrize("argv,message", [
         (("ed", "--n", "12", "--p", "1000000000000000000000000000057"),
@@ -430,6 +448,29 @@ class TestUsageErrors:
             proc.stdout.close()
             assert proc.wait(timeout=60) == 1
             assert proc.stderr.read() == b""
+
+    def test_refusal_grid(self, capsys):
+        # every command over small, zero, negative and non-prime parameters:
+        # each call ends in an exit code of the contract, never an exception,
+        # and a refusal is one error line with nothing on stdout
+        ns, ps, rs = (-6, 0, 1, 2, 3, 4, 6, 9), (-2, 0, 1, 2, 3, 4), (-1, 0, 1, 2)
+        argvs = []
+        for p in map(str, ps):
+            for cmd in ("construct", "check-genfree"):
+                argvs.append((cmd, "--case", "b", "--p", p))
+                argvs += [(cmd, "--case", "c", "--r", str(r), "--p", p) for r in rs]
+                argvs += [(cmd, "--case", case, "--n", str(n), "--p", p)
+                          for case in "ad" for n in ns]
+            argvs += [("verify", "--prop", "7.2", "--p", p, "--r", str(r)) for r in rs]
+            for n in map(str, ns):
+                argvs += [("ed", "--n", n, "--p", p), ("ed", "--table", "--max-n", n, "--p", p),
+                          ("verify", "--lemma", "8.2", "--n", n, "--p", p),
+                          ("search-min", "--n", n, "--p", p, "--q", p)]
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 2, 3, 4), argv
+            if code in (2, 4):
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "9")

@@ -5,6 +5,7 @@ from essdim.constructions import (
     ConstructionError,
     build_plan,
     case_c_length,
+    case_of,
     kernel_witness,
     lambda_a,
     lambda_b,
@@ -14,7 +15,7 @@ from essdim.constructions import (
     witness_size,
 )
 from essdim.bounds import predicted_bound
-from essdim.edcalc import detect_case, ed_value
+from essdim.edcalc import ed_value
 from essdim.lattice import MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, spans, standard_weight
 from essdim.permgroup import (act, center_order_p_elements, orbit, p_adic_digits,
                               sylow_subgroup)
@@ -173,7 +174,7 @@ class TestWitnessSize:
             assert size == predicted_bound(n, p, p)["bound"]
             if size * n > MAX_WITNESS_ENTRIES:
                 continue
-            case = detect_case(n, p)
+            case = case_of(n, p)
             assert len(build_plan(case, n, p).torus_weights) == size
             report = ed_value(n, p)
             if case in ("c", "d"):
@@ -218,7 +219,7 @@ class TestClosedFormOrbits:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_lambda_d(self, p):
         for n in range(2 * p, 101):
-            if detect_case(n, p) == "d":
+            if case_of(n, p) == "d":
                 assert lambda_d(n, p).torus_weights == closed_lambda_d(n, p), n
 
 
@@ -298,3 +299,70 @@ def test_build_plan_dispatch():
     assert build_plan("d", 6, 2).case_tag == "d"
     with pytest.raises(ConstructionError):
         build_plan("c", 6, 2)
+
+
+class TestCaseRule:
+    """case_of is the one four-case classifier, and check_plan refuses in a
+    fixed order: p not a prime, then n < 1 (r < 2 in case (c)), then the
+    case, then the witness size."""
+
+    @staticmethod
+    def paper_case(n, p):
+        # the paper's definitions, by n mod p, n = p and the base-p digits
+        digits = []
+        m = n
+        while m:
+            digits.append(m % p)
+            m //= p
+        if n % p != 0:
+            return "a"
+        if n == p:
+            return "b"
+        if digits[-1] == 1 and not any(digits[:-1]):  # n = p^r, r >= 2
+            return "c"
+        return "d"
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_case_of_matches_the_paper(self, p):
+        for n in range(1, 301):
+            assert case_of(n, p) == self.paper_case(n, p), n
+
+    RULES = {"a": "p not dividing n", "b": "n = p", "c": "n = p^r with r >= 2",
+             "d": "p | n and n not a p-power"}
+
+    @pytest.mark.parametrize("n,p", [(1, 2), (5, 2), (2, 2), (8, 2), (12, 2), (7, 3), (3, 3),
+                                     (9, 3), (6, 3), (25, 5), (10, 5)])
+    def test_build_plan_refuses_each_wrong_tag(self, n, p):
+        for tag, rule in self.RULES.items():
+            if tag == case_of(n, p):
+                assert build_plan(tag, n, p).case_tag == tag
+                continue
+            with pytest.raises(ConstructionError) as excinfo:
+                build_plan(tag, n, p)
+            assert str(excinfo.value) == f"case ({tag}) needs {rule}; got n={n}, p={p}"
+
+    @pytest.mark.parametrize("case,n,p,message", [
+        ("c", 0, 4, "p=4 is not a prime"),
+        ("a", -6, 1, "p=1 is not a prime"),
+        ("c", 0, 2, "n must be positive, got 0"),
+        ("a", -6, 5, "n must be positive, got -6"),
+        ("d", 1, 2, "case (d) needs p | n and n not a p-power; got n=1, p=2"),
+        ("b", 1024, 2, "case (b) needs n = p; got n=1024, p=2"),
+        ("c", 1024, 2, "witness set too large"),
+    ])
+    def test_refusal_order(self, case, n, p, message):
+        with pytest.raises(ConstructionError) as excinfo:
+            build_plan(case, n, p)
+        assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize("p,r,message", [
+        (0, -1, "p=0 is not a prime"),
+        (4, 10 ** 9, "p=4 is not a prime"),
+        (2, -1, "case (c) needs n = p^r with r >= 2; got r=-1, p=2"),
+        (3, 1, "case (c) needs n = p^r with r >= 2; got r=1, p=3"),
+        (2, 10 ** 9, "witness set too large"),
+    ])
+    def test_case_c_length_refusal_order(self, p, r, message):
+        with pytest.raises(ConstructionError) as excinfo:
+            case_c_length(p, r)
+        assert str(excinfo.value).startswith(message)

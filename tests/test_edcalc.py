@@ -1,6 +1,7 @@
 import pytest
 
-from essdim.edcalc import EdError, detect_case, ed_value
+from essdim.constructions import case_of
+from essdim.edcalc import EdError, ed_value
 from oracles import pgl_upper_bound
 
 
@@ -23,7 +24,7 @@ class TestCaseDetection:
     def test_exactly_one_case(self):
         for p in (2, 3, 5):
             for n in range(1, 65):
-                case = detect_case(n, p)
+                case = case_of(n, p)
                 assert case in "abcd"
                 if case == "a":
                     assert n % p != 0

@@ -8,8 +8,7 @@ import pytest
 from essdim import lattice
 from essdim.bounds import min_invariant_generating_size
 from essdim.cli import CLAIMS
-from essdim.constructions import build_plan
-from essdim.edcalc import detect_case
+from essdim.constructions import build_plan, case_of
 from essdim.lattice import (
     IntegerMatrix,
     LatticeError,
@@ -232,7 +231,7 @@ class TestSparseMatchesDense:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_witness_coordinate_matrices(self, p):
         for n in range(2 * p, 65):
-            case = detect_case(n, p)
+            case = case_of(n, p)
             if case in ("c", "d"):
                 lam = build_plan(case, n, p).torus_weights
                 for q in (0, p, p * p):
