@@ -69,13 +69,12 @@ def ed_value(n: int, p: int) -> EdReport:
 
 
 def ed_table(max_n: int, p: int) -> List[EdReport]:
-    """ed_value at n = 1, ..., max_n.  Row 1 checks p, then every row's
-    witness size is checked before any row is built, so an oversized row is
-    refused at once.  |Lambda| >= n - 1, so the first comes at n <= 4097,
-    where n (n - 1) > MAX_WITNESS_ENTRIES."""
+    """ed_value at n = 1, ..., max_n.  p is checked as ed_value checks it,
+    even with no rows, then every row's witness size before any row is
+    built, so an oversized row is refused at once.  |Lambda| >= n - 1, so the
+    first comes at n <= 4097, where n (n - 1) > MAX_WITNESS_ENTRIES."""
+    check_plan(None, 1, p)
     ns = range(1, max_n + 1)
-    if ns:
-        check_plan(None, 1, p)
     for n in ns:
         check_size(n, p)
     return [ed_value(n, p) for n in ns]

@@ -109,26 +109,23 @@ def check_lemma32(plan: RepPlan) -> GenFreeVerdict:
     if plan.case_tag == "a":
         m = plan.extra_summands[0][0]
         if m == 0:
-            extra_ok = True
             detail = "extra summand for a trivial group; faithful vacuously"
         else:
             # Lemma 3.4 for the m unit vectors of (Z/p)^m under S_m: they
             # span, Ker(phi) = p*Z^m, and S_m permutes the p*e_i faithfully
-            extra_ok = True
             detail = (
                 f"dual-basis weights over (Z/{plan.p})^{m} with S_{m}: "
                 "spans=True, kernel_faithful=True")
     elif plan.case_tag == "b":
         # an order-p character is injective on Z/p
-        extra_ok = True
         detail = "order-p character is injective on the cyclic group Z/p"
     else:
         raise GenFreeError(f"no combination-rule recipe for case {plan.case_tag!r}")
     return GenFreeVerdict(
         spans_ok=spans_ok,
-        kernel_faithful=extra_ok,
+        kernel_faithful=True,
         method="combination-rule",
-        overall=spans_ok and extra_ok,
+        overall=spans_ok,
         detail=detail,
     )
 

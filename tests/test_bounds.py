@@ -372,6 +372,23 @@ class TestVerify:
         assert report["bound"] == 8
         assert report["tight"]
 
+    def test_whole_search_domain_for_small_p(self):
+        # every (n, p, q) the q^(n-1) <= 2^20 cap admits for p <= 7, with
+        # q <= 2^20 also at n = 1: 184 points, 78 of them inside the
+        # hypothesis, where Prop 7.2 or Lemma 8.2 must hold with equality
+        points = [(n, p, p ** e) for p in (2, 3, 5, 7)
+                  for e in range(1, 21) if p ** e <= 2 ** 20
+                  for n in range(1, 22) if p ** (e * (n - 1)) <= 2 ** 20]
+        assert len(points) == 184
+        inside = 0
+        for n, p, q in points:
+            report = verify_lower_bound(n, p, q)
+            assert report["nodes_explored"] <= report["orbit_count"] <= q ** (n - 1) - 1
+            if report["within_hypothesis"]:
+                inside += 1
+                assert report["holds"] and report["tight"], (n, p, q)
+        assert inside == 78
+
     def test_outside_hypothesis_labeled(self):
         report = verify_lower_bound(2, 2, 2)
         assert not report["within_hypothesis"]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from essdim import permgroup
+from essdim import bounds, permgroup
 from essdim.cli import main
 
 
@@ -204,6 +204,32 @@ class TestVerify:
         assert code == 3
         assert json.loads(out)["holds"] is False
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--json"),
+        ("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--json"),
+    ])
+    def test_counterexample_within_hypothesis_reported(self, capsys, monkeypatch, argv):
+        # a search whose minimum falls one below the bound: inside the
+        # hypothesis this raised BoundsError, so a counterexample to the paper
+        # exited 2 as a usage error with nothing on stdout
+        search = bounds.min_invariant_generating_size
+        found = []
+
+        def lowered(*args, **kwargs):
+            result = search(*args, **kwargs)
+            found.append(result)
+            return result._replace(minimum=result.minimum - 1)
+
+        monkeypatch.setattr(bounds, "min_invariant_generating_size", lowered)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (3, "")
+        report = json.loads(out)
+        assert report["holds"] is False and report["within_hypothesis"] is True
+        assert report["minimum"] == report["bound"] - 1 and report["tight"] is False
+        assert report["witness"] == found[0].witness.to_json()
+        if argv[1] == "--lemma":
+            assert bounds.verify_lower_bound(6, 2, 2) == report
+
 
 class TestEd:
     def test_single_value(self, capsys):
@@ -309,6 +335,8 @@ class TestUsageErrors:
         (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "-1"), "--budget"),
         (("construct", "--case", "c", "--r", "-1", "--p", "0"), "is not a prime"),
         (("check-genfree", "--case", "c", "--r", "-1", "--p", "0"), "is not a prime"),
+        (("ed", "--table", "--max-n", "0", "--p", "4"), "is not a prime"),
+        (("ed", "--table", "--max-n", "-3", "--p", "9"), "is not a prime"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # --budget inf raised OverflowError, r = 22 built a 4-million-digit
@@ -316,7 +344,8 @@ class TestUsageErrors:
         # n = -6 in the base-p digits (-1 // p == -1); r = 0 verified n = 1
         # against the bound 0; case (b) and (c) ignored an inconsistent --n;
         # --budget 0 and -1 reported an exhausted budget (exit 4); case (c)
-        # with --r -1 --p 0 raised ZeroDivisionError from 0 ** -1
+        # with --r -1 --p 0 raised ZeroDivisionError from 0 ** -1; a table
+        # with no rows printed nothing and exited 0 for a non-prime p
         done = run_subprocess(argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr

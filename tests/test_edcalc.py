@@ -1,7 +1,7 @@
 import pytest
 
 from essdim.constructions import case_of
-from essdim.edcalc import EdError, ed_value
+from essdim.edcalc import EdError, ed_table, ed_value
 from oracles import pgl_upper_bound
 
 
@@ -75,6 +75,13 @@ class TestEdValue:
     def test_rejects_nonpositive(self):
         with pytest.raises(EdError):
             ed_value(0, 2)
+
+    def test_table_checks_p_with_no_rows(self):
+        # a table with no rows took any p; it is refused as ed_value refuses it
+        assert ed_table(0, 2) == [] and ed_table(-3, 3) == []
+        for max_n, p in [(0, 4), (-3, 9), (0, 0)]:
+            with pytest.raises(EdError, match="is not a prime"):
+                ed_table(max_n, p)
 
 
 class TestPglUpperBound:
