@@ -257,6 +257,20 @@ def coinvariant_radical(group: PermGroupSpec) -> Dict[int, Tuple[int, ...]]:
         group.p, spec.rank)
 
 
+def check_search(n: int, p: int, q: int) -> None:
+    """Refuse a search before anything is built, in this order: p not a
+    prime; n < 1; q not a power of p; a search space q^(n-1) above 2^20."""
+    if prime_power_root(p) != p:
+        raise BoundsError(f"p={p} is not a prime")
+    if n < 1:
+        raise BoundsError(f"n must be positive, got {n}")
+    if prime_power_root(q) != p:
+        raise BoundsError(f"q={q} is not a power of p={p}")
+    # q >= 2, so n - 1 > 20 alone means too large; test it before the power
+    if n - 1 > 20 or q ** (n - 1) > 2 ** 20:
+        raise BoundsError(f"search space q^(n-1) = {q}^{n - 1} too large")
+
+
 def min_invariant_generating_size(
     n: int,
     p: int,
@@ -281,13 +295,7 @@ def min_invariant_generating_size(
     orbits examined.  The witness is certified once over Z by the Smith
     normal form span test.
     """
-    if prime_power_root(p) != p:
-        raise BoundsError(f"p={p} is not a prime")
-    if prime_power_root(q) != p:
-        raise BoundsError(f"q={q} is not a power of p={p}")
-    # q >= 2, so n - 1 > 20 alone means too large; test it before the power
-    if n - 1 > 20 or q ** (n - 1) > 2 ** 20:
-        raise BoundsError(f"search space q^(n-1) = {q}^{n - 1} too large")
+    check_search(n, p, q)
     start = time.perf_counter()
     spec = LatticeSpec(n, q)
     group = sylow_subgroup(n, p)
@@ -381,9 +389,9 @@ def predicted_bound(n: int, p: int, q: int) -> dict:
 
 
 def verify_lower_bound(n: int, p: int, q: int, budget: int = DEFAULT_BUDGET) -> dict:
-    """Run the exact search; holds is False below the bound, in hypothesis or out."""
-    info = predicted_bound(n, p, q)
+    """Run the exact search, then read the bound; holds is False below it, in hypothesis or out."""
     result = min_invariant_generating_size(n, p, q, budget=budget)
+    info = predicted_bound(n, p, q)
     report = {
         "n": n,
         "p": p,

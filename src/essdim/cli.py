@@ -23,12 +23,14 @@ from . import __version__
 from .bounds import (
     DEFAULT_BUDGET,
     BudgetExhausted,
+    check_search,
     min_invariant_generating_size,
     naive_min_invariant_generating_size,
     predicted_bound,
     verify_lower_bound,
 )
-from .constructions import build_plan, case_c_length, kernel_witness_coefficients, witness_size
+from .constructions import (build_plan, case_c_length, check_plan, kernel_witness_coefficients,
+                            witness_size)
 from .edcalc import ed_table, ed_value
 from .genfree import certify
 from .lattice import LatticeSpec
@@ -97,6 +99,7 @@ def cmd_check_genfree(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    check_plan(None, 1, args.p)  # p first; the group is built once the weight is read
     spec = LatticeSpec(args.n, args.q)
     entries = [int(t) for t in args.weight.replace(",", " ").split()]
     w = spec.weight(entries)
@@ -158,12 +161,13 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown proposition {args.prop!r}")
         if args.r is None:
             raise ValueError("verifying the p-power bound needs --r")
+        q = args.q if args.q is not None else (4 if args.p == 2 else args.p)
+        check_search(1, args.p, q)  # p and q, before p^r is formed
         if args.r < 1:
             raise ValueError(f"verifying the p-power bound needs --r >= 1, got {args.r}")
-        if args.r > 20:  # n - 1 = p^r - 1 > 20, which the search refuses; not built
-            raise ValueError(f"search space q^(n-1) too large: n = {args.p}^{args.r}")
+        if args.r > 20:  # n - 1 = p^r - 1 > 20, which check_search refuses; not built
+            raise ValueError(f"search space q^(n-1) = {q}^({args.p}^{args.r} - 1) too large")
         n = args.p ** args.r
-        q = args.q if args.q is not None else (4 if args.p == 2 else args.p)
     elif args.lemma is not None:
         if args.lemma != "8.2":
             raise ValueError(f"unknown lemma {args.lemma!r}")

@@ -19,32 +19,20 @@ class ConstructionError(ValueError):
     pass
 
 
-class _RepPlanFields(NamedTuple):
+class RepPlan(NamedTuple):
+    """A representation plan: torus weights plus opaque extra summands;
+    total_dimension - (n - 1) is the essential dimension value it
+    witnesses, which edcalc cross-checks."""
+
     case_tag: str
     n: int
     p: int
     torus_weights: WeightSet
     extra_summands: Tuple[Tuple[int, str], ...]
-    total_dimension: int
 
-
-class RepPlan(_RepPlanFields):
-    """A representation plan: torus weights plus opaque extra summands.
-
-    total_dimension - (n - 1) is the essential dimension value the plan
-    witnesses; edcalc cross-checks this.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, case_tag: str, n: int, p: int, torus_weights: WeightSet,
-                extra_summands: Tuple[Tuple[int, str], ...], total_dimension: int) -> "RepPlan":
-        expected = len(torus_weights) + sum(d for d, _ in extra_summands)
-        if expected != total_dimension:
-            raise ConstructionError(
-                f"dimension bookkeeping broken: {expected} != {total_dimension}")
-        return super().__new__(cls, case_tag, n, p, torus_weights, extra_summands,
-                               total_dimension)
+    @property
+    def total_dimension(self) -> int:
+        return len(self.torus_weights) + sum(d for d, _ in self.extra_summands)
 
     def to_json(self) -> dict:
         return {
@@ -116,17 +104,20 @@ def check_size(n: int, p: int) -> None:
 
 
 def case_c_length(p: int, r: int) -> int:
-    """n = p^r of case (c), checked before the power is formed in
-    check_plan's order: p not a prime; r < 2; a witness set, p^(2r-1)
-    weights of length p^r, of at least 2^(3r-1) > MAX_WITNESS_ENTRIES
-    entries."""
+    """n = p^r of case (c), checked in check_plan's order: p not a prime;
+    r < 2; a witness set past MAX_WITNESS_ENTRIES entries, by check_size's
+    exact count once p^r is formed.  Only a p^r of over 2^15 bits (r times
+    p's bit length past 2^16), longer than any n the CLI parses, is refused
+    unformed, from the lower bound 2^(3r-1) on p^(2r-1) weights of length p^r."""
     if prime_power_root(p) != p:
         raise ConstructionError(f"p={p} is not a prime")
     if r < 2:
         raise ConstructionError(f"case (c) needs {_RULES['c']}; got r={r}, p={p}")
-    if 3 * r - 1 >= MAX_WITNESS_ENTRIES.bit_length():
+    if r * p.bit_length() > 2 ** 16:
         raise _too_large(3 * r - 1)
-    return p ** r
+    n = p ** r
+    check_size(n, p)
+    return n
 
 
 def standard_weights(pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> WeightSet:
@@ -150,7 +141,7 @@ def lambda_a(n: int, p: int) -> RepPlan:
     weights = standard_weights(((1, i) for i in range(2, n + 1)), LatticeSpec(n))
     m = n // p
     extras = ((m, f"faithful permutation summand of the {p}-cycle normalizer, dim [n/p]"),)
-    return RepPlan("a", n, p, weights, extras, (n - 1) + m)
+    return RepPlan("a", n, p, weights, extras)
 
 
 def lambda_b(p: int) -> RepPlan:
@@ -161,7 +152,7 @@ def lambda_b(p: int) -> RepPlan:
     pairs = chain([(p, 1)], ((i, i + 1) for i in range(p - 1, 0, -1)))
     weights = standard_weights(pairs, LatticeSpec(p))
     extras = ((1, "faithful character of the cyclic group Z/p"),)
-    return RepPlan("b", p, p, weights, extras, len(weights) + 1)
+    return RepPlan("b", p, p, weights, extras)
 
 
 def lambda_c(p: int, r: int) -> RepPlan:
@@ -179,13 +170,12 @@ def lambda_c(p: int, r: int) -> RepPlan:
     order the a[i,j] with j < i (B_(p-1) x B_0) come first, by j up, then i
     down; then B_t x B_(t+1) for t = p-2, ..., 0, by i down, then j up."""
     n = case_c_length(p, r)
-    check_plan("c", n, p)
     m = n // p
     last = ((i, j) for j in range(1, m + 1) for i in range(n, n - m, -1))
     rest = ((i, j) for t in range(p - 2, -1, -1) for i in range((t + 1) * m, t * m, -1)
             for j in range((t + 1) * m + 1, (t + 2) * m + 1))
     weights = standard_weights(chain(last, rest), LatticeSpec(n))
-    return RepPlan("c", n, p, weights, (), len(weights))
+    return RepPlan("c", n, p, weights, ())
 
 
 def lambda_d(n: int, p: int) -> RepPlan:
@@ -199,12 +189,12 @@ def lambda_d(n: int, p: int) -> RepPlan:
     for lo, _hi in group.blocks[1:]:
         accum.update(orbit(group, standard_weight(1, lo, spec), spec))
     weights = WeightSet.of(accum, spec)
-    return RepPlan("d", n, p, weights, (), len(weights))
+    return RepPlan("d", n, p, weights, ())
 
 
 def build_plan(case_tag: str, n: int, p: int) -> RepPlan:
-    """Dispatch to the constructor matching the case tag, each of which has
-    check_plan refuse (n, p) before anything is built."""
+    """Dispatch to the constructor matching the case tag, each of which
+    refuses (n, p) by check_plan's rule before anything is built."""
     if case_tag == "a":
         return lambda_a(n, p)
     if case_tag == "d":

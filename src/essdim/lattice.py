@@ -124,13 +124,13 @@ class _LatticeSpecFields(NamedTuple):
 
 
 class LatticeSpec(_LatticeSpecFields):
-    """Ambient length n plus coefficient modulus (0 = integers, q = p^e)."""
+    """Length n of the weights plus coefficient modulus (0 = integers, q = p^e)."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, modulus: int = 0) -> "LatticeSpec":
         if n < 1:
-            raise LatticeError(f"ambient length must be positive, got {n}")
+            raise LatticeError(f"n must be positive, got {n}")
         if modulus < 0:
             raise LatticeError("modulus must be non-negative")
         if modulus and prime_power_root(modulus) is None:

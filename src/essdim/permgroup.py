@@ -131,10 +131,10 @@ def _wreath_generators(offset: int, r: int, p: int, n: int) -> List[Perm]:
 def sylow_subgroup(n: int, p: int) -> PermGroupSpec:
     """The Sylow p-subgroup P_n of S_n, as a direct product of iterated
     wreath products, one per base-p digit unit of n."""
-    if n < 1:
-        raise PermError("n must be positive")
     if prime_power_root(p) != p:
         raise PermError(f"p={p} is not a prime")
+    if n < 1:
+        raise PermError(f"n must be positive, got {n}")
     fixed, digits = p_adic_digits(n, p)
     blocks: List[Tuple[int, int]] = []
     pos = fixed

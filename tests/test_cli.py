@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -319,8 +320,9 @@ class TestUsageErrors:
         (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "inf"), "--budget"),
         # q^(n-1) = 4^(2^22 - 1) must be refused before it is computed
         (("verify", "--prop", "7.2", "--p", "2", "--r", "22"), "too large"),
-        (("verify", "--lemma", "8.2", "--n", "0", "--p", "2"), "valuation of 0"),
-        (("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--q", "0"), "valuation of 0"),
+        (("verify", "--lemma", "8.2", "--n", "0", "--p", "2"), "n must be positive, got 0"),
+        (("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--q", "0"),
+         "q=0 is not a power of p=2"),
         (("construct", "--case", "d", "--n", "-6", "--p", "2"), "n must be positive"),
         (("check-genfree", "--case", "d", "--n", "-6", "--p", "2"), "n must be positive"),
         (("verify", "--prop", "7.2", "--p", "3", "--r", "0"), "--r >= 1"),
@@ -337,6 +339,9 @@ class TestUsageErrors:
         (("check-genfree", "--case", "c", "--r", "-1", "--p", "0"), "is not a prime"),
         (("ed", "--table", "--max-n", "0", "--p", "4"), "is not a prime"),
         (("ed", "--table", "--max-n", "-3", "--p", "9"), "is not a prime"),
+        (("orbit", "--n", "0", "--p", "4", "--q", "6", "--weight", "0"), "p=4 is not a prime"),
+        (("orbit", "--n", "0", "--p", "2", "--q", "6", "--weight", "0"),
+         "n must be positive, got 0"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # --budget inf raised OverflowError, r = 22 built a 4-million-digit
@@ -345,7 +350,8 @@ class TestUsageErrors:
         # against the bound 0; case (b) and (c) ignored an inconsistent --n;
         # --budget 0 and -1 reported an exhausted budget (exit 4); case (c)
         # with --r -1 --p 0 raised ZeroDivisionError from 0 ** -1; a table
-        # with no rows printed nothing and exited 0 for a non-prime p
+        # with no rows printed nothing and exited 0 for a non-prime p; orbit
+        # checked n and q before p
         done = run_subprocess(argv)
         assert done.returncode == 2
         assert done.stderr.startswith("error: ") and message in done.stderr
@@ -500,6 +506,62 @@ class TestUsageErrors:
             assert code in (0, 2, 3, 4), argv
             if code in (2, 4):
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+
+    def test_search_refusal_order(self, capsys):
+        # search-min and verify refuse a search by one rule, each fact with
+        # one line, in this order: p not a prime; n < 1; q not a power of p;
+        # a search space q^(n-1) above 2^20.  verify --lemma 8.2 computed
+        # the bound first (n = 0 or q = 0 gave "valuation of 0"), and
+        # verify --prop 7.2 refused r > 20 before p
+        def first_refusal(n, p, q, exponent=None):
+            if p not in (2, 3):  # the primes among the p below
+                return f"p={p} is not a prime"
+            if n < 1:
+                return f"n must be positive, got {n}"
+            if q not in (p, p * p, p ** 3):
+                return f"q={q} is not a power of p={p}"
+            if n - 1 > 20 or q ** (n - 1) > 2 ** 20:
+                return f"search space q^(n-1) = {q}^{exponent or n - 1} too large"
+            return None
+
+        ps, ns, qs = (-2, 0, 1, 2, 3, 4), (-3, 0, 1, 6, 22), (0, 1, 3, 4, 9)
+        cases = []
+        for p in ps:
+            for n in ns:
+                cases.append((("verify", "--lemma", "8.2", "--n", n, "--p", p),
+                              first_refusal(n, p, p)))
+                for q in qs:
+                    cases += [(("search-min", "--n", n, "--p", p, "--q", q),
+                               first_refusal(n, p, q)),
+                              (("verify", "--lemma", "8.2", "--n", n, "--p", p, "--q", q),
+                               first_refusal(n, p, q))]
+            q = 4 if p == 2 else p
+            for r in (-1, 0, 1, 2, 5, 22, 10 ** 9):
+                expected = first_refusal(1, p, q)  # p and q, before r
+                if expected is None and r < 1:
+                    expected = f"verifying the p-power bound needs --r >= 1, got {r}"
+                elif expected is None and r > 20:  # p^r - 1 is written out, not formed
+                    expected = first_refusal(2 ** 21, p, q, f"({p}^{r} - 1)")
+                elif expected is None:
+                    expected = first_refusal(p ** r, p, q)
+                cases.append((("verify", "--prop", "7.2", "--p", p, "--r", r), expected))
+        for argv, expected in cases:
+            start = time.perf_counter()
+            code, out, err = run(capsys, *map(str, argv))
+            assert time.perf_counter() - start < 1, argv
+            if expected is None:
+                assert code in (0, 3) and err == "", argv
+            else:
+                assert (code, out, err) == (2, "", f"error: {expected}\n"), argv
+
+    def test_case_c_size_refusal_matches_ed(self, capsys):
+        # construct --case c printed case_c_length's lower bound 2^(3r-1),
+        # ed --n p^r the exact |Lambda| n: 2^26 and 2^41 at p = 3, r = 9
+        for p, r in itertools.product((2, 3, 5, 7), range(9, 21)):
+            code, out, err = run(capsys, "construct", "--case", "c", "--r", str(r), "--p", str(p))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: witness set too large: at least 2^")
+            assert run(capsys, "ed", "--n", str(p ** r), "--p", str(p)) == (code, out, err)
 
     def test_bad_parameters(self, capsys):
         code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "9")

@@ -137,7 +137,7 @@ class TestLemma32:
     def test_empty_torus_weights_fail_span(self):
         from essdim.constructions import RepPlan
         empty = WeightSet.of([], LatticeSpec(3))
-        plan = RepPlan("b", 3, 3, empty, ((1, "faithful character"),), 1)
+        plan = RepPlan("b", 3, 3, empty, ((1, "faithful character"),))
         verdict = check_lemma32(plan)
         assert not verdict.spans_ok
         assert not verdict.overall

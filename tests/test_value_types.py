@@ -6,7 +6,7 @@ still refuse bad input."""
 import pytest
 
 from essdim.bounds import SearchResult
-from essdim.constructions import ConstructionError, RepPlan
+from essdim.constructions import RepPlan
 from essdim.edcalc import EdReport
 from essdim.genfree import GenFreeVerdict
 from essdim.lattice import IntegerMatrix, LatticeError, LatticeSpec, WeightSet, standard_weight
@@ -29,7 +29,7 @@ VALUES = [
     (WeightSet, _weights, "elements"),
     (IntegerMatrix, lambda: IntegerMatrix.of([[1, 2], [3, 4]]), "rows"),
     (SearchResult, lambda: SearchResult(2, _weights(), 3, 4, 0.5), "minimum"),
-    (RepPlan, lambda: RepPlan("a", 3, 2, _weights(), ((1, "summand"),), 3), "total_dimension"),
+    (RepPlan, lambda: RepPlan("a", 3, 2, _weights(), ((1, "summand"),)), "total_dimension"),
     (EdReport, lambda: EdReport(3, 2, "a", 1, 1, 3, True), "value"),
     (GenFreeVerdict,
      lambda: GenFreeVerdict(True, True, "lemma 3.4", True, (("(1 2)", (1, -1)),)),
@@ -92,10 +92,6 @@ def test_lattice_spec_defaults_to_integers():
     assert LatticeSpec(5).modulus == 0
     assert spec_prime(LatticeSpec(n=5, modulus=25)) == 5
 
-
-def test_rep_plan_checks_its_total_dimension():
-    with pytest.raises(ConstructionError, match="dimension bookkeeping"):
-        RepPlan("a", 3, 2, _weights(), ((1, "summand"),), 4)
 
 
 def test_report_and_verdict_defaults():
