@@ -4,8 +4,8 @@ Subcommands: construct, check-genfree, orbit, search-min, verify, ed,
 reproduce-all.  JSON payloads use sorted keys and integer-only values so that
 parse + re-serialize round-trips byte-identically.
 
-Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error,
-3 verification failure, 4 search budget of orbits examined exhausted.
+Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error or a
+refusal before the work starts, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -21,8 +20,6 @@ from typing import List, Optional
 
 from . import __version__
 from .bounds import (
-    DEFAULT_BUDGET,
-    BudgetExhausted,
     check_search,
     min_invariant_generating_size,
     naive_min_invariant_generating_size,
@@ -39,7 +36,6 @@ from .permgroup import act, orbit as orbit_of, sylow_subgroup
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
-EXIT_BUDGET = 4
 
 
 def emit_json(payload) -> None:
@@ -123,17 +119,8 @@ def cmd_orbit(args) -> int:
     return EXIT_OK
 
 
-def _orbit_budget(args) -> int:
-    if not math.isfinite(args.budget):
-        raise ValueError(
-            f"--budget must be a finite number of orbits examined, got {args.budget}")
-    if args.budget < 1:
-        raise ValueError(f"--budget must be at least 1 orbit examined, got {args.budget:g}")
-    return int(args.budget)
-
-
 def cmd_search_min(args) -> int:
-    result = min_invariant_generating_size(args.n, args.p, args.q, budget=_orbit_budget(args))
+    result = min_invariant_generating_size(args.n, args.p, args.q)
     payload = {"n": args.n, "p": args.p, "q": args.q}
     payload.update(result.to_json())
     info = predicted_bound(args.n, args.p, args.q)
@@ -165,7 +152,9 @@ def cmd_verify(args) -> int:
         check_search(1, args.p, q)  # p and q, before p^r is formed
         if args.r < 1:
             raise ValueError(f"verifying the p-power bound needs --r >= 1, got {args.r}")
-        if args.r > 20:  # n - 1 = p^r - 1 > 20, which check_search refuses; not built
+        # check_search's refusal of n - 1 = p^r - 1 > 20, written with p^r
+        # unexpanded; p >= 2, so p^r is not formed past r = 20
+        if args.r > 20 or args.p ** args.r - 1 > 20:
             raise ValueError(f"search space q^(n-1) = {q}^({args.p}^{args.r} - 1) too large")
         n = args.p ** args.r
     elif args.lemma is not None:
@@ -177,7 +166,7 @@ def cmd_verify(args) -> int:
         q = args.q if args.q is not None else args.p
     else:
         raise ValueError("verify needs --prop or --lemma")
-    report = verify_lower_bound(n, args.p, q, budget=_orbit_budget(args))
+    report = verify_lower_bound(n, args.p, q)
     if args.json:
         emit_json(report)
     else:
@@ -331,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_search_min)
 
@@ -342,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--budget", type=float, default=DEFAULT_BUDGET)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
@@ -374,9 +361,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

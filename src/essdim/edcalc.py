@@ -28,11 +28,12 @@ class EdReport(NamedTuple):
     p_power: int  # highest power of p dividing n
     witness_total_dimension: int
     consistency: bool
-    field_hypothesis: str = FIELD_HYPOTHESIS
+    field_hypothesis = FIELD_HYPOTHESIS  # the same for every report, so not a field
 
     def to_json(self) -> dict:
         out = self._asdict()
         out["case"] = out.pop("case_tag")
+        out["field_hypothesis"] = self.field_hypothesis
         return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from .constructions import RepPlan
-from .lattice import WeightSet, kernel_generators_mod, spans
+from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans
 from .permgroup import PermGroupSpec, act, center_order_p_elements, sylow_subgroup
 
 
@@ -61,12 +61,23 @@ def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
                 f"moves {w} outside the set")
 
 
+def _check_center_scan(lam: WeightSet, group: PermGroupSpec) -> None:
+    # the scan may store a dense |lam|-entry witness per order-p central
+    # element, p^k - 1 of them for k blocks
+    elements = group.p ** len(group.blocks) - 1
+    if elements * len(lam) > MAX_WITNESS_ENTRIES:
+        raise GenFreeError(f"center scan too large: {elements} central elements "
+                           f"times {len(lam)} weights, more than {MAX_WITNESS_ENTRIES} entries")
+
+
 def kernel_action_faithful(
     lam: WeightSet, group: PermGroupSpec
 ) -> Tuple[bool, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
     """Decide whether the group acts faithfully on Ker(phi) by testing its
     order-p central elements, returning one moved kernel generator per
-    element as witness."""
+    element as witness; refused before the scan past MAX_WITNESS_ENTRIES
+    witness entries."""
+    _check_center_scan(lam, group)
     elements = center_order_p_elements(group)
     gens = kernel_generators_mod(lam)
     witnesses = []
@@ -86,8 +97,10 @@ def kernel_action_faithful(
 
 
 def check_lemma34(lam: WeightSet, group: PermGroupSpec) -> GenFreeVerdict:
-    """Span + faithful kernel action; the weight set must be group-invariant."""
+    """Span + faithful kernel action; the weight set must be group-invariant,
+    and an oversized center scan is refused before the span test."""
     _require_invariant(lam, group)
+    _check_center_scan(lam, group)
     spans_ok = spans(lam)
     faithful, witnesses = kernel_action_faithful(lam, group)
     return GenFreeVerdict(

@@ -15,7 +15,7 @@ and fiber count, which the greedy's coinvariant argument supersedes."""
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from essdim.bounds import DEFAULT_BUDGET, BoundsError, BudgetExhausted, _nonzero_orbits
+from essdim.bounds import BoundsError, _nonzero_orbits
 from essdim.constructions import permute_coefficients, standard_weights
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
@@ -414,8 +414,13 @@ def orbit_spans_mod_p(orbits: Sequence[WeightSet], p: int,
     return out
 
 
+class BudgetExhausted(RuntimeError):
+    """branch_and_bound_min explored its budget of nodes; its DFS is
+    exponential, unlike the greedy, which examines each orbit at most once."""
+
+
 def branch_and_bound_min(n: int, p: int, q: int,
-                         budget: int = DEFAULT_BUDGET) -> Tuple[int, WeightSet, int]:
+                         budget: int = 10_000_000) -> Tuple[int, WeightSet, int]:
     """(minimum, witness, nodes explored) of the invariant generating
     subsets of the zero-sum lattice mod q, by exhausting all cheaper orbit
     unions.

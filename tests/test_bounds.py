@@ -8,7 +8,6 @@ import pytest
 
 from essdim.bounds import (
     BoundsError,
-    BudgetExhausted,
     coinvariant_radical,
     count_orbits,
     lattice_elements,
@@ -194,10 +193,6 @@ class TestSearch:
             hi = min_invariant_generating_size(n, p, p * p).minimum
             lo = min_invariant_generating_size(n, p, p).minimum
             assert hi >= lo
-
-    def test_budget_exhaustion(self):
-        with pytest.raises(BudgetExhausted):
-            min_invariant_generating_size(4, 2, 4, budget=3)
 
     def test_infeasible_size_rejected(self):
         with pytest.raises(BoundsError):

@@ -93,7 +93,7 @@ CORPUS_ARGV = [
     ("search-min", "--n", "4", "--p", "2", "--q", "4", "--json"),
     ("search-min", "--n", "2", "--p", "2", "--q", "2", "--json"),
     ("search-min", "--n", "4", "--p", "2", "--q", "4"),
-    ("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "3"),
+    ("verify", "--prop", "7.2", "--p", "2", "--r", "5"),
     ("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--json"),
     ("verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--json"),
     ("verify", "--prop", "7.2", "--p", "3", "--r", "1"),
@@ -172,10 +172,16 @@ class TestSearchMin:
         assert payload["predicted_bound"] == 2
 
     def test_budget_exit_code(self, capsys):
-        code, _, err = run(capsys, "search-min", "--n", "4", "--p", "2", "--q", "4",
-                           "--budget", "3")
-        assert code == 4
-        assert "budget" in err
+        # --budget capped the orbits examined (exit 4 when spent); check_search
+        # caps the search space first, so the option is gone and the parser
+        # refuses it
+        for argv in (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "3"),
+                     ("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "3")):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 2
+            out = capsys.readouterr()
+            assert out.out == "" and "unrecognized arguments: --budget 3" in out.err
 
     def test_degenerate_note(self, capsys):
         code, out, _ = run(capsys, "search-min", "--n", "2", "--p", "2", "--q", "2", "--json")
@@ -316,8 +322,9 @@ class TestUsageErrors:
         assert "is not a prime" in done.stderr
 
     @pytest.mark.parametrize("argv,message", [
-        (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "inf"), "--budget"),
-        (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "inf"), "--budget"),
+        (("verify", "--prop", "7.2", "--p", "2", "--r", "5"), "4^(2^5 - 1) too large"),
+        (("verify", "--prop", "7.2", "--p", "1000000007", "--r", "20"),
+         "1000000007^(1000000007^20 - 1) too large"),
         # q^(n-1) = 4^(2^22 - 1) must be refused before it is computed
         (("verify", "--prop", "7.2", "--p", "2", "--r", "22"), "too large"),
         (("verify", "--lemma", "8.2", "--n", "0", "--p", "2"), "n must be positive, got 0"),
@@ -331,10 +338,14 @@ class TestUsageErrors:
         (("check-genfree", "--case", "b", "--p", "2", "--n", "9"), "disagrees"),
         (("construct", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
         (("check-genfree", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
-        (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "0"), "--budget"),
-        (("search-min", "--n", "4", "--p", "2", "--q", "4", "--budget", "-1"), "--budget"),
-        (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "0"), "--budget"),
-        (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--budget", "-1"), "--budget"),
+        # (p^k - 1) |Lambda| witness entries: 390,624 x 575, 59,048 x 2,169
+        # and 244,140,624 x 3,075
+        (("check-genfree", "--case", "d", "--n", "120", "--p", "5"), "center scan too large"),
+        (("check-genfree", "--case", "d", "--n", "726", "--p", "3"), "center scan too large"),
+        (("check-genfree", "--case", "d", "--n", "620", "--p", "5"), "center scan too large"),
+        # the form of r = 20 above, where p^r - 1 was written out in full
+        (("verify", "--prop", "7.2", "--p", "1000000007", "--r", "21"),
+         "1000000007^(1000000007^21 - 1) too large"),
         (("construct", "--case", "c", "--r", "-1", "--p", "0"), "is not a prime"),
         (("check-genfree", "--case", "c", "--r", "-1", "--p", "0"), "is not a prime"),
         (("ed", "--table", "--max-n", "0", "--p", "4"), "is not a prime"),
@@ -344,18 +355,21 @@ class TestUsageErrors:
          "n must be positive, got 0"),
     ])
     def test_unusable_input_rejected(self, argv, message):
-        # --budget inf raised OverflowError, r = 22 built a 4-million-digit
-        # integer, n = 0 or q = 0 looped forever, and so did case (d) with
+        # r = 22 built a 4-million-digit integer, and r = 20 at p = 10^9 + 7
+        # printed p^r - 1 in full (181 digits, 233 bytes against 71 at
+        # r = 21); n = 0 or q = 0 looped forever, and so did case (d) with
         # n = -6 in the base-p digits (-1 // p == -1); r = 0 verified n = 1
         # against the bound 0; case (b) and (c) ignored an inconsistent --n;
-        # --budget 0 and -1 reported an exhausted budget (exit 4); case (c)
-        # with --r -1 --p 0 raised ZeroDivisionError from 0 ** -1; a table
-        # with no rows printed nothing and exited 0 for a non-prime p; orbit
-        # checked n and q before p
+        # case (c) with --r -1 --p 0 raised ZeroDivisionError from 0 ** -1;
+        # a table with no rows printed nothing and exited 0 for a non-prime
+        # p; orbit checked n and q before p; case (d) at n = 120, 726 and 620
+        # listed every order-p central element and ended in a traceback
+        start = time.monotonic()
         done = run_subprocess(argv)
-        assert done.returncode == 2
+        assert time.monotonic() - start < 10
+        assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: ") and message in done.stderr
-        assert len(done.stderr) < 200
+        assert done.stderr.count("\n") == 1 and len(done.stderr) < 200
 
     @pytest.mark.parametrize("argv", [
         ("ed", "--n", "1024", "--p", "2"),  # case (c): 2^19 weights of length 2^10
@@ -503,8 +517,8 @@ class TestUsageErrors:
                           ("search-min", "--n", n, "--p", p, "--q", p)]
         for argv in argvs:
             code, out, err = run(capsys, *argv)
-            assert code in (0, 2, 3, 4), argv
-            if code in (2, 4):
+            assert code in (0, 2, 3), argv
+            if code == 2:
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
     def test_search_refusal_order(self, capsys):
@@ -512,7 +526,8 @@ class TestUsageErrors:
         # one line, in this order: p not a prime; n < 1; q not a power of p;
         # a search space q^(n-1) above 2^20.  verify --lemma 8.2 computed
         # the bound first (n = 0 or q = 0 gave "valuation of 0"), and
-        # verify --prop 7.2 refused r > 20 before p
+        # verify --prop 7.2 refused r > 20 before p.  verify --prop 7.2
+        # writes the search space as q^(p^r - 1) whenever p^r - 1 > 20
         def first_refusal(n, p, q, exponent=None):
             if p not in (2, 3):  # the primes among the p below
                 return f"p={p} is not a prime"
@@ -540,7 +555,7 @@ class TestUsageErrors:
                 expected = first_refusal(1, p, q)  # p and q, before r
                 if expected is None and r < 1:
                     expected = f"verifying the p-power bound needs --r >= 1, got {r}"
-                elif expected is None and r > 20:  # p^r - 1 is written out, not formed
+                elif expected is None and (r > 20 or p ** r - 1 > 20):  # p^r - 1 unexpanded
                     expected = first_refusal(2 ** 21, p, q, f"({p}^{r} - 1)")
                 elif expected is None:
                     expected = first_refusal(p ** r, p, q)

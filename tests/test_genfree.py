@@ -9,6 +9,7 @@ from essdim.constructions import (
     lambda_b,
     permute_coefficients,
 )
+from essdim import genfree
 from essdim.genfree import (
     GenFreeError,
     _require_invariant,
@@ -113,6 +114,22 @@ class TestLemma34:
         with pytest.raises(PermError) as excinfo:
             check_lemma34(build_plan("c", 4, 2).torus_weights, sylow_subgroup(8, 2))
         assert str(excinfo.value) == "degree 8 vs lattice length 4"
+
+    def test_center_scan_budget(self, monkeypatch):
+        # case (d) at n = 12, p = 2: blocks of 8 and 4, so 2^2 - 1 central
+        # elements times 32 weights; one entry fewer is refused before the
+        # span test and before any central element is listed
+        lam, group = build_plan("d", 12, 2).torus_weights, sylow_subgroup(12, 2)
+        monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", 3 * 32)
+        assert check_lemma34(lam, group).overall
+        monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", 3 * 32 - 1)
+        monkeypatch.setattr(genfree, "spans", None)
+        monkeypatch.setattr(genfree, "center_order_p_elements", None)
+        for check in (check_lemma34, kernel_action_faithful):
+            with pytest.raises(GenFreeError) as excinfo:
+                check(lam, group)
+            assert str(excinfo.value) == ("center scan too large: 3 central elements "
+                                          "times 32 weights, more than 95 entries")
 
     def test_witnesses_recorded(self):
         verdict = check_lemma34(build_plan("c", 4, 2).torus_weights,

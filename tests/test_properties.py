@@ -9,8 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings, strategies as st
 
-from essdim.bounds import (BudgetExhausted, _nonzero_orbits, count_orbits,
-                           min_invariant_generating_size, orbit_representatives)
+from essdim.bounds import (_nonzero_orbits, count_orbits, min_invariant_generating_size,
+                           orbit_representatives)
 from essdim.lattice import (
     IntegerMatrix,
     LatticeSpec,
@@ -19,8 +19,8 @@ from essdim.lattice import (
     smith_normal_form,
 )
 from essdim.permgroup import act, orbit, orbit_size, sylow_subgroup
-from oracles import (branch_and_bound_min, dense_smith_normal_form, diagonal, diagonal_matrix,
-                     group_elements, matmul, phi_image)
+from oracles import (BudgetExhausted, branch_and_bound_min, dense_smith_normal_form, diagonal,
+                     diagonal_matrix, group_elements, matmul, phi_image)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
