@@ -29,7 +29,7 @@ from .bounds import (
 from .constructions import (build_plan, case_c_length, check_plan, kernel_witness_coefficients,
                             witness_size)
 from .edcalc import ed_table, ed_value
-from .genfree import certify
+from .genfree import certify, check_certificate
 from .lattice import LatticeSpec
 from .permgroup import act, orbit as orbit_of, sylow_subgroup
 
@@ -77,7 +77,9 @@ def _plan_n(args) -> int:
 
 
 def cmd_check_genfree(args) -> int:
-    plan = build_plan(args.case, _plan_n(args), args.p)
+    n = _plan_n(args)
+    check_certificate(args.case, n, args.p)  # an oversized center scan before the plan
+    plan = build_plan(args.case, n, args.p)
     verdict = certify(plan)
     payload = {"case": plan.case_tag, "n": plan.n, "p": plan.p}
     payload.update(verdict.to_json())

@@ -8,7 +8,7 @@ Case tags: (a) p does not divide n, (b) n = p, (c) n = p^r with r >= 2,
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .lattice import (MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, prime_power_root,
                       standard_weight, vp)
@@ -120,25 +120,12 @@ def case_c_length(p: int, r: int) -> int:
     return n
 
 
-def standard_weights(pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> WeightSet:
-    """The weight set of the a[i,j] for distinct pairs (i, j) with i != j,
-    which the caller lists in the canonical order of their weights; built
-    without sorting."""
-    row = [0] * spec.n
-    out = []
-    for i, j in pairs:
-        row[i - 1], row[j - 1] = 1, -1
-        out.append(tuple(row))
-        row[i - 1] = row[j - 1] = 0
-    return WeightSet(tuple(out), spec)
-
-
 def lambda_a(n: int, p: int) -> RepPlan:
     """Case (a): the fan of weights a[1,i] out of the fixed position 1, plus a
     faithful permutation summand of dimension [n/p].  In canonical order: i
     up."""
     check_plan("a", n, p)
-    weights = standard_weights(((1, i) for i in range(2, n + 1)), LatticeSpec(n))
+    weights = WeightSet.from_pairs(((1, i) for i in range(2, n + 1)), LatticeSpec(n))
     m = n // p
     extras = ((m, f"faithful permutation summand of the {p}-cycle normalizer, dim [n/p]"),)
     return RepPlan("a", n, p, weights, extras)
@@ -150,7 +137,7 @@ def lambda_b(p: int) -> RepPlan:
     then a[i,i+1] for i down."""
     check_plan("b", p, p)
     pairs = chain([(p, 1)], ((i, i + 1) for i in range(p - 1, 0, -1)))
-    weights = standard_weights(pairs, LatticeSpec(p))
+    weights = WeightSet.from_pairs(pairs, LatticeSpec(p))
     extras = ((1, "faithful character of the cyclic group Z/p"),)
     return RepPlan("b", p, p, weights, extras)
 
@@ -174,7 +161,7 @@ def lambda_c(p: int, r: int) -> RepPlan:
     last = ((i, j) for j in range(1, m + 1) for i in range(n, n - m, -1))
     rest = ((i, j) for t in range(p - 2, -1, -1) for i in range((t + 1) * m, t * m, -1)
             for j in range((t + 1) * m + 1, (t + 2) * m + 1))
-    weights = standard_weights(chain(last, rest), LatticeSpec(n))
+    weights = WeightSet.from_pairs(chain(last, rest), LatticeSpec(n))
     return RepPlan("c", n, p, weights, ())
 
 

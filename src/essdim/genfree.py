@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .constructions import RepPlan
-from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans
-from .permgroup import PermGroupSpec, act, center_order_p_elements, sylow_subgroup
+from .constructions import RepPlan, check_plan, witness_size
+from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans, standard_weight
+from .permgroup import (PermError, PermGroupSpec, act, center_order_p_elements, p_adic_digits,
+                        sylow_subgroup)
 
 
 class GenFreeError(ValueError):
@@ -48,26 +49,49 @@ class GenFreeVerdict(NamedTuple):
 
 
 def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
-    # g fixes the weights that are zero from the first to the last point it
-    # moves; the rest take one lookup pass, and the offender is sought on failure
-    for g in group.generators if lam.elements else ():
-        act(g, lam.elements[0])  # raises on a degree mismatch
-        lo, *_, hi = [i for i, x in enumerate(g.images) if x != i + 1]  # 2+ points move
-        movable = [w for w in lam.elements if any(w[lo:hi + 1])]
-        if not all(map(lam.__contains__, map(g.gather, movable))):
-            w = next(w for w in movable if g.gather(w) not in lam)
+    # one key per weight, looked up by its image under each generator g: the
+    # pair (i, j) of a set listed from pairs, with image (g(i), g(j)) as
+    # g a[i,j] = a[g(i), g(j)]; the tuple otherwise, of which g fixes those
+    # zero from the first to the last point it moves, so only the rest are
+    # looked up.  The offender is sought on failure.
+    pairs, spec = lam.pairs, lam.spec
+    found = lam.__contains__ if pairs is None else set(pairs).__contains__
+    for g in group.generators if len(lam) else ():
+        if g.n != spec.n:
+            raise PermError(f"degree {g.n} vs lattice length {spec.n}")
+        if pairs is None:
+            lo, *_, hi = [i for i, x in enumerate(g.images) if x != i + 1]  # 2+ points move
+            movable = [w for w in lam.elements if any(w[lo:hi + 1])]
+            image = g.gather
+        else:
+            at = (0,) + g.images  # at[i] = g(i)
+            movable = pairs
+            image = lambda ij: (at[ij[0]], at[ij[1]])
+        if not all(map(found, map(image, movable))):
+            w = next(w for w in movable if not found(image(w)))
             raise GenFreeError(
-                f"weight set is not invariant: generator {g.cycle_string()} "
-                f"moves {w} outside the set")
+                f"weight set is not invariant: generator {g.cycle_string()} moves "
+                f"{w if pairs is None else standard_weight(*w, spec)} outside the set")
 
 
-def _check_center_scan(lam: WeightSet, group: PermGroupSpec) -> None:
-    # the scan may store a dense |lam|-entry witness per order-p central
-    # element, p^k - 1 of them for k blocks
-    elements = group.p ** len(group.blocks) - 1
-    if elements * len(lam) > MAX_WITNESS_ENTRIES:
+def _check_center_scan(p: int, blocks: int, weights: int) -> None:
+    # the scan may store a dense witness of one entry per weight for each of
+    # the p^k - 1 order-p central elements of k blocks
+    elements = p ** blocks - 1
+    if elements * weights > MAX_WITNESS_ENTRIES:
         raise GenFreeError(f"center scan too large: {elements} central elements "
-                           f"times {len(lam)} weights, more than {MAX_WITNESS_ENTRIES} entries")
+                           f"times {weights} weights, more than {MAX_WITNESS_ENTRIES} entries")
+
+
+def check_certificate(case_tag: str, n: int, p: int) -> None:
+    """Refuse, before the plan is built, what certify would refuse of the
+    plan of case_tag for (n, p): check_plan's rules, then, in cases (c) and
+    (d), which certify by the center scan, a scan past MAX_WITNESS_ENTRIES
+    entries, read off (n, p): the Sylow subgroup has one block per base-p
+    digit unit of n, and the plan witness_size(n, p) weights."""
+    if check_plan(case_tag, n, p) in ("c", "d"):
+        blocks = sum(mult for mult, _ in p_adic_digits(n, p)[1])
+        _check_center_scan(p, blocks, witness_size(n, p))
 
 
 def kernel_action_faithful(
@@ -77,7 +101,7 @@ def kernel_action_faithful(
     order-p central elements, returning one moved kernel generator per
     element as witness; refused before the scan past MAX_WITNESS_ENTRIES
     witness entries."""
-    _check_center_scan(lam, group)
+    _check_center_scan(group.p, len(group.blocks), len(lam))
     elements = center_order_p_elements(group)
     gens = kernel_generators_mod(lam)
     witnesses = []
@@ -100,7 +124,7 @@ def check_lemma34(lam: WeightSet, group: PermGroupSpec) -> GenFreeVerdict:
     """Span + faithful kernel action; the weight set must be group-invariant,
     and an oversized center scan is refused before the span test."""
     _require_invariant(lam, group)
-    _check_center_scan(lam, group)
+    _check_center_scan(group.p, len(group.blocks), len(lam))
     spans_ok = spans(lam)
     faithful, witnesses = kernel_action_faithful(lam, group)
     return GenFreeVerdict(

@@ -160,14 +160,19 @@ class LatticeSpec(_LatticeSpecFields):
 class WeightSet:
     """Deduplicated, sorted collection of weights of the lattice ``spec``.
 
-    A weight is a tuple of ints in the form LatticeSpec.weight returns.
-    Immutable; the ``__dict__`` holds only the cached derived data."""
+    A weight is a tuple of ints in the form LatticeSpec.weight returns.  A
+    set listed from index pairs keeps them as ``pairs``, the (i, j) of each
+    weight a[i,j] in the canonical order of the weights, and builds its
+    ``elements`` tuples only when they are first read; ``pairs`` is None
+    for a set listed as tuples.  Immutable; the ``__dict__`` holds only the
+    elements and the cached derived data."""
 
-    __slots__ = ("elements", "spec", "__dict__")
+    __slots__ = ("spec", "pairs", "__dict__")
 
     def __init__(self, elements: Tuple[Tuple[int, ...], ...], spec: LatticeSpec) -> None:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "pairs", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to {name!r}: WeightSet is immutable")
@@ -175,6 +180,9 @@ class WeightSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        # two pair lists in canonical order are equal iff their weights are
+        if self.pairs is not None and other.pairs is not None:
+            return (self.pairs, self.spec) == (other.pairs, other.spec)
         return (self.elements, self.spec) == (other.elements, other.spec)
 
     def __hash__(self) -> int:
@@ -187,8 +195,31 @@ class WeightSet:
     def of(cls, weights: Iterable[Tuple[int, ...]], spec: LatticeSpec) -> "WeightSet":
         return cls(tuple(sorted(set(weights))), spec)
 
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> "WeightSet":
+        """The weight set of the a[i,j] of Z^n for distinct pairs (i, j) of
+        1..n with i != j, which the caller lists in the canonical order of
+        their weights; kept as those pairs, without sorting."""
+        if spec.modulus:
+            raise LatticeError("a weight set is listed from pairs only over the integers")
+        ws = cls.__new__(cls)
+        object.__setattr__(ws, "spec", spec)
+        object.__setattr__(ws, "pairs", tuple(pairs))
+        return ws
+
+    @cached_property
+    def elements(self) -> Tuple[Tuple[int, ...], ...]:
+        # read only for a set listed from pairs: the others set it at once
+        row = [0] * self.spec.n
+        out = []
+        for i, j in self.pairs:
+            row[i - 1], row[j - 1] = 1, -1
+            out.append(tuple(row))
+            row[i - 1] = row[j - 1] = 0
+        return tuple(out)
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.elements if self.pairs is None else self.pairs)
 
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self.elements)

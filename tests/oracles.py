@@ -16,7 +16,7 @@ import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from essdim.bounds import BoundsError, _nonzero_orbits
-from essdim.constructions import permute_coefficients, standard_weights
+from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
                             basis_coordinates, echelon_mod_p, kernel_generators_mod,
@@ -220,7 +220,7 @@ def closed_lambda_d(n, p):
     canonical order: alpha down, beta up."""
     s = p ** p_adic_digits(n, p)[1][0][1]
     pairs = ((i, j) for i in range(s, 0, -1) for j in range(s + 1, n + 1))
-    return standard_weights(pairs, LatticeSpec(n))
+    return WeightSet.from_pairs(pairs, LatticeSpec(n))
 
 
 def group_elements(group):

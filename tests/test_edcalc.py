@@ -2,6 +2,7 @@ import pytest
 
 from essdim.constructions import case_of
 from essdim.edcalc import EdError, ed_table, ed_value
+from essdim.lattice import LatticeSpec, WeightSet
 from oracles import pgl_upper_bound
 
 
@@ -66,6 +67,19 @@ class TestEdValue:
         for p in (2, 3, 5):
             for n in range(1, 28):
                 assert ed_value(n, p).consistency, (n, p)
+
+    def test_case_c_builds_no_weight_tuple(self, monkeypatch):
+        # Lambda_c is counted from its index pairs: no weight is validated
+        # and no set's tuples are read
+        def refuse(*args):
+            raise AssertionError("a weight tuple was built")
+
+        monkeypatch.setattr(LatticeSpec, "weight", refuse)
+        monkeypatch.setattr(WeightSet, "elements", property(refuse))
+        report = ed_value(128, 2)
+        assert report.case_tag == "c"
+        assert report.consistency
+        assert report.witness_total_dimension == 2 ** 13
 
     def test_p_power_field(self):
         assert ed_value(12, 2).p_power == 4

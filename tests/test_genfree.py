@@ -2,17 +2,21 @@ import random
 
 import pytest
 
+from essdim.cli import main
 from essdim.constructions import (
     build_plan,
+    case_of,
     kernel_witness,
     lambda_a,
     lambda_b,
+    lambda_c,
     permute_coefficients,
 )
-from essdim import genfree
+from essdim import constructions, genfree
 from essdim.genfree import (
     GenFreeError,
     _require_invariant,
+    check_certificate,
     check_lemma32,
     check_lemma34,
     kernel_action_faithful,
@@ -110,10 +114,36 @@ class TestLemma34:
             assert str(excinfo.value) == (f"weight set is not invariant: generator "
                                           f"{g.cycle_string()} moves {w} outside the set")
 
+    def test_pair_images_match_tuple_check(self):
+        # a set listed from pairs is checked by the pairs of its images, with
+        # no tuple built but the offender's; one orbit with one or two
+        # weights cut is never invariant
+        rng = random.Random(20261019)
+        for _ in range(200):
+            p, r = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+            lam = lambda_c(p, r).torus_weights
+            group = sylow_subgroup(lam.spec.n, p)
+            cut = set(rng.sample(lam.pairs, rng.randint(1, 2))) if rng.random() < 0.9 else set()
+            kept = [ij for ij in lam.pairs if ij not in cut]
+            pairs = WeightSet.from_pairs(kept, lam.spec)
+            dense = WeightSet.of([standard_weight(i, j, lam.spec) for i, j in kept], lam.spec)
+            messages = []
+            for ws in (pairs, dense):
+                try:
+                    _require_invariant(ws, group)
+                    messages.append(None)
+                except GenFreeError as exc:
+                    messages.append(str(exc))
+            assert messages[0] == messages[1]
+            assert (messages[0] is None) == (not cut)
+            assert "elements" not in pairs.__dict__
+
     def test_degree_mismatch_refused(self):
-        with pytest.raises(PermError) as excinfo:
-            check_lemma34(build_plan("c", 4, 2).torus_weights, sylow_subgroup(8, 2))
-        assert str(excinfo.value) == "degree 8 vs lattice length 4"
+        lam = build_plan("c", 4, 2).torus_weights
+        for ws in (lam, WeightSet.of(lam.elements, lam.spec)):
+            with pytest.raises(PermError) as excinfo:
+                check_lemma34(ws, sylow_subgroup(8, 2))
+            assert str(excinfo.value) == "degree 8 vs lattice length 4"
 
     def test_center_scan_budget(self, monkeypatch):
         # case (d) at n = 12, p = 2: blocks of 8 and 4, so 2^2 - 1 central
@@ -130,6 +160,34 @@ class TestLemma34:
                 check(lam, group)
             assert str(excinfo.value) == ("center scan too large: 3 central elements "
                                           "times 32 weights, more than 95 entries")
+
+    @pytest.mark.parametrize("n, p, elements, weights", [
+        (120, 5, 390624, 575), (726, 3, 59048, 2169), (620, 5, 244140624, 3075)])
+    def test_center_scan_refused_before_the_plan(self, monkeypatch, capsys, n, p, elements,
+                                                 weights):
+        # the count of central elements and weights is read off (n, p)
+        def refuse(*args):
+            raise AssertionError("the plan was built")
+
+        monkeypatch.setattr(constructions, "lambda_d", refuse)
+        assert main(["check-genfree", "--case", "d", "--n", str(n), "--p", str(p)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: center scan too large: {elements} central elements times "
+                           f"{weights} weights, more than 16777216 entries\n")
+
+    def test_center_scan_refusal_matches_the_plan(self, monkeypatch):
+        # the count read off (n, p) is the one the built plan gives
+        for n, p in [(12, 2), (48, 2), (24, 3), (10, 5), (16, 2), (27, 3)]:
+            case = case_of(n, p)
+            plan = build_plan(case, n, p)
+            group = sylow_subgroup(n, p)
+            limit = (p ** len(group.blocks) - 1) * len(plan.torus_weights)
+            monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", limit)
+            check_certificate(case, n, p)
+            monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", limit - 1)
+            with pytest.raises(GenFreeError, match="center scan too large"):
+                check_certificate(case, n, p)
 
     def test_witnesses_recorded(self):
         verdict = check_lemma34(build_plan("c", 4, 2).torus_weights,

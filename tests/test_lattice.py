@@ -100,6 +100,48 @@ class TestStandardWeight:
                     assert not any(s)
 
 
+class TestPairListed:
+    """Cases (a)-(c) list their witness sets from a[i,j] index pairs; such a
+    set behaves as the tuple-listed set of the same weights."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_tuple_listed(self, p):
+        for n in range(1, 65):
+            case = case_of(n, p)
+            if case == "d":
+                continue
+            lam = build_plan(case, n, p).torus_weights
+            spec = lam.spec
+            dense = WeightSet.of([standard_weight(i, j, spec) for i, j in lam.pairs], spec)
+            assert dense.pairs is None
+            # length and equality with a fresh pair list read no tuple
+            assert len(lam) == len(dense)
+            assert lam == build_plan(case, n, p).torus_weights
+            assert "elements" not in lam.__dict__, (n, p)
+            assert lam == dense and dense == lam, (n, p)
+            assert hash(lam) == hash(dense)
+            assert list(lam) == list(dense)
+            assert lam.to_json() == dense.to_json()
+            for i, w in enumerate(dense):
+                assert w in lam and lam.index(w) == i
+            absent = tuple(2 * x for x in dense.elements[0]) if n > 1 else (1,)
+            assert absent not in lam
+            with pytest.raises(ValueError):
+                lam.index(absent)
+
+    def test_differs_from_other_weights(self):
+        spec = LatticeSpec(4)
+        chain = WeightSet.from_pairs([(3, 4), (2, 3), (1, 2)], spec)
+        assert chain != WeightSet.from_pairs([(3, 4), (1, 2)], spec)
+        assert chain != WeightSet.of([standard_weight(i, j, spec) for i, j in [(3, 4), (1, 2)]],
+                                     spec)
+        assert chain != WeightSet.from_pairs([(3, 4), (2, 3), (1, 2)], LatticeSpec(5))
+
+    def test_integers_only(self):
+        with pytest.raises(LatticeError, match="only over the integers"):
+            WeightSet.from_pairs([(1, 2)], LatticeSpec(2, 3))
+
+
 class TestBasisCoordinates:
     def test_prefix_sums(self):
         # coordinate k is the sum of the entries 0..k, over the chart

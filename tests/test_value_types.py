@@ -19,6 +19,11 @@ def _weights():
     return WeightSet.of([standard_weight(1, 2, spec), standard_weight(2, 3, spec)], spec)
 
 
+def _pair_weights():
+    # the weights of _weights, listed from their pairs in canonical order
+    return WeightSet.from_pairs([(2, 3), (1, 2)], LatticeSpec(3))
+
+
 # (type, a factory giving a fresh value with the same fields on every call,
 #  one field name)
 VALUES = [
@@ -27,6 +32,7 @@ VALUES = [
      lambda: PermGroupSpec((Perm((2, 1, 3)),), 1, 2, 3, ((2, 3),)), "generators"),
     (LatticeSpec, lambda: LatticeSpec(4, 9), "modulus"),
     (WeightSet, _weights, "elements"),
+    (WeightSet, _pair_weights, "pairs"),
     (IntegerMatrix, lambda: IntegerMatrix.of([[1, 2], [3, 4]]), "rows"),
     (SearchResult, lambda: SearchResult(2, _weights(), 3, 4, 0.5), "minimum"),
     (RepPlan, lambda: RepPlan("a", 3, 2, _weights(), ((1, "summand"),)), "total_dimension"),
@@ -35,7 +41,7 @@ VALUES = [
      lambda: GenFreeVerdict(True, True, "lemma 3.4", True, (("(1 2)", (1, -1)),)),
      "overall"),
 ]
-IDS = [t.__name__ for t, _, _ in VALUES]
+IDS = [t.__name__ + ("-pairs" if make is _pair_weights else "") for t, make, _ in VALUES]
 
 
 @pytest.mark.parametrize("kind, make, field", VALUES, ids=IDS)
@@ -75,6 +81,11 @@ def test_cached_data_survives_immutability():
     ws = _weights()
     assert ws.index(standard_weight(1, 2, ws.spec)) == 1
     assert standard_weight(1, 3, ws.spec) not in ws
+    pairs = _pair_weights()
+    assert pairs.elements is pairs.elements  # built once, on the first read
+    assert pairs == ws and hash(pairs) == hash(ws)
+    with pytest.raises(AttributeError):
+        pairs.elements = ws.elements
 
 
 def test_perms_sort_by_images():
