@@ -18,8 +18,6 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
-from functools import partial, reduce
-from operator import add
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .lattice import (
@@ -221,26 +219,20 @@ def count_orbits(group: PermGroupSpec, q: int) -> int:
         return [sum(x * b[(t - s) % q] for s, x in enumerate(a)) for t in range(q)]
 
     levels = _part_levels(group)
-    # a level is kept as its counts times a scale, the product of the
-    # divisions by p its Burnside steps skip; the total is divided once
-    counts = [([1] * q, 1)]
+    counts = [[1] * q]
     for _ in range(max(levels)):
-        sub, scale = counts[-1]
+        sub = counts[-1]
         tuples = sub
         for _ in range(p - 1):
             tuples = convolve(sub, tuples)
-        # the constant tuples have sums p s, multiples of p alone; p s mod q
-        # depends on s mod q/p only, so the p slices of sub add up entrywise
-        # to their counts, which the p - 1 rotations fix, at tuples' scale
-        constant = reduce(partial(map, add), (sub[t:t + q // p] for t in range(0, q, q // p)))
-        fixed = (p - 1) * scale ** (p - 1)
-        tuples[::p] = map(add, tuples[::p], map(fixed.__mul__, constant))
-        counts.append((tuples, p * scale ** p))
-    total, scale = counts[levels[0]]
+        # p s mod q depends on s mod q/p only: the p slices of sub add up
+        constant = [0] * q
+        constant[::p] = map(sum, zip(*(sub[t:t + q // p] for t in range(0, q, q // p))))
+        counts.append([(a + (p - 1) * b) // p for a, b in zip(tuples, constant)])
+    total = counts[levels[0]]
     for r in levels[1:]:
-        total = convolve(counts[r][0], total)
-        scale *= counts[r][1]
-    return total[0] // scale - 1
+        total = convolve(counts[r], total)
+    return total[0] - 1
 
 
 def coinvariant_radical(group: PermGroupSpec) -> Dict[int, Tuple[int, ...]]:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from .constructions import RepPlan, check_plan, witness_size
-from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans, standard_weight
-from .permgroup import (PermError, PermGroupSpec, act, center_order_p_elements, p_adic_digits,
+from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans
+from .permgroup import (PermGroupSpec, act, center_order_p_elements, p_adic_digits,
                         sylow_subgroup)
 
 
@@ -49,29 +49,17 @@ class GenFreeVerdict(NamedTuple):
 
 
 def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
-    # one key per weight, looked up by its image under each generator g: the
-    # pair (i, j) of a set listed from pairs, with image (g(i), g(j)) as
-    # g a[i,j] = a[g(i), g(j)]; the tuple otherwise, of which g fixes those
-    # zero from the first to the last point it moves, so only the rest are
-    # looked up.  The offender is sought on failure.
-    pairs, spec = lam.pairs, lam.spec
-    found = lam.__contains__ if pairs is None else set(pairs).__contains__
-    for g in group.generators if len(lam) else ():
-        if g.n != spec.n:
-            raise PermError(f"degree {g.n} vs lattice length {spec.n}")
-        if pairs is None:
-            lo, *_, hi = [i for i, x in enumerate(g.images) if x != i + 1]  # 2+ points move
-            movable = [w for w in lam.elements if any(w[lo:hi + 1])]
-            image = g.gather
-        else:
-            at = (0,) + g.images  # at[i] = g(i)
-            movable = pairs
-            image = lambda ij: (at[ij[0]], at[ij[1]])
-        if not all(map(found, map(image, movable))):
-            w = next(w for w in movable if not found(image(w)))
+    # g fixes the weights that are zero from the first to the last point it
+    # moves; the rest take one lookup pass, and the offender is sought on failure
+    for g in group.generators if lam.elements else ():
+        act(g, lam.elements[0])  # raises on a degree mismatch
+        lo, *_, hi = [i for i, x in enumerate(g.images) if x != i + 1]  # 2+ points move
+        movable = [w for w in lam.elements if any(w[lo:hi + 1])]
+        if not all(map(lam.__contains__, map(g.gather, movable))):
+            w = next(w for w in movable if g.gather(w) not in lam)
             raise GenFreeError(
-                f"weight set is not invariant: generator {g.cycle_string()} moves "
-                f"{w if pairs is None else standard_weight(*w, spec)} outside the set")
+                f"weight set is not invariant: generator {g.cycle_string()} "
+                f"moves {w} outside the set")
 
 
 def _check_center_scan(p: int, blocks: int, weights: int) -> None:
@@ -85,11 +73,12 @@ def _check_center_scan(p: int, blocks: int, weights: int) -> None:
 
 def check_certificate(case_tag: str, n: int, p: int) -> None:
     """Refuse, before the plan is built, what certify would refuse of the
-    plan of case_tag for (n, p): check_plan's rules, then, in cases (c) and
-    (d), which certify by the center scan, a scan past MAX_WITNESS_ENTRIES
-    entries, read off (n, p): the Sylow subgroup has one block per base-p
-    digit unit of n, and the plan witness_size(n, p) weights."""
-    if check_plan(case_tag, n, p) in ("c", "d"):
+    plan of case_tag for (n, p): check_plan's rules, then, in case (d), a
+    center scan past MAX_WITNESS_ENTRIES entries, read off (n, p): the Sylow
+    subgroup has one block per base-p digit unit of n, and the plan
+    witness_size(n, p) weights.  Case (c)'s scan, (p - 1) p^(2r-1)
+    entries, is below check_size's p^(3r-1)."""
+    if check_plan(case_tag, n, p) == "d":
         blocks = sum(mult for mult, _ in p_adic_digits(n, p)[1])
         _check_center_scan(p, blocks, witness_size(n, p))
 

@@ -180,9 +180,6 @@ class WeightSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # two pair lists in canonical order are equal iff their weights are
-        if self.pairs is not None and other.pairs is not None:
-            return (self.pairs, self.spec) == (other.pairs, other.spec)
         return (self.elements, self.spec) == (other.elements, other.spec)
 
     def __hash__(self) -> int:

@@ -114,11 +114,10 @@ class TestPairListed:
             spec = lam.spec
             dense = WeightSet.of([standard_weight(i, j, spec) for i, j in lam.pairs], spec)
             assert dense.pairs is None
-            # length and equality with a fresh pair list read no tuple
             assert len(lam) == len(dense)
-            assert lam == build_plan(case, n, p).torus_weights
-            assert "elements" not in lam.__dict__, (n, p)
+            assert "elements" not in lam.__dict__, (n, p)  # len reads no tuple
             assert lam == dense and dense == lam, (n, p)
+            assert lam == build_plan(case, n, p).torus_weights
             assert hash(lam) == hash(dense)
             assert list(lam) == list(dense)
             assert lam.to_json() == dense.to_json()
