@@ -205,7 +205,6 @@ def kernel_witness_coefficients(plan: RepPlan) -> Tuple[int, ...]:
     """The coefficient vector of kernel_witness for an already built plan."""
     case_tag, n, p = plan.case_tag, plan.n, plan.p
     lam = plan.torus_weights
-    spec = lam.spec
     coeffs = [0] * len(lam)
     if case_tag == "c":
         big = n // p  # p^(r-1), as n = p^r
@@ -213,12 +212,12 @@ def kernel_witness_coefficients(plan: RepPlan) -> Tuple[int, ...]:
         for t in range(p):
             i = t * big + 1
             j = ((t + 1) % p) * big + 1
-            coeffs[lam.index(standard_weight(i, j, spec))] += 1
+            coeffs[lam.edge_positions[i, j]] += 1
     elif case_tag == "d":
         pe = p ** vp(n, p)
         terms = [((1, pe + 1), 1), ((1, pe + 2), -1), ((2, pe + 2), 1), ((2, pe + 1), -1)]
         for (i, j), c in terms:
-            coeffs[lam.index(standard_weight(i, j, spec))] += c
+            coeffs[lam.edge_positions[i, j]] += c
     else:
         raise ConstructionError("kernel witness exists only for cases (c) and (d)")
     return tuple(coeffs)

@@ -15,12 +15,12 @@ This holds for every Sylow subgroup, with or without fixed points.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .constructions import RepPlan, check_plan, witness_size
 from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans
-from .permgroup import (PermGroupSpec, act, center_order_p_elements, p_adic_digits,
-                        sylow_subgroup)
+from .permgroup import (Perm, PermError, PermGroupSpec, act, center_order_p_elements,
+                        p_adic_digits, sylow_subgroup)
 
 
 class GenFreeError(ValueError):
@@ -48,18 +48,29 @@ class GenFreeVerdict(NamedTuple):
         }
 
 
+def _image_position(g: Perm, lam: WeightSet) -> Callable[[int], int]:
+    # position k of lam -> the position of g applied to the k-th weight,
+    # KeyError when that image is not in lam; a weight a[i,j] of a set over Z
+    # goes to a[g(i), g(j)], looked up by its pair, so no weight tuple is built
+    if g.n != lam.spec.n:
+        raise PermError(f"degree {g.n} vs lattice length {lam.spec.n}")
+    edges = lam.edges
+    if edges is None:
+        return lambda k: lam._positions[act(g, lam.elements[k])]
+    positions, at = lam.edge_positions, (0,) + g.images  # at[i] = g(i)
+    return lambda k: positions[at[edges[k][0]], at[edges[k][1]]]
+
+
 def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
-    # g fixes the weights that are zero from the first to the last point it
-    # moves; the rest take one lookup pass, and the offender is sought on failure
-    for g in group.generators if lam.elements else ():
-        act(g, lam.elements[0])  # raises on a degree mismatch
-        lo, *_, hi = [i for i, x in enumerate(g.images) if x != i + 1]  # 2+ points move
-        movable = [w for w in lam.elements if any(w[lo:hi + 1])]
-        if not all(map(lam.__contains__, map(g.gather, movable))):
-            w = next(w for w in movable if g.gather(w) not in lam)
-            raise GenFreeError(
-                f"weight set is not invariant: generator {g.cycle_string()} "
-                f"moves {w} outside the set")
+    for g in group.generators if len(lam) else ():
+        image = _image_position(g, lam)
+        for k in range(len(lam)):
+            try:
+                image(k)
+            except KeyError:
+                raise GenFreeError(
+                    f"weight set is not invariant: generator {g.cycle_string()} "
+                    f"moves {lam.elements[k]} outside the set") from None
 
 
 def _check_center_scan(p: int, blocks: int, weights: int) -> None:
@@ -98,9 +109,9 @@ def kernel_action_faithful(
         # g moves vec iff permute_coefficients(g, lam, vec) != vec; the image
         # is a bijection, so that is iff the support moved with its
         # coefficients differs from the support
+        image = _image_position(g, lam)
         moved = next((vec for vec in gens
-                      if sorted([(lam.index(act(g, lam.elements[i])), c) for i, c in vec])
-                      != list(vec)), None)
+                      if sorted([(image(i), c) for i, c in vec]) != list(vec)), None)
         if moved is not None:
             dense = [0] * len(lam)
             for i, c in moved:

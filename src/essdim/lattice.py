@@ -235,6 +235,90 @@ class WeightSet:
             raise ValueError(f"{w} is not in the weight set") from None
 
     @cached_property
+    def edges(self) -> Optional[Tuple[Tuple[int, int], ...]]:
+        """The (i, j) of each weight a[i,j], in canonical order, when the set
+        is over Z and every weight is an a[i,j]; None otherwise.  A set
+        listed from pairs gives its pairs; a tuple-listed set has them read
+        off its tuples, once."""
+        if self.pairs is not None or self.spec.modulus:
+            return self.pairs
+        n = self.spec.n
+        # a zero-sum weight with n - 2 zeros and an entry 1 is an a[i,j]
+        if not all(w.count(0) == n - 2 and 1 in w for w in self.elements):
+            return None
+        return tuple((w.index(1) + 1, w.index(-1) + 1) for w in self.elements)
+
+    @cached_property
+    def edge_positions(self) -> Dict[Tuple[int, int], int]:
+        """The position of each weight a[i,j] by its pair (i, j), for a set
+        whose ``edges`` are not None."""
+        return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def _forest(self) -> Tuple[bool, Tuple[SparseVector, ...]]:
+        """For a set whose ``edges`` are not None: whether it spans, and an
+        integer basis of its kernel, read off the graph on 1..n with an edge
+        i -> j per weight a[i,j].  The forest is grown breadth first from
+        vertex 1, then from each vertex not yet reached, in increasing
+        order, each vertex's edges taken in the canonical order.
+
+        Span: the set spans the zero-sum lattice iff the graph is connected.
+        If it is, each e_1 - e_i is a signed sum of the weights on a tree
+        path; if not, every weight sums to 0 over each component, so no
+        e_i - e_j across two components is reached.
+
+        Kernel: a forest's weights are independent (a leaf's edge is the
+        only one nonzero at the leaf; remove it and repeat).  The
+        fundamental cycle of a weight a[i,j] outside the forest, 1 there
+        and +-1 along the forest path from i to j so that the path sums to
+        e_j - e_i, lies in Ker(phi).  A kernel vector c minus the sum over
+        those weights k of c_k times k's cycle is a kernel vector on the
+        forest, so 0: the cycles are an integer basis, and a kernel
+        vector's coefficients are its entries at the weights outside the
+        forest (the incidence matrix of a directed graph is totally
+        unimodular; Schrijver 1986, ch. 19).  The cycles come in the
+        canonical order of those weights, each a +-1 vector in increasing
+        position."""
+        edges, n = self.edges, self.spec.n
+        adjacent: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
+        for k, (i, j) in enumerate(edges):
+            adjacent[i].append((k, j))
+            adjacent[j].append((k, i))
+        depth = [-1] * (n + 1)
+        up: List[Tuple[int, int]] = [(-1, 0)] * (n + 1)  # (edge to the parent, parent)
+        in_forest = [False] * len(edges)
+        trees = 0
+        for root in range(1, n + 1):
+            if depth[root] >= 0:
+                continue
+            trees += 1
+            depth[root] = 0
+            queue = [root]
+            for u in queue:
+                for k, v in adjacent[u]:
+                    if depth[v] < 0:
+                        depth[v], up[v], in_forest[k] = depth[u] + 1, (k, u), True
+                        queue.append(v)
+        cycles = []
+        for k, (i, j) in enumerate(edges):
+            if in_forest[k]:
+                continue
+            # a step from x to y on the path from i to j adds e_y - e_x: +1
+            # on the weight a[y, x], -1 on a[x, y]
+            cycle = {k: 1}
+            while i != j:
+                if depth[i] >= depth[j]:
+                    t, i_up = up[i]
+                    cycle[t] = 1 if edges[t][1] == i else -1
+                    i = i_up
+                else:
+                    t, j_up = up[j]
+                    cycle[t] = 1 if edges[t][0] == j else -1
+                    j = j_up
+            cycles.append(tuple(sorted(cycle.items())))
+        return trees == 1, tuple(cycles)
+
+    @cached_property
     def _smith(self) -> Tuple[Tuple[int, ...], Tuple[SparseVector, ...]]:
         """The diagonal of the Smith normal form of coordinate_matrix(self),
         and the columns of its right transform past the rank, which generate
@@ -393,7 +477,11 @@ def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
 
 
 def spans(lam: WeightSet) -> bool:
-    """True iff Lambda generates the full (zero-sum) lattice over Z or Z/q."""
+    """True iff Lambda generates the full (zero-sum) lattice over Z or Z/q:
+    by connectivity for a set of a[i,j] over Z (WeightSet._forest), by the
+    Smith normal form otherwise."""
+    if lam.edges is not None:
+        return lam._forest[0]
     d = lam._smith[0]
     return len(d) == lam.spec.rank and all(x == 1 for x in d)
 
@@ -402,10 +490,14 @@ def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
     """Generators of {c in Z[Lambda] : sum c_i * lambda_i = 0} in the lattice
     of lam, each a sparse vector indexed by the canonical order of Lambda.
 
-    Over Z (modulus 0) they are an integer basis: the columns of the SNF's
-    right transform past the rank.  Over Z/q they are the projection of the
-    integer kernel of [A | q*I] onto the Z[Lambda] coordinates.
+    Over Z (modulus 0) they are an integer basis: for a set of a[i,j], the
+    fundamental cycles of a spanning forest of its graph (WeightSet._forest);
+    otherwise the columns of the SNF's right transform past the rank.  Over
+    Z/q they are the projection of the integer kernel of [A | q*I] onto the
+    Z[Lambda] coordinates.
     """
+    if lam.edges is not None:
+        return lam._forest[1]
     q = lam.spec.modulus
     if not q:
         return lam._smith[1]

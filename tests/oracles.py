@@ -7,7 +7,8 @@ rotations, the witness set of case (d) in closed form (the package builds
 it as an orbit closure; case (c)'s closed form is the package's own, and
 the tests check it against the closure instead), the Smith normal form as
 the package computed it before its updates followed the matrix's support,
-with the left transform the package no longer builds, sympy's reduced row
+with the left transform the package no longer builds, the breadth-first
+spanning forest of a set of a[i,j] read off its tuples, sympy's reduced row
 echelon form over GF(p), the branch-and-bound search the coinvariant greedy
 replaced, and the paper's block-sum map, p-multiple test, Nakayama filter
 and fiber count, which the greedy's coinvariant argument supersedes."""
@@ -252,6 +253,29 @@ def faithful_by_enumeration(lam, group):
         gens.append(tuple(dense))
     return all(any(permute_coefficients(g, lam, v) != v for v in gens)
                for g in group_elements(group) if not is_identity(g))
+
+
+def forest_positions(lam: WeightSet) -> set:
+    """The positions in lam, a set of a[i,j] over Z, of the weights of the
+    breadth-first spanning forest of its graph (an edge i -> j per a[i,j]):
+    grown from vertex 1, then from each vertex not yet reached, in
+    increasing order; a vertex's edges are taken in canonical order."""
+    n = lam.spec.n
+    reached, forest = set(), set()
+    for root in range(1, n + 1):
+        if root in reached:
+            continue
+        reached.add(root)
+        queue = [root]
+        for u in queue:
+            for k, w in enumerate(lam.elements):
+                if w[u - 1]:
+                    v = next(x for x in range(1, n + 1) if x != u and w[x - 1])
+                    if v not in reached:
+                        reached.add(v)
+                        forest.add(k)
+                        queue.append(v)
+    return forest
 
 
 # The Smith normal form with whole-row and whole-column updates, as the

@@ -61,8 +61,10 @@ class TestCheckGenfree:
 
 # Golden corpus: argv, exit code, stdout and stderr of CLI calls over every
 # subcommand, recorded before weights became plain int tuples.  The
-# check-genfree --json payloads also pin the SNF pivot order, which picks the
-# kernel generators, and the first moved generator reported for each element.
+# check-genfree --json payloads of cases (c) and (d) also pin the spanning
+# forest, whose fundamental cycles are the kernel generators, and the first
+# moved cycle reported for each element; they were re-recorded when the
+# certificate stopped reading the kernel off the Smith normal form.
 # Run timings (search-min's elapsed_ms, reproduce-all's per-row elapsed_ms)
 # are dropped; reproduce-all is compared through its report file.
 # `PYTHONPATH=src python tests/test_cli.py` re-records it from the current code.
@@ -128,8 +130,9 @@ def test_check_genfree_payload_pinned(tmp_path, args):
 
 # The sha256 of the stdout of each benchmarked ed and check-genfree call, at
 # sizes the corpus does not reach; each exits 0 with nothing on stderr.  The
-# check-genfree payloads print the SNF's kernel generators, so these also pin
-# its operation sequence on the 2048- and 512-weight witnesses.
+# check-genfree payloads print fundamental cycles of the spanning forest, so
+# these also pin its order on the 2048- and 512-weight witnesses; the SNF's
+# kernel columns of the 2048-weight one are pinned in test_lattice.
 PINNED_CALLS = [
     (("ed", "--n", "128", "--p", "2", "--json"),
      "5f11ba537b8db382082f07345124dab1a9ca346b5ce4c3c68dfd9c007651efd1"),
@@ -140,9 +143,9 @@ PINNED_CALLS = [
     (("ed", "--n", "243", "--p", "3", "--json"),
      "ac6b250aca599e41f9fac905708c8bfe74686ab5abf4925049280dfb76780a3c"),
     (("check-genfree", "--case", "c", "--r", "6", "--p", "2", "--json"),
-     "80113bc93f78b6a2363b497fa7a0bcd0f2deaa7a222692928328ed0cf7b04047"),
+     "4f2526faddebf75b74eb73fa4051b5d33c9fd8df13502c79121332ceabfdfa62"),
     (("check-genfree", "--case", "d", "--n", "48", "--p", "2", "--json"),
-     "8841d7b8087accfc7538ecb042d4facbb4b191bc38381c48dd295a2ed7233ba6"),
+     "0351c3763367120c7cbbf0b0c71d69f599b8ba80ba588f69445744ca18578766"),
 ]
 
 

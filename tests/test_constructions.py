@@ -236,8 +236,9 @@ class TestSizeBudget:
             build_plan(case, n, p)
 
     def test_case_c_length_refused_before_the_power(self):
-        # p^(3r-1) >= 2^(3r-1) entries: r = 9 is past 2^24 for every p, and
-        # refused without building p^r
+        # p^(3r-1) >= 2^(3r-1) entries: r = 9 is past 2^24 for every p.  2^9
+        # is formed and refused by check_size's exact count; the other two
+        # powers, of over 2^16 bits, are refused unformed, from 2^(3r-1)
         assert case_c_length(2, 8) == 256
         for p, r in [(2, 9), (3, 10 ** 9), (10 ** 6 + 3, 10 ** 9)]:
             with pytest.raises(ConstructionError, match="witness set too large"):

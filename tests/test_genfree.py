@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from essdim.constructions import (
     lambda_b,
     permute_coefficients,
 )
-from essdim import constructions, genfree
+from essdim import constructions, genfree, lattice
 from essdim.genfree import (
     GenFreeError,
     _require_invariant,
@@ -161,6 +162,19 @@ class TestLemma34:
             monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", limit - 1)
             with pytest.raises(GenFreeError, match="center scan too large"):
                 check_certificate("d", n, p)
+
+    def test_case_c_certified_without_tuples_or_snf(self, monkeypatch, capsys):
+        # invariance, span, kernel, center scan and explicit witness all read
+        # the index pairs of Lambda_c
+        def refuse(*args):
+            raise AssertionError("a weight tuple or the SNF was built")
+
+        monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+        monkeypatch.setattr(WeightSet, "elements", property(refuse))
+        argv = ["check-genfree", "--case", "c", "--r", "6", "--p", "2", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["overall"] and len(payload["explicit_kernel_witness"]) == 2048
 
     def test_witnesses_recorded(self):
         verdict = check_lemma34(build_plan("c", 4, 2).torus_weights,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -25,6 +26,7 @@ from essdim.lattice import (
     standard_weight,
     vp,
 )
+from essdim.permgroup import orbit, sylow_subgroup
 import oracles
 from oracles import (dense_smith_normal_form, diagonal, diagonal_matrix, identity, in_p_multiple,
                      matmul, reduce_mod)
@@ -439,23 +441,107 @@ class TestKernelBasis:
             assert all(t == 0 for t in total)
 
 
-class TestKernelPinned:
-    """The full kernel generators, recorded from the dense-transform SNF:
-    the corpus pins only the first moved generator of each tested element."""
+def snf_spans(lam):
+    """The span verdict of the Smith normal form: every diagonal entry 1."""
+    d = lam._smith[0]
+    return len(d) == lam.spec.rank and all(x == 1 for x in d)
 
-    # sha256 of the canonical JSON (no spaces) of the dense kernel_basis
+
+def check_forest_against_snf(lam):
+    """The graph route of a set of a[i,j] over Z against the SNF: the same
+    span verdict; one +-1 cycle in Ker(phi) per weight outside the forest,
+    1 there and otherwise on the forest only; and each of the SNF's kernel
+    columns the sum of the cycles weighted by its own entries at those
+    weights.  Returns the span verdict."""
+    assert lam.edges is not None
+    assert spans(lam) == snf_spans(lam)
+    cycles = kernel_generators_mod(lam)
+    forest = oracles.forest_positions(lam)
+    own = [k for k in range(len(lam)) if k not in forest]
+    assert len(cycles) == len(own)
+    for k, cycle in zip(own, cycles):
+        positions = [j for j, _ in cycle]
+        assert positions == sorted(set(positions))
+        assert all(c in (1, -1) for _, c in cycle)
+        assert dict(cycle)[k] == 1 and all(j == k or j in forest for j in positions)
+        assert oracles.phi_image(lam, densify(cycle, len(lam))) == (0,) * lam.spec.n
+    cycle_at = dict(zip(own, cycles))
+    for column in lam._smith[1]:
+        total = Counter()
+        for k, x in column:
+            for j, c in cycle_at.get(k, ()):
+                total[j] += x * c
+        assert sorted(item for item in total.items() if item[1]) == list(column)
+    return spans(lam)
+
+
+class TestForestMatchesSnf:
+    """spans and kernel_generators_mod read a set of a[i,j] over Z off a
+    spanning forest of its graph; the Smith normal form is the oracle."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_plan(self, p):
+        for n in range(1, 65):
+            lam = build_plan(case_of(n, p), n, p).torus_weights
+            assert check_forest_against_snf(lam), (n, p)
+
+    def test_random_invariant_unions(self):
+        # unions of P_n-orbits of a[i,j]; some do not span, and some hold
+        # both a[i,j] and a[j,i]
+        rng = random.Random(20261019)
+        seen = Counter()
+        for _ in range(150):
+            n, p = rng.choice([(4, 2), (6, 2), (8, 2), (12, 2), (6, 3), (9, 3), (12, 3), (10, 5)])
+            group = sylow_subgroup(n, p)
+            spec = LatticeSpec(n)
+            weights = set()
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(1, n + 1), 2)
+                weights |= set(orbit(group, standard_weight(i, j, spec), spec))
+                if rng.random() < 0.3:
+                    weights |= set(orbit(group, standard_weight(j, i, spec), spec))
+            lam = WeightSet.of(weights, spec)
+            seen["spans" if check_forest_against_snf(lam) else "does not span"] += 1
+            edges = set(lam.edges)
+            seen["both ways"] += any((j, i) in edges for i, j in edges)
+            listed = WeightSet.from_pairs(lam.edges, spec)
+            assert (spans(listed), kernel_generators_mod(listed)) == (
+                spans(lam), kernel_generators_mod(lam))
+        assert min(seen.values()) >= 10, seen
+
+    def test_other_sets_keep_the_snf(self):
+        spec = LatticeSpec(3)
+        lam = WeightSet.of([standard_weight(1, 2, spec), standard_weight(2, 3, spec)], spec)
+        assert lam.edges == ((2, 3), (1, 2))
+        for other in (WeightSet.of([*lam, (2, -2, 0)], spec), WeightSet.of([(0,)], LatticeSpec(1))):
+            assert other.edges is None
+            assert kernel_generators_mod(other) == other._smith[1]
+        reduced = reduce_mod(lam, 3)
+        assert reduced.edges is None and spans(reduced) == snf_spans(reduced)
+
+
+class TestKernelPinned:
+    """The SNF's own kernel columns of the witness sets, recorded from the
+    dense-transform SNF.  The certificate reads the kernel of a set of
+    a[i,j] off a spanning forest, so these pin the SNF where no CLI call
+    reaches it."""
+
+    # sha256 of the canonical JSON (no spaces) of the dense kernel columns
     DIGESTS = [
         ("c", 16, 2, 113, "49c4c30280b22290c188d9fb994239b7bf1d11779096476119b0f298afd8ba1c"),
         ("c", 27, 3, 217, "7c5ec133fb74b145e07096cb6a693b9362b700fb0661687c471b1f0d72562dbe"),
         ("c", 25, 5, 101, "998f415754ec6c4e75475152d23e9c9c32b7e14737e4512a1219abb342d506d4"),
         ("d", 24, 2, 105, "471786ea062191a857a4c6aec3ea320def0c889c01cf207867b7856d66928a42"),
         ("d", 48, 2, 465, "bee4f0de24f683c30864553cbce4a05083077777dc2de522c6ba0fa0a903d1fe"),
+        # the 2048-weight witness the check-genfree --case c --r 6 --p 2
+        # payload pinned while the certificate ran the SNF
+        ("c", 64, 2, 1985, "b885772b1be0d5af767de321f28a84ffdca422186eec9e113962a6a1031af8d1"),
     ]
 
     @pytest.mark.parametrize("case,n,p,size,digest", DIGESTS)
     def test_witness_kernel_digest(self, case, n, p, size, digest):
         lam = build_plan(case, n, p).torus_weights
-        kb = [list(densify(v, len(lam))) for v in kernel_generators_mod(lam)]
+        kb = [list(densify(v, len(lam))) for v in lam._smith[1]]
         assert len(kb) == size
         text = json.dumps(kb, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -480,7 +566,7 @@ class TestKernelPinned:
             (0, 1, 0, 0, 0, 0, 0, -1, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0),
             (0, 1, 0, 0, 0, 0, 0, 0, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1),
         )
-        assert tuple(densify(v, 27) for v in kernel_generators_mod(lam)) == expected
+        assert tuple(densify(v, 27) for v in lam._smith[1]) == expected
 
     def test_generators_mod_q(self):
         # a reduced case (c) set and a non-spanning set over Z/9
