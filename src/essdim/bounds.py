@@ -4,13 +4,15 @@ the zero-sum lattice mod q, its orbit representatives, and naive oracles.
 The minimum rests on one lemma.  P_n is a p-group, so F_p[P_n] is local with
 maximal ideal its augmentation ideal I, and by Nakayama a union of orbits
 generates X_n / q iff its orbit representatives span the coinvariants
-V / IV, V = X_n / p X_n.  The minimum is then a minimum-weight basis of a
-linear matroid, which the greedy in ascending orbit order finds exactly
-(Edmonds 1971): one F_p echelon step (``lattice.echelon_mod_p``) per
-orbit examined.  The orbits come from ``orbit_representatives``, which
-builds each orbit's least element from canonical forms of the Sylow
-subgroup's blocks, in the greedy's order and without listing the lattice.
-The witness is certified by the lift-to-Z span test.
+C = V / IV, V = X_n / p X_n.  ``coinvariant_class`` reads the class of a
+vector in C off its part sums, in closed form.  The minimum is then a
+minimum-weight basis of a linear matroid, which the greedy in ascending
+orbit order finds exactly (Edmonds 1971): one F_p echelon step
+(``lattice.echelon_mod_p``) in dim C <= #parts - 1 coordinates per orbit
+examined.  The orbits come from ``orbit_representatives``, which builds
+each orbit's least element from canonical forms of the Sylow subgroup's
+blocks, in the greedy's order and without listing the lattice.  The
+witness is certified by its full F_p rank, again by Nakayama.
 """
 
 from __future__ import annotations
@@ -18,16 +20,15 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .lattice import (
     LatticeSpec,
     WeightSet,
-    basis_coordinates,
     echelon_mod_p,
     prime_power_root,
+    rank_mod_p,
     spans,
-    standard_weight,
     vp,
 )
 from .constructions import case_of, witness_size
@@ -235,18 +236,49 @@ def count_orbits(group: PermGroupSpec, q: int) -> int:
     return total[0] - 1
 
 
-def coinvariant_radical(group: PermGroupSpec) -> Dict[int, Tuple[int, ...]]:
-    """The F_p echelon basis of IV in the chart, V = X_n / p X_n and I the
-    augmentation ideal of F_p[P_n], P_n = group: the vectors (g - 1) a[j, j+1]
-    over the generators g of P_n and the chart basis.  g1 g2 - 1 = (g1 - 1) g2
-    + (g2 - 1), so the g - 1 over the generators span I as a right ideal and
-    the sum of the (g - 1) V is IV."""
-    spec = LatticeSpec(group.n)
-    chart = [standard_weight(j, j + 1, spec) for j in range(1, group.n)]
-    return echelon_mod_p(
-        (basis_coordinates([x - y for x, y in zip(act(g, a), a)])
-         for g in group.generators for a in chart),
-        group.p, spec.rank)
+def coinvariant_class(
+    group: PermGroupSpec,
+) -> Tuple[Callable[[Sequence[int]], Tuple[int, ...]], int]:
+    """(f, dim C): the linear map f from V = X_n / p X_n onto the
+    coinvariants C = V / IV = F_p^(dim C), I the augmentation ideal of
+    F_p[P_n], P_n = group, read off the entries of any lift of a vector of V.
+
+    The parts of the layout are the fixed points (the leading n mod p
+    positions) and the blocks.  With two or more parts, f(v) is the part
+    sums mod p of every part but the last; with one block, n = p^r, it is
+    sum_t t S_t(v) mod p, S_t the sum over the t-th sub-block of size
+    p^(r-1); at n = 1, V = 0 and f(v) = ().
+
+    IV lies in ker f.  Every g in P_n maps each part onto itself, so it
+    fixes every part sum.  On one block, g permutes the p sub-blocks by a
+    rotation t -> t + k, so f(g v) - f(v) = k sum_t S_t(v), which is 0 on
+    the zero-sum vectors.
+
+    dim C is the dimension of f's image, so ker f = IV and f induces
+    C = F_p^(dim C).  Apply H_0(P_n, -) to 0 -> V -> F_p^n -> F_p -> 0:
+
+        H_1(F_p^n) -> H_1(F_p) -> C -> H_0(F_p^n) -> F_p -> 0.
+
+    By Shapiro's lemma H_0(F_p^n) = F_p^(#parts), mapped onto F_p by the
+    sum, and H_1(F_p^n) -> H_1(F_p) sums the corestrictions from the point
+    stabilizers' abelianizations mod p to P_n's: the product over the
+    blocks of p^r points of C_p^r, one C_p per level.  A fixed point's
+    stabilizer is P_n.  A point of a block has a stabilizer holding every
+    other block's factor and, in its own block, the whole level below on
+    another sub-block, but no rotation of the top level.  So with two or
+    more parts the images cover P_n's and dim C = #parts - 1; on one block
+    they miss the top level's C_p alone and dim C = 1.  f reaches both:
+    e_x - e_y, x in some part and y in the last, is a unit vector of the
+    image, and on one block f(a[1, 1 + p^(r-1)]) = -1.
+    """
+    p, n = group.p, group.n
+    fixed = group.blocks[0][0] - 1 if group.blocks else n
+    parts = [(i, i + 1) for i in range(fixed)] + [(lo - 1, hi) for lo, hi in group.blocks]
+    if len(parts) == 1 and group.blocks:
+        sub = n // p
+        return (lambda v: (sum(t * sum(v[t * sub:(t + 1) * sub]) for t in range(1, p)) % p,)), 1
+    cuts = parts[:-1]
+    return (lambda v: tuple(sum(v[lo:hi]) % p for lo, hi in cuts)), len(cuts)
 
 
 def check_search(n: int, p: int, q: int) -> None:
@@ -278,32 +310,33 @@ def min_invariant_generating_size(n: int, p: int, q: int) -> SearchResult:
     optimal unions its sorted orbit indices are lexicographically least: it
     is the first optimal union in canonical inclusion order.  An orbit's
     image in C is that of its first element, since g v - v lies in IV, so
-    one echelon step per orbit examined decides it.  Each nonzero orbit is
-    examined at most once, so check_search's cap on q^(n-1) bounds the
-    search before it starts.  The witness is certified once over Z by the
-    Smith normal form span test.
+    one echelon step on its class (coinvariant_class) per orbit examined
+    decides it.  Each nonzero orbit is examined at most once, so
+    check_search's cap on q^(n-1) bounds the search before it starts.  The
+    witness is certified once by its F_p rank: X_n / q is free over Z/q, so
+    by Nakayama it generates iff its chart coordinates have full rank mod p.
     """
     check_search(n, p, q)
     start = time.perf_counter()
     spec = LatticeSpec(n, q)
     group = sylow_subgroup(n, p)
-    target = spec.rank
-    basis = coinvariant_radical(group)
+    f, target = coinvariant_class(group)
+    basis: Dict[int, Tuple[int, ...]] = {}
     chosen: List[WeightSet] = []
     examined = 0
     for _, rep in orbit_representatives(group, q):
         if len(basis) == target:
             break
         examined += 1
-        grown = echelon_mod_p([basis_coordinates(rep)], p, target, basis)
+        grown = echelon_mod_p([f(rep)], p, target, basis)
         if len(grown) > len(basis):
             basis = grown
             chosen.append(orbit(group, rep, spec))
 
     witness = WeightSet.of([w for o in chosen for w in o.elements], spec)
-    if not spans(witness):
-        # cannot happen for free modules over Z/p^e (Nakayama)
-        raise BoundsError("coinvariants spanned but lift-to-Z span test failed")
+    if rank_mod_p(witness, p, spec.rank) != spec.rank:
+        # cannot happen: the classes span C (Nakayama)
+        raise BoundsError("coinvariants spanned but the witness has F_p rank below n - 1")
     return SearchResult(
         minimum=len(witness),
         witness=witness,
@@ -320,15 +353,16 @@ def naive_min_invariant_generating_size(n: int, p: int, q: int) -> Tuple[int, We
     orbits = _nonzero_orbits(spec, p)
     if len(orbits) > 20:
         raise BoundsError(f"naive enumeration infeasible: {len(orbits)} orbits")
+    sizes = [len(o) for o in orbits]
     best = None
     for k in range(1, len(orbits) + 1):
         for combo in itertools.combinations(range(len(orbits)), k):
-            members = [w for i in combo for w in orbits[i].elements]
-            if best is not None and len(members) >= best[0]:
+            size = sum(sizes[i] for i in combo)
+            if best is not None and size >= best[0]:
                 continue
-            ws = WeightSet.of(members, spec)
+            ws = WeightSet.of([w for i in combo for w in orbits[i].elements], spec)
             if spans(ws):  # smaller than best, by the test above
-                best = (len(members), ws)
+                best = (size, ws)
     if best is None:
         raise BoundsError("no invariant generating subset exists")
     return best

@@ -10,8 +10,10 @@ the package computed it before its updates followed the matrix's support,
 with the left transform the package no longer builds, the breadth-first
 spanning forest of a set of a[i,j] read off its tuples, sympy's reduced row
 echelon form over GF(p), the branch-and-bound search the coinvariant greedy
-replaced, and the paper's block-sum map, p-multiple test, Nakayama filter
-and fiber count, which the greedy's coinvariant argument supersedes."""
+replaced, the echelon basis of IV the greedy reduced against before its
+closed-form class map, and the paper's block-sum map, p-multiple test,
+Nakayama filter and fiber count, which the greedy's coinvariant argument
+supersedes."""
 
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -21,8 +23,8 @@ from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
                             basis_coordinates, echelon_mod_p, kernel_generators_mod,
-                            prime_power_root, spans)
-from essdim.permgroup import Perm, PermError, p_adic_digits
+                            prime_power_root, spans, standard_weight)
+from essdim.permgroup import Perm, PermError, act, p_adic_digits
 
 
 def from_cycles(text: str, n: int) -> Perm:
@@ -436,6 +438,20 @@ def orbit_spans_mod_p(orbits: Sequence[WeightSet], p: int,
             span = by_residue[key] = echelon_mod_p(map(basis_coordinates, o), p, dim)
         out.append(span)
     return out
+
+
+def coinvariant_radical(group) -> Dict[int, Tuple[int, ...]]:
+    """The F_p echelon basis of IV in the chart, V = X_n / p X_n and I the
+    augmentation ideal of F_p[P_n], P_n = group: the vectors (g - 1) a[j, j+1]
+    over the generators g of P_n and the chart basis.  g1 g2 - 1 = (g1 - 1) g2
+    + (g2 - 1), so the g - 1 over the generators span I as a right ideal and
+    the sum of the (g - 1) V is IV."""
+    spec = LatticeSpec(group.n)
+    chart = [standard_weight(j, j + 1, spec) for j in range(1, group.n)]
+    return echelon_mod_p(
+        (basis_coordinates([x - y for x, y in zip(act(g, a), a)])
+         for g in group.generators for a in chart),
+        group.p, spec.rank)
 
 
 class BudgetExhausted(RuntimeError):

@@ -8,7 +8,7 @@ import pytest
 
 from essdim.bounds import (
     BoundsError,
-    coinvariant_radical,
+    coinvariant_class,
     count_orbits,
     lattice_elements,
     min_invariant_generating_size,
@@ -23,8 +23,8 @@ from essdim.bounds import (
 from essdim.lattice import (LatticeSpec, WeightSet, basis_coordinates, echelon_mod_p,
                             spans, standard_weight)
 from essdim.permgroup import Perm, act, orbit, sylow_subgroup
-from oracles import (branch_and_bound_min, fiber_check, group_elements, nakayama_filter,
-                     orbit_spans_mod_p, reduce_mod, sigma_map)
+from oracles import (branch_and_bound_min, coinvariant_radical, fiber_check, group_elements,
+                     nakayama_filter, orbit_spans_mod_p, reduce_mod, sigma_map)
 
 
 def random_mod_weight(rng, n, q):
@@ -311,6 +311,20 @@ class TestSearch:
         assert dim_c == n - 1 - len(brute)
         assert dim_c >= 1
         assert radical == brute
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_coinvariant_class_kernel_is_the_radical(self, p):
+        # f vanishes on the spanning set (g - 1) a[j, j+1] of IV, and its
+        # rank on the chart is n - 1 - dim IV, so ker f = IV and f(V) = C
+        for n in range(1, 61):
+            group = sylow_subgroup(n, p)
+            f, dim_c = coinvariant_class(group)
+            spec = LatticeSpec(n)
+            chart = [standard_weight(j, j + 1, spec) for j in range(1, n)]
+            assert not any(any(f([x - y for x, y in zip(act(g, a), a)]))
+                           for g in group.generators for a in chart), n
+            rank = len(echelon_mod_p(map(f, chart), p, dim_c))
+            assert rank == dim_c == n - 1 - len(coinvariant_radical(group)), n
 
     def test_witness_deterministic(self):
         a = min_invariant_generating_size(4, 2, 4).witness

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from essdim import bounds, permgroup
-from essdim.cli import main
+from essdim import bounds, lattice, permgroup
+from essdim.cli import CLAIMS, claim_holds, main
 
 
 def run(capsys, *argv):
@@ -128,11 +128,13 @@ def test_check_genfree_payload_pinned(tmp_path, args):
     assert observe(args, tmp_path) == corpus[" ".join(args)]
 
 
-# The sha256 of the stdout of each benchmarked ed and check-genfree call, at
-# sizes the corpus does not reach; each exits 0 with nothing on stderr.  The
-# check-genfree payloads print fundamental cycles of the spanning forest, so
-# these also pin its order on the 2048- and 512-weight witnesses; the SNF's
-# kernel columns of the 2048-weight one are pinned in test_lattice.
+# The sha256 of the stdout of each benchmarked ed, check-genfree and verify
+# call, the ed and check-genfree ones at sizes the corpus does not reach;
+# each exits 0 with nothing on stderr.  The check-genfree payloads print
+# fundamental cycles of the spanning forest, so these also pin its order on
+# the 2048- and 512-weight witnesses; the SNF's kernel columns of the
+# 2048-weight one are pinned in test_lattice.  The verify payloads pin each
+# search's witness, node count and orbit count.
 PINNED_CALLS = [
     (("ed", "--n", "128", "--p", "2", "--json"),
      "5f11ba537b8db382082f07345124dab1a9ca346b5ce4c3c68dfd9c007651efd1"),
@@ -146,6 +148,18 @@ PINNED_CALLS = [
      "4f2526faddebf75b74eb73fa4051b5d33c9fd8df13502c79121332ceabfdfa62"),
     (("check-genfree", "--case", "d", "--n", "48", "--p", "2", "--json"),
      "0351c3763367120c7cbbf0b0c71d69f599b8ba80ba588f69445744ca18578766"),
+    (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--q", "8", "--json"),
+     "b8e8906135c4474278fefb5ed22fb08f6e418d6265eb01677c8bb926266257c0"),
+    (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--json"),
+     "23ceeaec63eb9264f506fd2270dc68811d84a8c60bef26aae54708c0946bba35"),
+    (("verify", "--prop", "7.2", "--p", "5", "--r", "1", "--json"),
+     "d0609a486a0c3ebbb649573a97995580e2aca09c1dbc08eac46ad381e553b361"),
+    (("verify", "--prop", "7.2", "--p", "3", "--r", "1", "--q", "27", "--json"),
+     "1da6043717e12042effaaf26a87d366e4f807af397f269114bd7017e43533068"),
+    (("verify", "--prop", "7.2", "--p", "3", "--r", "1", "--q", "81", "--json"),
+     "463530a38f255f20bdea048d80519ae272b3f370cd0cdf0b23d2b0bfae55fa7b"),
+    (("verify", "--lemma", "8.2", "--p", "2", "--n", "6", "--json"),
+     "94768fa67e7c9420dec8d217508d2d4e431c74226b5bccecd0eeeb3acb077464"),
 ]
 
 
@@ -154,6 +168,21 @@ def test_benchmarked_call_pinned(capsys, args, digest):
     code, out, err = run(capsys, *args)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_searches_build_no_snf(monkeypatch, capsys):
+    # the greedy reduces closed-form coinvariant classes and certifies its
+    # witness by F_p rank, so no search reaches the Smith normal form
+    def refuse(*args):
+        raise AssertionError("a search built a Smith normal form")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    rows = [params for command, params in CLAIMS if command == "search-min"]
+    assert rows and all(claim_holds("search-min", params) for params in rows)
+    searches = [args for args, _ in PINNED_CALLS if args[0] == "verify"]
+    assert len(searches) == 6
+    for args in searches:
+        assert run(capsys, *args)[0] == 0
 
 
 class TestOrbit:

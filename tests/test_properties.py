@@ -9,8 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings, strategies as st
 
-from essdim.bounds import (_nonzero_orbits, count_orbits, min_invariant_generating_size,
-                           orbit_representatives)
+from essdim.bounds import (_nonzero_orbits, coinvariant_class, count_orbits,
+                           min_invariant_generating_size, orbit_representatives)
 from essdim.lattice import (
     IntegerMatrix,
     LatticeSpec,
@@ -115,6 +115,27 @@ def test_orbit_stabilizer(data):
     stabilizer = [g for g in group_elements(group) if act(g, w) == w]
     assert len(orbit(group, w, spec)) * len(stabilizer) == p ** group.order_exponent
     assert orbit_size(group, w) * len(stabilizer) == p ** group.order_exponent
+
+
+class_points = st.tuples(st.integers(1, 40), st.sampled_from([2, 3, 5, 7])).flatmap(
+    lambda np_: st.tuples(st.just(np_),
+                          st.lists(st.integers(-9, 9), min_size=np_[0] - 1, max_size=np_[0] - 1),
+                          st.lists(st.integers(0, 99), max_size=8)))
+
+
+@FIXED
+@given(class_points)
+def test_coinvariant_class_is_invariant(data):
+    # f(g w) = f(w) for g a word in the generators of P_n and w zero-sum
+    (n, p), prefix, word = data
+    group = sylow_subgroup(n, p)
+    f, dim_c = coinvariant_class(group)
+    w = LatticeSpec(n).weight(prefix + [-sum(prefix)])
+    v = w
+    for i in word if group.generators else ():
+        v = act(group.generators[i % len(group.generators)], v)
+    assert f(v) == f(w)
+    assert len(f(w)) == dim_c
 
 
 # every (n, p, q) with q = p^e and at most 4096 lattice elements
