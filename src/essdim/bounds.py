@@ -12,7 +12,9 @@ orbit order finds exactly (Edmonds 1971): one F_p echelon step
 examined.  The orbits come from ``orbit_representatives``, which builds
 each orbit's least element from canonical forms of the Sylow subgroup's
 blocks, in the greedy's order and without listing the lattice.  The
-witness is certified by its full F_p rank, again by Nakayama.
+witness is certified by ``lattice.spans``, which reads a mod-q set's span
+off its F_p rank, again by Nakayama; the naive oracles call the same
+predicate.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .lattice import (
     WeightSet,
     echelon_mod_p,
     prime_power_root,
-    rank_mod_p,
     spans,
     vp,
 )
@@ -310,11 +311,11 @@ def min_invariant_generating_size(n: int, p: int, q: int) -> SearchResult:
     optimal unions its sorted orbit indices are lexicographically least: it
     is the first optimal union in canonical inclusion order.  An orbit's
     image in C is that of its first element, since g v - v lies in IV, so
-    one echelon step on its class (coinvariant_class) per orbit examined
-    decides it.  Each nonzero orbit is examined at most once, so
-    check_search's cap on q^(n-1) bounds the search before it starts.  The
-    witness is certified once by its F_p rank: X_n / q is free over Z/q, so
-    by Nakayama it generates iff its chart coordinates have full rank mod p.
+    its class (coinvariant_class) decides it: a zero class lies in IV and is
+    skipped, any other takes one echelon step.  Each nonzero orbit is
+    examined at most once, so check_search's cap on q^(n-1) bounds the
+    search before it starts.  The witness is certified once by spans, which
+    decides a mod-q set by its F_p rank, the predicate the naive oracles use.
     """
     check_search(n, p, q)
     start = time.perf_counter()
@@ -328,15 +329,18 @@ def min_invariant_generating_size(n: int, p: int, q: int) -> SearchResult:
         if len(basis) == target:
             break
         examined += 1
-        grown = echelon_mod_p([f(rep)], p, target, basis)
+        image = f(rep)
+        if not any(image):  # an orbit in IV cannot raise the rank
+            continue
+        grown = echelon_mod_p([image], p, target, basis)
         if len(grown) > len(basis):
             basis = grown
             chosen.append(orbit(group, rep, spec))
 
     witness = WeightSet.of([w for o in chosen for w in o.elements], spec)
-    if rank_mod_p(witness, p, spec.rank) != spec.rank:
+    if not spans(witness):
         # cannot happen: the classes span C (Nakayama)
-        raise BoundsError("coinvariants spanned but the witness has F_p rank below n - 1")
+        raise BoundsError("coinvariants spanned but the witness does not generate")
     return SearchResult(
         minimum=len(witness),
         witness=witness,

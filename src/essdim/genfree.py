@@ -100,10 +100,11 @@ def kernel_action_faithful(
     """Decide whether the group acts faithfully on Ker(phi) by testing its
     order-p central elements, returning one moved kernel generator per
     element as witness; refused before the scan past MAX_WITNESS_ENTRIES
-    witness entries."""
+    witness entries, and for a set over Z/q before any central element is
+    listed."""
     _check_center_scan(group.p, len(group.blocks), len(lam))
-    elements = center_order_p_elements(group)
     gens = kernel_generators_mod(lam)
+    elements = center_order_p_elements(group)
     witnesses = []
     for g in elements:
         # g moves vec iff permute_coefficients(g, lam, vec) != vec; the image
@@ -124,9 +125,8 @@ def check_lemma34(lam: WeightSet, group: PermGroupSpec) -> GenFreeVerdict:
     """Span + faithful kernel action; the weight set must be group-invariant,
     and an oversized center scan is refused before the span test."""
     _require_invariant(lam, group)
-    _check_center_scan(group.p, len(group.blocks), len(lam))
-    spans_ok = spans(lam)
     faithful, witnesses = kernel_action_faithful(lam, group)
+    spans_ok = spans(lam)
     return GenFreeVerdict(
         spans_ok=spans_ok,
         kernel_faithful=faithful,

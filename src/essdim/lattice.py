@@ -2,7 +2,9 @@
 
 The ambient lattice is either Z^n or (Z/q)^n (q a prime power); the working
 sublattice is the rank n-1 zero-sum part, coordinatized in the fixed basis
-a[1,2], a[2,3], ..., a[n-1,n].  All arithmetic is exact (Python ints).
+a[1,2], a[2,3], ..., a[n-1,n].  All arithmetic is exact (Python ints).  A
+question over Z/q is answered over F_p, p the prime of q; the Smith normal
+form works over Z only.
 """
 
 from __future__ import annotations
@@ -320,10 +322,10 @@ class WeightSet:
 
     @cached_property
     def _smith(self) -> Tuple[Tuple[int, ...], Tuple[SparseVector, ...]]:
-        """The diagonal of the Smith normal form of coordinate_matrix(self),
-        and the columns of its right transform past the rank, which generate
-        the integer kernel, as sparse vectors.  Computed once, for spans and
-        the kernel."""
+        """For a set over Z: the diagonal of the Smith normal form of
+        coordinate_matrix(self), and the columns of its right transform past
+        the rank, which generate the integer kernel, as sparse vectors.
+        Computed once, for spans and the kernel."""
         d, right = smith_normal_form(coordinate_matrix(self))
         rank = sum(1 for x in d if x)
         return d, tuple(tuple(sorted(col.items())) for col in right[rank:])
@@ -465,21 +467,21 @@ def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
     """rank x |Lambda| matrix whose columns are the chart coordinates of the
-    elements of Lambda, lifted to Z; mod-q sets get q times each basis vector
-    appended so integer surjectivity matches surjectivity over Z/q."""
-    rank = lam.spec.rank
+    elements of Lambda, lifted to Z."""
     cols = [basis_coordinates(w) for w in lam.elements]
-    if lam.spec.modulus:
-        q = lam.spec.modulus
-        for i in range(rank):
-            cols.append(tuple(q if j == i else 0 for j in range(rank)))
-    return IntegerMatrix(rank, len(cols), tuple(zip(*cols)) if cols else ((),) * rank)
+    return IntegerMatrix(lam.spec.rank, len(cols),
+                         tuple(zip(*cols)) if cols else ((),) * lam.spec.rank)
 
 
 def spans(lam: WeightSet) -> bool:
-    """True iff Lambda generates the full (zero-sum) lattice over Z or Z/q:
-    by connectivity for a set of a[i,j] over Z (WeightSet._forest), by the
-    Smith normal form otherwise."""
+    """True iff Lambda generates the full (zero-sum) lattice over Z or Z/q.
+
+    Over Z/q, q = p^e, by its F_p rank: the lattice is free over the local
+    ring Z/q with maximal ideal p, so by Nakayama a set generates it iff its
+    chart coordinates span it mod p.  Over Z, by connectivity for a set of
+    a[i,j] (WeightSet._forest), by the Smith normal form otherwise."""
+    if lam.spec.modulus:
+        return rank_mod_p(lam, prime_power_root(lam.spec.modulus)) == lam.spec.rank
     if lam.edges is not None:
         return lam._forest[0]
     d = lam._smith[0]
@@ -487,27 +489,17 @@ def spans(lam: WeightSet) -> bool:
 
 
 def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
-    """Generators of {c in Z[Lambda] : sum c_i * lambda_i = 0} in the lattice
-    of lam, each a sparse vector indexed by the canonical order of Lambda.
-
-    Over Z (modulus 0) they are an integer basis: for a set of a[i,j], the
-    fundamental cycles of a spanning forest of its graph (WeightSet._forest);
-    otherwise the columns of the SNF's right transform past the rank.  Over
-    Z/q they are the projection of the integer kernel of [A | q*I] onto the
-    Z[Lambda] coordinates.
-    """
+    """An integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} for a
+    set over Z, each a sparse vector indexed by the canonical order of
+    Lambda: for a set of a[i,j], the fundamental cycles of a spanning forest
+    of its graph (WeightSet._forest); otherwise the columns of the SNF's
+    right transform past the rank.  A set over Z/q is refused
+    (LatticeError)."""
+    if lam.spec.modulus:
+        raise LatticeError(f"the kernel is computed over Z only, not mod {lam.spec.modulus}")
     if lam.edges is not None:
         return lam._forest[1]
-    q = lam.spec.modulus
-    if not q:
-        return lam._smith[1]
-    s = len(lam)
-    # the columns of coordinate_matrix past s are the appended q*I
-    gens = [tuple(e for e in col if e[0] < s) for col in lam._smith[1]]
-    # q * e_i always lies in the kernel; make sure generation is not lost to
-    # projection by including them explicitly.
-    gens.extend(((i, q),) for i in range(s))
-    return tuple(gens)
+    return lam._smith[1]
 
 
 def echelon_mod_p(
@@ -550,7 +542,7 @@ def echelon_mod_p(
     return out
 
 
-def rank_mod_p(lam: WeightSet, p: int, rank: int) -> int:
-    """F_p-rank of the chart coordinates of the weights of lam, capped at
-    ``rank`` (Gaussian elimination, exact)."""
-    return min(rank, len(echelon_mod_p(map(basis_coordinates, lam), p, lam.spec.rank)))
+def rank_mod_p(lam: WeightSet, p: int) -> int:
+    """F_p-rank of the chart coordinates of the weights of lam (Gaussian
+    elimination, exact)."""
+    return len(echelon_mod_p(map(basis_coordinates, lam), p, lam.spec.rank))

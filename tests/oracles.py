@@ -7,7 +7,9 @@ rotations, the witness set of case (d) in closed form (the package builds
 it as an orbit closure; case (c)'s closed form is the package's own, and
 the tests check it against the closure instead), the Smith normal form as
 the package computed it before its updates followed the matrix's support,
-with the left transform the package no longer builds, the breadth-first
+with the left transform the package no longer builds, the matrix
+[A | q*I] from which the package read a mod-q span before it went through
+F_p, the breadth-first
 spanning forest of a set of a[i,j] read off its tuples, sympy's reduced row
 echelon form over GF(p), the branch-and-bound search the coinvariant greedy
 replaced, the echelon basis of IV the greedy reduced against before its
@@ -22,8 +24,8 @@ from essdim.bounds import BoundsError, _nonzero_orbits
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
-                            basis_coordinates, echelon_mod_p, kernel_generators_mod,
-                            prime_power_root, spans, standard_weight)
+                            basis_coordinates, coordinate_matrix, echelon_mod_p,
+                            kernel_generators_mod, prime_power_root, spans, standard_weight)
 from essdim.permgroup import Perm, PermError, act, p_adic_digits
 
 
@@ -278,6 +280,21 @@ def forest_positions(lam: WeightSet) -> set:
                         forest.add(k)
                         queue.append(v)
     return forest
+
+
+def modulus_matrix(lam: WeightSet) -> IntegerMatrix:
+    """[A | q*I]: coordinate_matrix(lam), with q times each chart basis
+    vector appended for a set over Z/q, so that its integer column span is
+    the whole chart iff lam generates the mod-q lattice.  The package's
+    spans read a mod-q set off the Smith normal form of this matrix before
+    it went through the F_p rank."""
+    m = coordinate_matrix(lam)
+    q = lam.spec.modulus
+    if not q:
+        return m
+    rows = tuple(row + tuple(q if j == i else 0 for j in range(m.rows))
+                 for i, row in enumerate(m.entries))
+    return IntegerMatrix(m.rows, m.cols + m.rows, rows)
 
 
 # The Smith normal form with whole-row and whole-column updates, as the

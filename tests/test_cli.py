@@ -171,18 +171,22 @@ def test_benchmarked_call_pinned(capsys, args, digest):
 
 
 def test_searches_build_no_snf(monkeypatch, capsys):
-    # the greedy reduces closed-form coinvariant classes and certifies its
-    # witness by F_p rank, so no search reaches the Smith normal form
+    # no CLI call builds a Smith normal form: the greedy reduces closed-form
+    # coinvariant classes, spans decides a mod-q set by its F_p rank (the
+    # search's certificate and the naive cross-checks), and the certificates
+    # read a set of a[i,j] over Z off a spanning forest
     def refuse(*args):
-        raise AssertionError("a search built a Smith normal form")
+        raise AssertionError("a CLI call built a Smith normal form")
 
     monkeypatch.setattr(lattice, "smith_normal_form", refuse)
-    rows = [params for command, params in CLAIMS if command == "search-min"]
-    assert rows and all(claim_holds("search-min", params) for params in rows)
-    searches = [args for args, _ in PINNED_CALLS if args[0] == "verify"]
-    assert len(searches) == 6
-    for args in searches:
-        assert run(capsys, *args)[0] == 0
+    assert {command for command, _ in CLAIMS} >= {"search-min", "search-min-naive-crosscheck",
+                                                  "check-genfree"}
+    for command, params in CLAIMS:
+        assert claim_holds(command, params), (command, params)
+    assert sum(args[0] == "verify" for args, _ in PINNED_CALLS) == 6
+    for args, digest in PINNED_CALLS:
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 class TestOrbit:

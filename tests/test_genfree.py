@@ -20,7 +20,8 @@ from essdim.genfree import (
     check_lemma34,
     kernel_action_faithful,
 )
-from essdim.lattice import LatticeSpec, WeightSet, kernel_generators_mod, standard_weight
+from essdim.lattice import (LatticeError, LatticeSpec, WeightSet, kernel_generators_mod,
+                            standard_weight)
 from essdim.permgroup import (PermError, act, center_order_p_elements, orbit,
                               sylow_subgroup)
 from oracles import faithful_by_enumeration
@@ -224,9 +225,13 @@ class TestOracleAgreement:
             assert faithful == faithful_by_enumeration(lam, group), (n, p, lam.to_json())
             checked += 1
 
-    def test_witnesses_match_per_vector_definition(self):
+    def test_witnesses_match_per_vector_definition(self, monkeypatch):
         # the first kernel generator g moves, by permute_coefficients, for
-        # each central element of order p, over Z and over Z/q
+        # each central element of order p, over Z; a set over Z/q is refused
+        # before any central element is listed
+        def refuse(*args):
+            raise AssertionError("a central element was listed")
+
         rng = random.Random(20240819)
         cases = [(4, 2, 0), (6, 2, 0), (3, 3, 0), (6, 3, 0), (4, 2, 4), (6, 2, 2), (3, 3, 9),
                  (5, 2, 0), (7, 3, 3)]
@@ -234,6 +239,14 @@ class TestOracleAgreement:
             n, p, q = rng.choice(cases)
             group = sylow_subgroup(n, p)
             lam = random_invariant_set(rng, group, LatticeSpec(n, q))
+            if q:
+                with monkeypatch.context() as patched:
+                    patched.setattr(genfree, "center_order_p_elements", refuse)
+                    with pytest.raises(LatticeError, match="over Z only"):
+                        kernel_generators_mod(lam)
+                    with pytest.raises(LatticeError, match="over Z only"):
+                        kernel_action_faithful(lam, group)
+                continue
             gens = [dense(v, len(lam)) for v in kernel_generators_mod(lam)]
             elements = center_order_p_elements(group)
             moved = [next((v for v in gens if permute_coefficients(g, lam, v) != v), None)

@@ -29,7 +29,7 @@ from essdim.lattice import (
 from essdim.permgroup import orbit, sylow_subgroup
 import oracles
 from oracles import (dense_smith_normal_form, diagonal, diagonal_matrix, identity, in_p_multiple,
-                     matmul, reduce_mod)
+                     matmul, modulus_matrix, reduce_mod)
 
 
 def chain_basis(spec):
@@ -279,14 +279,14 @@ class TestSparseMatchesDense:
                 lam = build_plan(case, n, p).torus_weights
                 for q in (0, p, p * p):
                     if (n, p, q) not in SNF_BLOWUP:
-                        self.check(coordinate_matrix(reduce_mod(lam, q) if q else lam))
+                        self.check(modulus_matrix(reduce_mod(lam, q) if q else lam))
 
     def test_search_min_witnesses(self):
         for command, params in CLAIMS:
             if command == "search-min":
                 witness = min_invariant_generating_size(
                     params["n"], params["p"], params["q"]).witness
-                self.check(coordinate_matrix(witness))
+                self.check(modulus_matrix(witness))
 
 
 class TestSpans:
@@ -347,10 +347,22 @@ class TestSpans:
             for col, row in basis.items():
                 assert row[col] == 1
                 assert all(row[other] == 0 for other in basis if other != col)
-            diag, _ = smith_normal_form(coordinate_matrix(ws))
+            diag, _ = smith_normal_form(modulus_matrix(ws))
             assert len(basis) == sum(1 for d in diag if d % p)
-            assert rank_mod_p(ws, p, n - 1) == len(basis)
+            assert rank_mod_p(ws, p) == len(basis)
             assert (len(basis) == n - 1) == spans(ws)
+
+    def test_snf_blowup_sets_span_without_the_snf(self, monkeypatch):
+        # the reductions whose Smith normal form blows up are decided by
+        # their F_p rank; each reduces a witness set that spans over Z
+        def refuse(*args):
+            raise AssertionError("spans built a Smith normal form")
+
+        monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+        assert len(SNF_BLOWUP) == 26
+        for n, p, q in sorted(SNF_BLOWUP):
+            lam = build_plan(case_of(n, p), n, p).torus_weights
+            assert spans(reduce_mod(lam, q)), (n, p, q)
 
 
 class TestPackedEchelon:
@@ -442,8 +454,9 @@ class TestKernelBasis:
 
 
 def snf_spans(lam):
-    """The span verdict of the Smith normal form: every diagonal entry 1."""
-    d = lam._smith[0]
+    """The span verdict of the Smith normal form, of [A | q*I] for a set
+    over Z/q: every diagonal entry 1."""
+    d = smith_normal_form(modulus_matrix(lam))[0] if lam.spec.modulus else lam._smith[0]
     return len(d) == lam.spec.rank and all(x == 1 for x in d)
 
 
@@ -569,21 +582,16 @@ class TestKernelPinned:
         assert tuple(densify(v, 27) for v in lam._smith[1]) == expected
 
     def test_generators_mod_q(self):
-        # a reduced case (c) set and a non-spanning set over Z/9
+        # the kernel is computed over Z only: a reduced case (c) set and a
+        # non-spanning set over Z/9 are refused
         cases = [
-            (reduce_mod(build_plan("c", 4, 2).torus_weights, 4),
-             [(0, -3, 0, 1, -24, 0, 0, 8), (1, -1, 0, 0, -9, 0, 0, 3),
-              (0, 0, 0, 0, 8, 1, 0, -3), (0, 0, 0, 0, -3, 0, 1, 0),
-              (0, -3, 1, 0, -27, 0, 0, 9), (0, 4, 0, 0, 32, 0, 0, -12),
-              (0, -4, 0, 0, -48, 0, 0, 16), (0, 0, 0, 0, 12, 0, 0, -4)]
-             + [tuple(4 if j == i else 0 for j in range(8)) for i in range(8)]),
-            (WeightSet.of([LatticeSpec(3, 9).weight(e)
-                           for e in ((3, 6, 0), (1, 2, 6), (0, 3, 6))], LatticeSpec(3, 9)),
-             [(0, -3, 1), (9, -9, 0), (-3, 0, 0), (9, 0, 0), (0, 9, 0), (0, 0, 9)]),
+            reduce_mod(build_plan("c", 4, 2).torus_weights, 4),
+            WeightSet.of([LatticeSpec(3, 9).weight(e)
+                          for e in ((3, 6, 0), (1, 2, 6), (0, 3, 6))], LatticeSpec(3, 9)),
         ]
-        for lam, expected in cases:
-            gens = kernel_generators_mod(lam)
-            assert tuple(densify(v, len(lam)) for v in gens) == tuple(expected)
+        for lam in cases:
+            with pytest.raises(LatticeError, match="over Z only"):
+                kernel_generators_mod(lam)
 
 
 class TestPMultiple:
