@@ -13,20 +13,22 @@ F_p, the breadth-first
 spanning forest of a set of a[i,j] read off its tuples, sympy's reduced row
 echelon form over GF(p), the branch-and-bound search the coinvariant greedy
 replaced, the echelon basis of IV the greedy reduced against before its
-closed-form class map, and the paper's block-sum map, p-multiple test,
+closed-form class map, the greedy as it ran before it stepped over runs of
+orbits of one class, orbit by orbit, and the paper's block-sum map, p-multiple test,
 Nakayama filter and fiber count, which the greedy's coinvariant argument
 supersedes."""
 
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from essdim.bounds import BoundsError, _nonzero_orbits
+from essdim.bounds import (BoundsError, _nonzero_orbits, coinvariant_class, count_orbits,
+                           orbit_representatives)
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
                             basis_coordinates, coordinate_matrix, echelon_mod_p,
                             kernel_generators_mod, prime_power_root, spans, standard_weight)
-from essdim.permgroup import Perm, PermError, act, p_adic_digits
+from essdim.permgroup import Perm, PermError, act, orbit, p_adic_digits, sylow_subgroup
 
 
 def from_cycles(text: str, n: int) -> Perm:
@@ -527,3 +529,30 @@ def branch_and_bound_min(n: int, p: int, q: int,
             stack.append((i + 1, grown, size + sizes[i], chosen + (i,)))
     witness = WeightSet.of([w for i in choice for w in orbits[i].elements], spec)
     return best, witness, nodes
+
+
+def per_orbit_greedy(n: int, p: int, q: int) -> Tuple[int, WeightSet, int, int]:
+    """(minimum, witness, nodes explored, orbit count) of the coinvariant
+    greedy as it ran before it stepped over runs of one class: each nonzero
+    orbit of orbit_representatives, in (size, representative) order, is
+    examined on its own, its class read by coinvariant_class off its
+    representative, until the classes kept span the coinvariants."""
+    spec = LatticeSpec(n, q)
+    group = sylow_subgroup(n, p)
+    f, target = coinvariant_class(group)
+    basis: Dict[int, Tuple[int, ...]] = {}
+    chosen = []
+    examined = 0
+    for _, rep in orbit_representatives(group, q):
+        if len(basis) == target:
+            break
+        examined += 1
+        image = f(rep)
+        if not any(image):  # an orbit in IV cannot raise the rank
+            continue
+        grown = echelon_mod_p([image], p, target, basis)
+        if len(grown) > len(basis):
+            basis = grown
+            chosen.append(orbit(group, rep, spec))
+    witness = WeightSet.of([w for o in chosen for w in o.elements], spec)
+    return len(witness), witness, examined, count_orbits(group, q)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -8,6 +9,11 @@ import pytest
 
 from essdim.bounds import (
     BoundsError,
+    _class_counts,
+    _counts,
+    _level_counts,
+    _levels,
+    check_search,
     coinvariant_class,
     count_orbits,
     lattice_elements,
@@ -20,11 +26,13 @@ from essdim.bounds import (
     predicted_bound,
     verify_lower_bound,
 )
+from essdim.constructions import witness_size
 from essdim.lattice import (LatticeSpec, WeightSet, basis_coordinates, echelon_mod_p,
-                            spans, standard_weight)
-from essdim.permgroup import Perm, act, orbit, sylow_subgroup
+                            spans, standard_weight, vp)
+from essdim.permgroup import Perm, act, legendre_exponent, orbit, sylow_subgroup
 from oracles import (branch_and_bound_min, coinvariant_radical, fiber_check, group_elements,
-                     nakayama_filter, orbit_spans_mod_p, reduce_mod, sigma_map)
+                     nakayama_filter, orbit_spans_mod_p, per_orbit_greedy, reduce_mod,
+                     sigma_map)
 
 
 def random_mod_weight(rng, n, q):
@@ -195,8 +203,11 @@ class TestSearch:
             assert hi >= lo
 
     def test_infeasible_size_rejected(self):
+        # (25, 2, 2), refused by the q^(n-1) <= 2^20 cap, is searched now;
+        # (64, 2, 4) would list 1.9 * 10^8 form entries
         with pytest.raises(BoundsError):
-            min_invariant_generating_size(25, 2, 2)
+            min_invariant_generating_size(64, 2, 4)
+        assert min_invariant_generating_size(25, 2, 2).minimum == witness_size(25, 2)
 
     def test_q_mismatch_rejected(self):
         with pytest.raises(BoundsError):
@@ -368,6 +379,77 @@ class TestOrbitRepresentatives:
         assert (result.minimum, result.nodes_explored, result.orbit_count) == (0, 0, 0)
 
 
+# every (n, p, q) the q^(n-1) <= 2^20 cap admitted for p <= 7, with q <= 2^20
+# also at n = 1
+OLD_CAP_POINTS = [(n, p, p ** e) for p in (2, 3, 5, 7)
+                  for e in range(1, 21) if p ** e <= 2 ** 20
+                  for n in range(1, 22) if p ** (e * (n - 1)) <= 2 ** 20]
+
+
+class TestRunStepping:
+    def test_matches_the_per_orbit_greedy(self):
+        # the greedy that examined every orbit on its own gave the same
+        # minimum, witness, node count and orbit count at every point the
+        # old cap admitted
+        for n, p, q in OLD_CAP_POINTS:
+            result = min_invariant_generating_size(n, p, q)
+            assert ((result.minimum, result.witness, result.nodes_explored, result.orbit_count)
+                    == per_orbit_greedy(n, p, q)), (n, p, q)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_level_counts_match_orbit_decomposition(self, p):
+        # level r counts the orbits of P_(p^r) on (Z/q)^(p^r) by (exponent,
+        # entry sum s): the orbits of P_n, n = p^r + 1, on the zero-sum
+        # lattice, whose leading fixed point holds -s
+        for e_q in range(1, 13):
+            q = p ** e_q
+            for r in itertools.takewhile(lambda r: q ** (p ** r) <= 2 ** 12, itertools.count(1)):
+                n = p ** r + 1
+                listed = collections.Counter()
+                for o in orbit_decomposition(sylow_subgroup(n, p), LatticeSpec(n, q)):
+                    listed[vp(len(o), p), -o.elements[0][0] % q] += 1
+                top = legendre_exponent(p ** r, p) + 1
+                g, counts = list(itertools.islice(_level_counts(p, q, top), r + 1))[r]
+                assert listed == {(e, s): counts[e, s % g] for e, s in listed}, (p, q, r)
+                assert sum(listed.values()) == sum(counts.values()) * q // g, (p, q, r)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_layout_and_class_counts_match_orbit_decomposition(self, p):
+        # the zero-sum orbits of every layout, and on one block of level >= 2
+        # the orbits by exponent and those of nonzero class
+        for e_q in range(1, 13):
+            q = p ** e_q
+            for n in itertools.takewhile(lambda n: q ** (n - 1) <= 2 ** 12, itertools.count(2)):
+                group = sylow_subgroup(n, p)
+                f, _ = coinvariant_class(group)
+                orbits = orbit_decomposition(group, LatticeSpec(n, q))
+                levels = _levels(n, p)
+                top = group.order_exponent + 1
+                tables, zero_sums = _counts(p, q, levels, top)
+                assert zero_sums == len(orbits), (n, p, q)
+                if len(levels) == 1 and levels[0] > 1:
+                    by_exponent, moving = [0] * (top + 1), [0] * (top + 1)
+                    for o in orbits:
+                        by_exponent[vp(len(o), p)] += 1
+                        moving[vp(len(o), p)] += any(f(o.elements[0]))
+                    assert _class_counts(tables[-2], p, q, top) == (by_exponent, moving), (n, p, q)
+
+    @pytest.mark.parametrize("n,p,q", [
+        (22, 2, 2), (24, 2, 2), (40, 2, 2), (100, 2, 2), (15, 3, 3), (18, 3, 3), (10, 5, 5),
+        (16, 2, 4), (27, 3, 3)])
+    def test_frontier_answers(self, n, p, q):
+        # refused by the q^(n-1) <= 2^20 cap; each takes well under a second
+        report = verify_lower_bound(n, p, q)
+        assert report["minimum"] == report["bound"] and report["holds"], (n, p, q)
+
+    @pytest.mark.parametrize("n,p,q", [(64, 2, 4), (125, 5, 5), (50, 5, 5), (10 ** 6, 2, 2)])
+    def test_refused_before_anything_is_listed(self, n, p, q):
+        start = time.perf_counter()
+        with pytest.raises(BoundsError, match=r"search space q\^\(n-1\) = .* too large"):
+            check_search(n, p, q)
+        assert time.perf_counter() - start < 1
+
+
 class TestVerify:
     def test_p_power_instances(self):
         for n, p, q, bound in [(3, 3, 3, 3), (4, 2, 4, 8), (5, 5, 5, 5)]:
@@ -382,12 +464,10 @@ class TestVerify:
         assert report["tight"]
 
     def test_whole_search_domain_for_small_p(self):
-        # every (n, p, q) the q^(n-1) <= 2^20 cap admits for p <= 7, with
+        # every (n, p, q) the q^(n-1) <= 2^20 cap admitted for p <= 7, with
         # q <= 2^20 also at n = 1: 184 points, 78 of them inside the
         # hypothesis, where Prop 7.2 or Lemma 8.2 must hold with equality
-        points = [(n, p, p ** e) for p in (2, 3, 5, 7)
-                  for e in range(1, 21) if p ** e <= 2 ** 20
-                  for n in range(1, 22) if p ** (e * (n - 1)) <= 2 ** 20]
+        points = OLD_CAP_POINTS
         assert len(points) == 184
         inside = 0
         for n, p, q in points:

@@ -13,6 +13,7 @@ import pytest
 
 from essdim import bounds, lattice, permgroup
 from essdim.cli import CLAIMS, claim_holds, main
+from essdim.constructions import witness_size
 
 
 def run(capsys, *argv):
@@ -358,7 +359,9 @@ class TestUsageErrors:
         assert "is not a prime" in done.stderr
 
     @pytest.mark.parametrize("argv,message", [
-        (("verify", "--prop", "7.2", "--p", "2", "--r", "5"), "4^(2^5 - 1) too large"),
+        # refused from the forms the search would list; --p 2 --r 5, refused
+        # by the q^(n-1) <= 2^20 cap, is now searched
+        (("verify", "--prop", "7.2", "--p", "2", "--r", "6"), "4^(2^6 - 1) too large"),
         (("verify", "--prop", "7.2", "--p", "1000000007", "--r", "20"),
          "1000000007^(1000000007^20 - 1) too large"),
         # q^(n-1) = 4^(2^22 - 1) must be refused before it is computed
@@ -389,6 +392,10 @@ class TestUsageErrors:
         (("orbit", "--n", "0", "--p", "4", "--q", "6", "--weight", "0"), "p=4 is not a prime"),
         (("orbit", "--n", "0", "--p", "2", "--q", "6", "--weight", "0"),
          "n must be positive, got 0"),
+        # refused from the forms the search would list (p^r = 125) and the
+        # runs it would step over (n = 50)
+        (("verify", "--prop", "7.2", "--p", "5", "--r", "3"), "5^(5^3 - 1) too large"),
+        (("verify", "--lemma", "8.2", "--n", "50", "--p", "5"), "5^49 too large"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # r = 22 built a 4-million-digit integer, and r = 20 at p = 10^9 + 7
@@ -560,10 +567,14 @@ class TestUsageErrors:
     def test_search_refusal_order(self, capsys):
         # search-min and verify refuse a search by one rule, each fact with
         # one line, in this order: p not a prime; n < 1; q not a power of p;
-        # a search space q^(n-1) above 2^20.  verify --lemma 8.2 computed
-        # the bound first (n = 0 or q = 0 gave "valuation of 0"), and
-        # verify --prop 7.2 refused r > 20 before p.  verify --prop 7.2
-        # writes the search space as q^(p^r - 1) whenever p^r - 1 > 20
+        # a search whose work passes 2^24 entries.  verify --lemma 8.2
+        # computed the bound first (n = 0 or q = 0 gave "valuation of 0"),
+        # and verify --prop 7.2 refused r > 20 before p.  verify --prop 7.2
+        # writes the search space as q^(p^r - 1).  The work starts with the
+        # witness bound, witness_size(n, p) weights of n entries, which
+        # verify --prop 7.2 reads from r; the rest is read off orbit counts,
+        # and of the points below it refuses (243, 3, 3) alone.  The
+        # q^(n-1) <= 2^20 cap refused every n = 22 and r = 5 here
         def first_refusal(n, p, q, exponent=None):
             if p not in (2, 3):  # the primes among the p below
                 return f"p={p} is not a prime"
@@ -571,7 +582,7 @@ class TestUsageErrors:
                 return f"n must be positive, got {n}"
             if q not in (p, p * p, p ** 3):
                 return f"q={q} is not a power of p={p}"
-            if n - 1 > 20 or q ** (n - 1) > 2 ** 20:
+            if witness_size(n, p) * n > 2 ** 24 or (n, p, q) == (243, 3, 3):
                 return f"search space q^(n-1) = {q}^{exponent or n - 1} too large"
             return None
 
@@ -591,10 +602,10 @@ class TestUsageErrors:
                 expected = first_refusal(1, p, q)  # p and q, before r
                 if expected is None and r < 1:
                     expected = f"verifying the p-power bound needs --r >= 1, got {r}"
-                elif expected is None and (r > 20 or p ** r - 1 > 20):  # p^r - 1 unexpanded
-                    expected = first_refusal(2 ** 21, p, q, f"({p}^{r} - 1)")
+                elif expected is None and 3 * r - 1 > 24:  # p^r not formed
+                    expected = f"search space q^(n-1) = {q}^({p}^{r} - 1) too large"
                 elif expected is None:
-                    expected = first_refusal(p ** r, p, q)
+                    expected = first_refusal(p ** r, p, q, f"({p}^{r} - 1)")
                 cases.append((("verify", "--prop", "7.2", "--p", p, "--r", r), expected))
         for argv, expected in cases:
             start = time.perf_counter()

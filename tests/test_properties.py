@@ -21,7 +21,7 @@ from essdim.lattice import (
 )
 from essdim.permgroup import act, orbit, orbit_size, sylow_subgroup
 from oracles import (BudgetExhausted, branch_and_bound_min, dense_smith_normal_form, diagonal,
-                     diagonal_matrix, group_elements, matmul, phi_image)
+                     diagonal_matrix, group_elements, matmul, per_orbit_greedy, phi_image)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -160,6 +160,14 @@ def test_greedy_matches_branch_and_bound(npq):
         reject()
     result = min_invariant_generating_size(*npq)
     assert (result.minimum, result.witness) == (minimum, witness)
+
+
+@settings(FIXED, max_examples=40)
+@given(search_points)
+def test_run_stepping_matches_the_per_orbit_greedy(npq):
+    result = min_invariant_generating_size(*npq)
+    assert ((result.minimum, result.witness, result.nodes_explored, result.orbit_count)
+            == per_orbit_greedy(*npq))
 
 
 @settings(FIXED, max_examples=40)
