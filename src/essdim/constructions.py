@@ -168,15 +168,17 @@ def lambda_c(p: int, r: int) -> RepPlan:
 def lambda_d(n: int, p: int) -> RepPlan:
     """Case (d), p | n, n not a p-power: union of the P_n-orbits of a[1, s]
     for s the first position of each block after the first; all a[alpha,beta]
-    with alpha in the smallest block and beta outside it."""
+    with alpha in the smallest block and beta outside it.  Listed from its
+    pairs, the one form spans and the kernel read over Z, each read once off
+    the sorted orbit closure, so in canonical order."""
     check_plan("d", n, p)
     spec = LatticeSpec(n)
     group = sylow_subgroup(n, p)
     accum: set = set()
     for lo, _hi in group.blocks[1:]:
         accum.update(orbit(group, standard_weight(1, lo, spec), spec))
-    weights = WeightSet.of(accum, spec)
-    return RepPlan("d", n, p, weights, ())
+    pairs = ((w.index(1) + 1, w.index(-1) + 1) for w in sorted(accum))
+    return RepPlan("d", n, p, WeightSet.from_pairs(pairs, spec), ())
 
 
 def build_plan(case_tag: str, n: int, p: int) -> RepPlan:

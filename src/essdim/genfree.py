@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Tuple
 
 from .constructions import RepPlan, check_plan, witness_size
 from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans
+# act is not called here: the per-layer tracer wraps it in each module
 from .permgroup import (Perm, PermError, PermGroupSpec, act, center_order_p_elements,
                         p_adic_digits, sylow_subgroup)
 
@@ -50,15 +51,12 @@ class GenFreeVerdict(NamedTuple):
 
 def _image_position(g: Perm, lam: WeightSet) -> Callable[[int], int]:
     # position k of lam -> the position of g applied to the k-th weight,
-    # KeyError when that image is not in lam; a weight a[i,j] of a set over Z
-    # goes to a[g(i), g(j)], looked up by its pair, so no weight tuple is built
+    # KeyError when that image is not in lam: a[i,j] goes to a[g(i), g(j)],
+    # looked up by its pair; a set not listed from pairs is refused
     if g.n != lam.spec.n:
         raise PermError(f"degree {g.n} vs lattice length {lam.spec.n}")
-    edges = lam.edges
-    if edges is None:
-        return lambda k: lam._positions[act(g, lam.elements[k])]
-    positions, at = lam.edge_positions, (0,) + g.images  # at[i] = g(i)
-    return lambda k: positions[at[edges[k][0]], at[edges[k][1]]]
+    positions, pairs, at = lam.edge_positions, lam.pairs, (0,) + g.images  # at[i] = g(i)
+    return lambda k: positions[at[pairs[k][0]], at[pairs[k][1]]]
 
 
 def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:

@@ -3,8 +3,9 @@
 The ambient lattice is either Z^n or (Z/q)^n (q a prime power); the working
 sublattice is the rank n-1 zero-sum part, coordinatized in the fixed basis
 a[1,2], a[2,3], ..., a[n-1,n].  All arithmetic is exact (Python ints).  A
-question over Z/q is answered over F_p, p the prime of q; the Smith normal
-form works over Z only.
+question over Z/q is answered over F_p, p the prime of q; over Z, a set is
+read off a spanning forest of its a[i,j] pairs only, and one listed as tuples
+is refused.  smith_normal_form is the tests' oracle, kept for the tracer.
 """
 
 from __future__ import annotations
@@ -165,9 +166,9 @@ class WeightSet:
     A weight is a tuple of ints in the form LatticeSpec.weight returns.  A
     set listed from index pairs keeps them as ``pairs``, the (i, j) of each
     weight a[i,j] in the canonical order of the weights, and builds its
-    ``elements`` tuples only when they are first read; ``pairs`` is None
-    for a set listed as tuples.  Immutable; the ``__dict__`` holds only the
-    elements and the cached derived data."""
+    ``elements`` tuples only when they are first read; ``pairs`` is None for
+    a set listed as tuples, which spans and the kernel refuse over Z.
+    Immutable; the ``__dict__`` holds the elements and cached derived data."""
 
     __slots__ = ("spec", "pairs", "__dict__")
 
@@ -237,32 +238,23 @@ class WeightSet:
             raise ValueError(f"{w} is not in the weight set") from None
 
     @cached_property
-    def edges(self) -> Optional[Tuple[Tuple[int, int], ...]]:
-        """The (i, j) of each weight a[i,j], in canonical order, when the set
-        is over Z and every weight is an a[i,j]; None otherwise.  A set
-        listed from pairs gives its pairs; a tuple-listed set has them read
-        off its tuples, once."""
-        if self.pairs is not None or self.spec.modulus:
-            return self.pairs
-        n = self.spec.n
-        # a zero-sum weight with n - 2 zeros and an entry 1 is an a[i,j]
-        if not all(w.count(0) == n - 2 and 1 in w for w in self.elements):
-            return None
-        return tuple((w.index(1) + 1, w.index(-1) + 1) for w in self.elements)
-
-    @cached_property
     def edge_positions(self) -> Dict[Tuple[int, int], int]:
-        """The position of each weight a[i,j] by its pair (i, j), for a set
-        whose ``edges`` are not None."""
-        return {e: k for k, e in enumerate(self.edges)}
+        """The position of each weight a[i,j] by its pair (i, j)."""
+        return {e: k for k, e in enumerate(self._listed_pairs)}
+
+    @property
+    def _listed_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        if self.pairs is None:  # over Z, a set is read off its pairs only
+            raise LatticeError("weight set is not listed from a[i,j] pairs over Z")
+        return self.pairs
 
     @cached_property
     def _forest(self) -> Tuple[bool, Tuple[SparseVector, ...]]:
-        """For a set whose ``edges`` are not None: whether it spans, and an
-        integer basis of its kernel, read off the graph on 1..n with an edge
-        i -> j per weight a[i,j].  The forest is grown breadth first from
-        vertex 1, then from each vertex not yet reached, in increasing
-        order, each vertex's edges taken in the canonical order.
+        """For a set listed from pairs: whether it spans, and an integer
+        basis of its kernel, read off the graph on 1..n with an edge i -> j
+        per weight a[i,j].  The forest is grown breadth first from vertex 1,
+        then from each vertex not yet reached, in increasing order, the
+        weights at each vertex taken in the canonical order.
 
         Span: the set spans the zero-sum lattice iff the graph is connected.
         If it is, each e_1 - e_i is a signed sum of the weights on a tree
@@ -281,14 +273,14 @@ class WeightSet:
         unimodular; Schrijver 1986, ch. 19).  The cycles come in the
         canonical order of those weights, each a +-1 vector in increasing
         position."""
-        edges, n = self.edges, self.spec.n
+        pairs, n = self._listed_pairs, self.spec.n
         adjacent: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
-        for k, (i, j) in enumerate(edges):
+        for k, (i, j) in enumerate(pairs):
             adjacent[i].append((k, j))
             adjacent[j].append((k, i))
         depth = [-1] * (n + 1)
         up: List[Tuple[int, int]] = [(-1, 0)] * (n + 1)  # (edge to the parent, parent)
-        in_forest = [False] * len(edges)
+        in_forest = [False] * len(pairs)
         trees = 0
         for root in range(1, n + 1):
             if depth[root] >= 0:
@@ -302,7 +294,7 @@ class WeightSet:
                         depth[v], up[v], in_forest[k] = depth[u] + 1, (k, u), True
                         queue.append(v)
         cycles = []
-        for k, (i, j) in enumerate(edges):
+        for k, (i, j) in enumerate(pairs):
             if in_forest[k]:
                 continue
             # a step from x to y on the path from i to j adds e_y - e_x: +1
@@ -311,24 +303,14 @@ class WeightSet:
             while i != j:
                 if depth[i] >= depth[j]:
                     t, i_up = up[i]
-                    cycle[t] = 1 if edges[t][1] == i else -1
+                    cycle[t] = 1 if pairs[t][1] == i else -1
                     i = i_up
                 else:
                     t, j_up = up[j]
-                    cycle[t] = 1 if edges[t][0] == j else -1
+                    cycle[t] = 1 if pairs[t][0] == j else -1
                     j = j_up
             cycles.append(tuple(sorted(cycle.items())))
         return trees == 1, tuple(cycles)
-
-    @cached_property
-    def _smith(self) -> Tuple[Tuple[int, ...], Tuple[SparseVector, ...]]:
-        """For a set over Z: the diagonal of the Smith normal form of
-        coordinate_matrix(self), and the columns of its right transform past
-        the rank, which generate the integer kernel, as sparse vectors.
-        Computed once, for spans and the kernel."""
-        d, right = smith_normal_form(coordinate_matrix(self))
-        rank = sum(1 for x in d if x)
-        return d, tuple(tuple(sorted(col.items())) for col in right[rank:])
 
     def to_json(self) -> list:
         return [list(w) for w in self.elements]
@@ -365,10 +347,11 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[Tuple[int, ...], List[Dict[int,
     right unimodular and d1 | d2 | ... non-negative; ``d`` is the tuple of
     the min(rows, cols) diagonal entries, ``right`` the list of its columns,
     each a dict from row to nonzero entry, and those past the rank generate
-    the integer kernel of m.  No left is built: nothing reads it.
-    The rows stay dense lists, but a row update runs over the source row's
-    nonzero columns only and a column update over the rows nonzero in the
-    source column."""
+    the integer kernel of m.  No left is built: nothing reads it.  The rows
+    stay dense lists, but a row update runs over the source row's nonzero
+    columns only and a column update over the rows nonzero in the source
+    column.  No code path calls it: it is the tests' oracle, kept here for
+    the tracer."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
     right = [{j: 1} for j in range(cols)]
@@ -465,41 +448,28 @@ def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(accumulate(w[:-1]))
 
 
-def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
-    """rank x |Lambda| matrix whose columns are the chart coordinates of the
-    elements of Lambda, lifted to Z."""
-    cols = [basis_coordinates(w) for w in lam.elements]
-    return IntegerMatrix(lam.spec.rank, len(cols),
-                         tuple(zip(*cols)) if cols else ((),) * lam.spec.rank)
-
-
 def spans(lam: WeightSet) -> bool:
     """True iff Lambda generates the full (zero-sum) lattice over Z or Z/q.
 
     Over Z/q, q = p^e, by its F_p rank: the lattice is free over the local
     ring Z/q with maximal ideal p, so by Nakayama a set generates it iff its
-    chart coordinates span it mod p.  Over Z, by connectivity for a set of
-    a[i,j] (WeightSet._forest), by the Smith normal form otherwise."""
+    chart coordinates span it mod p.  Over Z, by the connectivity of its
+    graph (WeightSet._forest), the one route: a set over Z must be listed
+    from its a[i,j] pairs, and any other is refused (LatticeError)."""
     if lam.spec.modulus:
         return rank_mod_p(lam, prime_power_root(lam.spec.modulus)) == lam.spec.rank
-    if lam.edges is not None:
-        return lam._forest[0]
-    d = lam._smith[0]
-    return len(d) == lam.spec.rank and all(x == 1 for x in d)
+    return lam._forest[0]
 
 
 def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
     """An integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} for a
     set over Z, each a sparse vector indexed by the canonical order of
-    Lambda: for a set of a[i,j], the fundamental cycles of a spanning forest
-    of its graph (WeightSet._forest); otherwise the columns of the SNF's
-    right transform past the rank.  A set over Z/q is refused
-    (LatticeError)."""
+    Lambda: the fundamental cycles of a spanning forest of its graph
+    (WeightSet._forest).  A set over Z/q is refused, and so is a set over Z
+    not listed from its a[i,j] pairs (LatticeError)."""
     if lam.spec.modulus:
         raise LatticeError(f"the kernel is computed over Z only, not mod {lam.spec.modulus}")
-    if lam.edges is not None:
-        return lam._forest[1]
-    return lam._smith[1]
+    return lam._forest[1]
 
 
 def echelon_mod_p(

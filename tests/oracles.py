@@ -9,14 +9,17 @@ the tests check it against the closure instead), the Smith normal form as
 the package computed it before its updates followed the matrix's support,
 with the left transform the package no longer builds, the matrix
 [A | q*I] from which the package read a mod-q span before it went through
-F_p, the breadth-first
-spanning forest of a set of a[i,j] read off its tuples, sympy's reduced row
-echelon form over GF(p), the branch-and-bound search the coinvariant greedy
-replaced, the echelon basis of IV the greedy reduced against before its
-closed-form class map, the greedy as it ran before it stepped over runs of
-orbits of one class, orbit by orbit, and the paper's block-sum map, p-multiple test,
-Nakayama filter and fiber count, which the greedy's coinvariant argument
-supersedes."""
+F_p, the coordinate matrix and Smith form of a set over Z, listed either
+way, from which the package read spans and kernels before the spanning
+forest, the reading of a[i,j] pairs off a tuple-listed set, which the
+package refuses, the center reduction over the Smith form's kernel, the
+breadth-first spanning forest of a set of a[i,j] read off its tuples,
+sympy's reduced row echelon form over GF(p), the branch-and-bound search
+the coinvariant greedy replaced, the echelon basis of IV the greedy
+reduced against before its closed-form class map, the greedy as it ran
+before it stepped over runs of orbits of one class, orbit by orbit, and
+the paper's block-sum map, p-multiple test, Nakayama filter and fiber
+count, which the greedy's coinvariant argument supersedes."""
 
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -25,10 +28,16 @@ from essdim.bounds import (BoundsError, _nonzero_orbits, coinvariant_class, coun
                            orbit_representatives)
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
-from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, WeightSet,
-                            basis_coordinates, coordinate_matrix, echelon_mod_p,
-                            kernel_generators_mod, prime_power_root, spans, standard_weight)
-from essdim.permgroup import Perm, PermError, act, orbit, p_adic_digits, sylow_subgroup
+from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, SparseVector, WeightSet,
+                            basis_coordinates, echelon_mod_p, prime_power_root,
+                            smith_normal_form, spans, standard_weight)
+from essdim.permgroup import (Perm, PermError, act, center_order_p_elements, orbit, p_adic_digits,
+                              sylow_subgroup)
+
+
+# the one line the package refuses a set over Z with that is not listed from
+# its a[i,j] pairs, as a whole-message pattern for pytest.raises
+NOT_PAIRS = r"^weight set is not listed from a\[i,j\] pairs over Z$"
 
 
 def from_cycles(text: str, n: int) -> Perm:
@@ -250,15 +259,28 @@ def group_elements(group):
 
 def faithful_by_enumeration(lam, group):
     """True iff every non-identity element of the group moves some
-    generator of Ker(phi), each moved by permute_coefficients."""
+    generator of Ker(phi), each moved by permute_coefficients; the
+    generators are the SNF's kernel columns, so any set over Z is taken."""
+    return all(map(kernel_moved(lam), (g for g in group_elements(group) if not is_identity(g))))
+
+
+def faithful_on_center(lam, group):
+    """The center reduction of genfree.kernel_action_faithful over the SNF's
+    kernel columns, for a set over Z that the package refuses: every
+    order-p central element moves some generator of Ker(phi)."""
+    return all(map(kernel_moved(lam), center_order_p_elements(group)))
+
+
+def kernel_moved(lam):
+    """g -> whether g moves some kernel column of the SNF of lam, by
+    permute_coefficients."""
     gens = []
-    for vec in kernel_generators_mod(lam):
+    for vec in smith(lam)[1]:
         dense = [0] * len(lam)
         for i, c in vec:
             dense[i] = c
         gens.append(tuple(dense))
-    return all(any(permute_coefficients(g, lam, v) != v for v in gens)
-               for g in group_elements(group) if not is_identity(g))
+    return lambda g: any(permute_coefficients(g, lam, v) != v for v in gens)
 
 
 def forest_positions(lam: WeightSet) -> set:
@@ -282,6 +304,42 @@ def forest_positions(lam: WeightSet) -> set:
                         forest.add(k)
                         queue.append(v)
     return forest
+
+
+def pair_set(pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> WeightSet:
+    """The set of the a[i,j] of Z^n for the given (i, j), deduplicated and
+    listed from its pairs in the canonical order of its weights."""
+    return WeightSet.from_pairs(sorted(set(pairs), key=lambda e: standard_weight(*e, spec)), spec)
+
+
+def as_pairs(lam: WeightSet):
+    """A set over Z listed as tuples, every weight an a[i,j], listed from its
+    pairs, each read off its tuple (as the package did before it certified
+    pair-listed sets only); None when some weight is not an a[i,j]."""
+    n = lam.spec.n
+    # a zero-sum weight with n - 2 zeros and an entry 1 is an a[i,j]
+    if not all(w.count(0) == n - 2 and 1 in w for w in lam.elements):
+        return None
+    return WeightSet.from_pairs(((w.index(1) + 1, w.index(-1) + 1) for w in lam.elements),
+                                lam.spec)
+
+
+def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:
+    """rank x |Lambda| matrix whose columns are the chart coordinates of the
+    elements of Lambda, lifted to Z."""
+    cols = [basis_coordinates(w) for w in lam.elements]
+    return IntegerMatrix(lam.spec.rank, len(cols),
+                         tuple(zip(*cols)) if cols else ((),) * lam.spec.rank)
+
+
+def smith(lam: WeightSet) -> Tuple[Tuple[int, ...], Tuple[SparseVector, ...]]:
+    """For a set over Z, listed either way: the diagonal of the Smith normal
+    form of coordinate_matrix(lam), and the columns of its right transform
+    past the rank, which generate the integer kernel, as sparse vectors (the
+    package's spans and kernel read them before the spanning forest)."""
+    d, right = smith_normal_form(coordinate_matrix(lam))
+    rank = sum(1 for x in d if x)
+    return d, tuple(tuple(sorted(col.items())) for col in right[rank:])
 
 
 def modulus_matrix(lam: WeightSet) -> IntegerMatrix:

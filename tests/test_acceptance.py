@@ -18,7 +18,7 @@ from essdim.cli import CLAIMS
 from essdim.constructions import build_plan, kernel_witness, permute_coefficients
 from essdim.edcalc import ed_value
 from essdim.genfree import certify, kernel_action_faithful
-from essdim.lattice import LatticeSpec, WeightSet, spans
+from essdim.lattice import LatticeError, LatticeSpec, WeightSet, spans, standard_weight
 from essdim.permgroup import (
     Perm,
     act,
@@ -26,8 +26,8 @@ from essdim.permgroup import (
     orbit,
     sylow_subgroup,
 )
-from oracles import (compose, faithful_by_enumeration, nakayama_filter, order, phi_image,
-                     sigma_map)
+from oracles import (NOT_PAIRS, as_pairs, compose, faithful_by_enumeration, faithful_on_center,
+                     nakayama_filter, order, phi_image, sigma_map)
 
 
 def report(name, ok):
@@ -221,6 +221,22 @@ def test_criterion_7_oracle_agreement():
             ent = [rng.randint(-2, 2) for _ in range(n - 1)]
             members.update(orbit(group, spec.weight(ent + [-sum(ent)]), spec))
         lam = WeightSet.of(members, spec)
+        # the package reads a set over Z from its a[i,j] pairs only; any
+        # other set is refused, and the center reduction runs over the SNF
+        listed = as_pairs(lam)
+        if listed is None:
+            with pytest.raises(LatticeError, match=NOT_PAIRS):
+                kernel_action_faithful(lam, group)
+            faithful = faithful_on_center(lam, group)
+        else:
+            faithful, _ = kernel_action_faithful(listed, group)
+        ok = ok and faithful == faithful_by_enumeration(lam, group)
+        # and the same on a union of orbits of a[i,j], listed from its pairs
+        pairs = set()
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(1, n + 1), 2)
+            pairs.update(orbit(group, standard_weight(i, j, spec), spec))
+        lam = as_pairs(WeightSet.of(pairs, spec))
         faithful, _ = kernel_action_faithful(lam, group)
         ok = ok and faithful == faithful_by_enumeration(lam, group)
         checked += 1

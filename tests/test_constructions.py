@@ -222,6 +222,14 @@ class TestClosedFormOrbits:
             if case_of(n, p) == "d":
                 assert lambda_d(n, p).torus_weights == closed_lambda_d(n, p), n
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_lambda_d_pairs(self, p):
+        # the pairs read off the sorted closure come in the closed form's
+        # canonical order
+        for n in range(2 * p, 101):
+            if case_of(n, p) == "d":
+                assert lambda_d(n, p).torus_weights.pairs == closed_lambda_d(n, p).pairs, n
+
 
 class TestSizeBudget:
     @pytest.mark.parametrize("case,n,p", [("a", 5, 2), ("b", 5, 5), ("c", 8, 2), ("d", 12, 2)])
@@ -291,6 +299,20 @@ class TestKernelWitness:
     def test_case_mismatch(self):
         with pytest.raises(ConstructionError):
             kernel_witness("b", 3, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_every_plan_is_pair_listed(p):
+    # the one form spans and the certificate read over Z, in every case; a
+    # tag outside the case of (n, p) is refused
+    for n in range(1, 65):
+        for case in "abcd":
+            if case != case_of(n, p):
+                with pytest.raises(ConstructionError):
+                    build_plan(case, n, p)
+                continue
+            lam = build_plan(case, n, p).torus_weights
+            assert lam.pairs is not None and len(lam.pairs) == len(lam), (case, n, p)
 
 
 def test_build_plan_dispatch():

@@ -15,16 +15,18 @@ from essdim import constructions, genfree, lattice
 from essdim.genfree import (
     GenFreeError,
     _require_invariant,
+    certify,
     check_certificate,
     check_lemma32,
     check_lemma34,
     kernel_action_faithful,
 )
-from essdim.lattice import (LatticeError, LatticeSpec, WeightSet, kernel_generators_mod,
+from essdim.lattice import (LatticeError, LatticeSpec, WeightSet, kernel_generators_mod, spans,
                             standard_weight)
 from essdim.permgroup import (PermError, act, center_order_p_elements, orbit,
                               sylow_subgroup)
-from oracles import faithful_by_enumeration
+from oracles import (NOT_PAIRS, as_pairs, faithful_by_enumeration, faithful_on_center,
+                     pair_set)
 
 
 def random_invariant_set(rng, group, spec, max_orbits=3):
@@ -34,6 +36,16 @@ def random_invariant_set(rng, group, spec, max_orbits=3):
         seed = spec.weight(ent + [-sum(ent)])
         weights.update(orbit(group, seed, spec))
     return WeightSet.of(weights, spec)
+
+
+def random_invariant_pairs(rng, group, max_orbits=3):
+    """A union of group orbits of a[i,j] over Z, listed from its pairs."""
+    spec = LatticeSpec(group.n)
+    weights = set()
+    for _ in range(rng.randint(1, max_orbits)):
+        i, j = rng.sample(range(1, group.n + 1), 2)
+        weights.update(orbit(group, standard_weight(i, j, spec), spec))
+    return as_pairs(WeightSet.of(weights, spec))
 
 
 def dense(vec, size):
@@ -62,16 +74,14 @@ class TestLemma34:
     def test_swap_fixes_kernel(self):
         # opposite pair in n=2: kernel spanned by the all-ones relation,
         # which the swap fixes, so the action is not faithful
-        spec = LatticeSpec(2)
-        lam = WeightSet.of([standard_weight(1, 2, spec), standard_weight(2, 1, spec)], spec)
+        lam = pair_set([(1, 2), (2, 1)], LatticeSpec(2))
         verdict = check_lemma34(lam, sylow_subgroup(2, 2))  # = S_2
         assert verdict.spans_ok
         assert verdict.kernel_faithful is False
         assert not verdict.overall
 
     def test_non_invariant_rejected(self):
-        spec = LatticeSpec(4)
-        lam = WeightSet.of([standard_weight(1, 3, spec)], spec)
+        lam = WeightSet.from_pairs([(1, 3)], LatticeSpec(4))
         with pytest.raises(GenFreeError):
             check_lemma34(lam, sylow_subgroup(4, 2))
 
@@ -86,23 +96,27 @@ class TestLemma34:
     def test_plan_missing_one_weight_refused(self, case, n, p, dropped, message):
         lam = build_plan(case, n, p).torus_weights
         assert dropped in lam
-        cut = WeightSet.of([w for w in lam if w != dropped], lam.spec)
+        cut = WeightSet.from_pairs([e for k, e in enumerate(lam.pairs)
+                                    if k != lam.index(dropped)], lam.spec)
         with pytest.raises(GenFreeError) as excinfo:
             check_lemma34(cut, sylow_subgroup(n, p))
         assert str(excinfo.value) == "weight set is not invariant: " + message
 
     def test_invariance_matches_every_image(self):
-        # the check looks up only the weights nonzero where a generator moves
-        # points; against every image of every weight, with the same offender
+        # the check looks up each weight's image by its pair; against every
+        # image of every weight, with the same offender.  A set listed as
+        # tuples is refused
         rng = random.Random(20261019)
         for _ in range(300):
             n, p = rng.choice([(4, 2), (6, 2), (8, 2), (9, 3), (12, 3), (10, 5)])
             group = sylow_subgroup(n, p)
-            spec = LatticeSpec(n)
-            lam = random_invariant_set(rng, group, spec)
+            with pytest.raises(LatticeError, match=NOT_PAIRS):
+                _require_invariant(random_invariant_set(rng, group, LatticeSpec(n)), group)
+            lam = random_invariant_pairs(rng, group)
             if rng.random() < 0.8:
-                drop = set(rng.sample(lam.elements, rng.randint(1, 2)))
-                lam = WeightSet.of([w for w in lam if w not in drop], spec)
+                drop = set(rng.sample(range(len(lam)), min(rng.randint(1, 2), len(lam))))
+                lam = WeightSet.from_pairs([e for k, e in enumerate(lam.pairs) if k not in drop],
+                                           lam.spec)
             offender = next(((g, w) for g in group.generators for w in lam
                              if act(g, w) not in lam), None)
             if offender is None:
@@ -177,6 +191,21 @@ class TestLemma34:
         payload = json.loads(capsys.readouterr().out)
         assert payload["overall"] and len(payload["explicit_kernel_witness"]) == 2048
 
+    def test_tuple_listed_set_refused(self):
+        # over Z, spans, the kernel and both certificate routes read a set's
+        # pairs only: a set listed as tuples is refused with one line, even
+        # when every weight is an a[i,j]
+        for case, n, p in [("a", 5, 2), ("b", 3, 3), ("c", 4, 2), ("d", 6, 2)]:
+            plan = build_plan(case, n, p)
+            lam = plan.torus_weights
+            tuples = WeightSet.of(lam.elements, lam.spec)
+            assert tuples == lam and tuples.pairs is None
+            for check in (spans, kernel_generators_mod, certify):
+                arg = plan._replace(torus_weights=tuples) if check is certify else tuples
+                with pytest.raises(LatticeError, match=NOT_PAIRS):
+                    check(arg)
+            assert certify(plan).overall
+
     def test_witnesses_recorded(self):
         verdict = check_lemma34(build_plan("c", 4, 2).torus_weights,
                                 sylow_subgroup(4, 2))
@@ -199,7 +228,7 @@ class TestLemma32:
 
     def test_empty_torus_weights_fail_span(self):
         from essdim.constructions import RepPlan
-        empty = WeightSet.of([], LatticeSpec(3))
+        empty = WeightSet.from_pairs([], LatticeSpec(3))
         plan = RepPlan("b", 3, 3, empty, ((1, "faithful character"),))
         verdict = check_lemma32(plan)
         assert not verdict.spans_ok
@@ -212,22 +241,38 @@ class TestLemma32:
 
 class TestOracleAgreement:
     def test_center_reduction_matches_full_enumeration(self):
-        # with p | n and, through the fixed points, with p not dividing n
+        # with p | n and, through the fixed points, with p not dividing n:
+        # the package on unions of orbits of a[i,j], listed from their pairs;
+        # the center reduction over the SNF's kernel on unions of orbits of
+        # other weights, which the package refuses
         rng = random.Random(20240818)
         cases = [(4, 2), (6, 2), (3, 3), (6, 3), (2, 2), (5, 2), (7, 2), (4, 3), (5, 3)]
         checked = 0
+        seen = set()
         while checked < 100:
             n, p = rng.choice(cases)
             group = sylow_subgroup(n, p)
             spec = LatticeSpec(n)
             lam = random_invariant_set(rng, group, spec)
-            faithful, _ = kernel_action_faithful(lam, group)
+            listed = as_pairs(lam)
+            if listed is None:
+                with pytest.raises(LatticeError, match=NOT_PAIRS):
+                    kernel_action_faithful(lam, group)
+                faithful = faithful_on_center(lam, group)
+            else:
+                faithful, _ = kernel_action_faithful(listed, group)
             assert faithful == faithful_by_enumeration(lam, group), (n, p, lam.to_json())
+            lam = random_invariant_pairs(rng, group)
+            faithful, _ = kernel_action_faithful(lam, group)
+            assert faithful == faithful_by_enumeration(lam, group), (n, p, lam.pairs)
+            seen.add(faithful)
             checked += 1
+        assert seen == {True, False}
 
     def test_witnesses_match_per_vector_definition(self, monkeypatch):
         # the first kernel generator g moves, by permute_coefficients, for
-        # each central element of order p, over Z; a set over Z/q is refused
+        # each central element of order p, over Z, on a set listed from its
+        # pairs; a set over Z/q, or over Z listed as tuples, is refused
         # before any central element is listed
         def refuse(*args):
             raise AssertionError("a central element was listed")
@@ -239,14 +284,16 @@ class TestOracleAgreement:
             n, p, q = rng.choice(cases)
             group = sylow_subgroup(n, p)
             lam = random_invariant_set(rng, group, LatticeSpec(n, q))
+            with monkeypatch.context() as patched:
+                patched.setattr(genfree, "center_order_p_elements", refuse)
+                refusal = "over Z only" if q else NOT_PAIRS
+                with pytest.raises(LatticeError, match=refusal):
+                    kernel_generators_mod(lam)
+                with pytest.raises(LatticeError, match=refusal):
+                    kernel_action_faithful(lam, group)
             if q:
-                with monkeypatch.context() as patched:
-                    patched.setattr(genfree, "center_order_p_elements", refuse)
-                    with pytest.raises(LatticeError, match="over Z only"):
-                        kernel_generators_mod(lam)
-                    with pytest.raises(LatticeError, match="over Z only"):
-                        kernel_action_faithful(lam, group)
                 continue
+            lam = random_invariant_pairs(rng, group)
             gens = [dense(v, len(lam)) for v in kernel_generators_mod(lam)]
             elements = center_order_p_elements(group)
             moved = [next((v for v in gens if permute_coefficients(g, lam, v) != v), None)
@@ -255,7 +302,7 @@ class TestOracleAgreement:
                              for g, v in zip(elements, moved) if v is not None)
             faithful, witnesses = kernel_action_faithful(lam, group)
             assert faithful == (None not in moved)
-            assert witnesses == expected, (n, p, q, lam.to_json())
+            assert witnesses == expected, (n, p, q, lam.pairs)
 
     def test_explicit_witness_consistent_with_verdict(self):
         # the hand-built kernel vector is itself moved by some tested element

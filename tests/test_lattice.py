@@ -16,7 +16,6 @@ from essdim.lattice import (
     LatticeSpec,
     WeightSet,
     basis_coordinates,
-    coordinate_matrix,
     echelon_mod_p,
     kernel_generators_mod,
     prime_power_root,
@@ -28,12 +27,14 @@ from essdim.lattice import (
 )
 from essdim.permgroup import orbit, sylow_subgroup
 import oracles
-from oracles import (dense_smith_normal_form, diagonal, diagonal_matrix, identity, in_p_multiple,
-                     matmul, modulus_matrix, reduce_mod)
+from oracles import (NOT_PAIRS, as_pairs, coordinate_matrix, dense_smith_normal_form, diagonal,
+                     diagonal_matrix, identity, in_p_multiple, matmul, modulus_matrix, pair_set,
+                     reduce_mod, smith)
 
 
-def chain_basis(spec):
-    return [standard_weight(i, i + 1, spec) for i in range(1, spec.n)]
+def chain_pairs(n):
+    """The pairs of the chart a[1,2], ..., a[n-1,n]."""
+    return [(i, i + 1) for i in range(1, n)]
 
 
 def from_columns(columns):
@@ -103,15 +104,13 @@ class TestStandardWeight:
 
 
 class TestPairListed:
-    """Cases (a)-(c) list their witness sets from a[i,j] index pairs; such a
-    set behaves as the tuple-listed set of the same weights."""
+    """Every case lists its witness set from a[i,j] index pairs; such a set
+    behaves as the tuple-listed set of the same weights."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_matches_tuple_listed(self, p):
         for n in range(1, 65):
             case = case_of(n, p)
-            if case == "d":
-                continue
             lam = build_plan(case, n, p).torus_weights
             spec = lam.spec
             dense = WeightSet.of([standard_weight(i, j, spec) for i, j in lam.pairs], spec)
@@ -293,18 +292,26 @@ class TestSpans:
     def test_chain_basis_spans(self):
         for n in (2, 3, 5, 7):
             spec = LatticeSpec(n)
-            assert spans(WeightSet.of(chain_basis(spec), spec))
+            assert spans(WeightSet.from_pairs(chain_pairs(n), spec))
         # the empty and the zero-weight set span the rank-0 lattice (n = 1)
-        # and nothing larger, over Z and over Z/q
+        # and nothing larger, over Z and over Z/q; over Z the zero weight is
+        # no a[i,j], so spans refuses that set and the SNF decides it
         for n in (1, 3):
             for q in (0, 2, 4, 9):
                 spec = LatticeSpec(n, q)
                 for ws in ([], [spec.weight([0] * n)]):
-                    assert spans(WeightSet.of(ws, spec)) == (n == 1), (n, q, ws)
+                    if q:
+                        assert spans(WeightSet.of(ws, spec)) == (n == 1), (n, q, ws)
+                    elif ws:
+                        with pytest.raises(LatticeError, match=NOT_PAIRS):
+                            spans(WeightSet.of(ws, spec))
+                        assert snf_spans(WeightSet.of(ws, spec)) == (n == 1), (n, q, ws)
+                    else:
+                        assert spans(WeightSet.from_pairs(ws, spec)) == (n == 1), (n, q, ws)
 
     def test_single_weight_does_not_span_rank_two(self):
         spec = LatticeSpec(3)
-        assert not spans(WeightSet.of([standard_weight(1, 2, spec)], spec))
+        assert not spans(WeightSet.from_pairs([(1, 2)], spec))
 
     def test_mixed_specs_rejected(self):
         # weights are checked where they enter a lattice
@@ -322,11 +329,10 @@ class TestSpans:
         for q in (2, 3, 4, 9):
             for n in (2, 3, 4):
                 spec = LatticeSpec(n)
-                lam = list(chain_basis(spec))
+                lam = chain_pairs(n)
                 for _ in range(3):
-                    i, j = rng.sample(range(1, n + 1), 2)
-                    lam.append(standard_weight(i, j, spec))
-                ws = WeightSet.of(lam, spec)
+                    lam.append(tuple(rng.sample(range(1, n + 1), 2)))
+                ws = pair_set(lam, spec)
                 assert spans(ws)
                 assert spans(reduce_mod(ws, q))
 
@@ -398,8 +404,7 @@ class TestPackedEchelon:
 class TestKernelBasis:
     def test_opposite_pair(self):
         spec = LatticeSpec(2)
-        kb = kernel_generators_mod(WeightSet.of(
-            [standard_weight(1, 2, spec), standard_weight(2, 1, spec)], spec))
+        kb = kernel_generators_mod(pair_set([(1, 2), (2, 1)], spec))
         assert len(kb) == 1
         # relation between the two elements, up to sign
         v = densify(kb[0], 2)
@@ -407,11 +412,7 @@ class TestKernelBasis:
 
     def test_cyclic_triangle(self):
         spec = LatticeSpec(3)
-        lam = WeightSet.of([
-            standard_weight(1, 2, spec),
-            standard_weight(2, 3, spec),
-            standard_weight(3, 1, spec),
-        ], spec)
+        lam = pair_set([(1, 2), (2, 3), (3, 1)], spec)
         kb = kernel_generators_mod(lam)
         assert len(kb) == 1
         v = densify(kb[0], 3)
@@ -422,11 +423,10 @@ class TestKernelBasis:
         for _ in range(20):
             n = rng.randint(2, 5)
             spec = LatticeSpec(n)
-            lam = list(chain_basis(spec))
+            lam = chain_pairs(n)
             for _ in range(rng.randint(0, 4)):
-                i, j = rng.sample(range(1, n + 1), 2)
-                lam.append(standard_weight(i, j, spec))
-            ws = WeightSet.of(lam, spec)
+                lam.append(tuple(rng.sample(range(1, n + 1), 2)))
+            ws = pair_set(lam, spec)
             assert spans(ws)
             assert len(kernel_generators_mod(ws)) == len(ws) - (n - 1)
 
@@ -437,15 +437,13 @@ class TestKernelBasis:
             spec = LatticeSpec(n)
             lam = set()
             for _ in range(rng.randint(1, 6)):
-                i, j = rng.sample(range(1, n + 1), 2)
-                lam.add(standard_weight(i, j, spec))
-            ws = WeightSet.of(lam, spec)
+                lam.add(tuple(rng.sample(range(1, n + 1), 2)))
+            ws = pair_set(lam, spec)
             assert spans(ws) == (len(kernel_generators_mod(ws)) == len(ws) - (n - 1))
 
     def test_kernel_vectors_map_to_zero(self):
         spec = LatticeSpec(4)
-        lam = WeightSet.of(chain_basis(spec) + [standard_weight(1, 4, spec),
-                                                standard_weight(3, 1, spec)], spec)
+        lam = pair_set(chain_pairs(4) + [(1, 4), (3, 1)], spec)
         for v in kernel_generators_mod(lam):
             total = [0] * 4
             for c, w in zip(densify(v, len(lam)), lam.elements):
@@ -456,18 +454,19 @@ class TestKernelBasis:
 def snf_spans(lam):
     """The span verdict of the Smith normal form, of [A | q*I] for a set
     over Z/q: every diagonal entry 1."""
-    d = smith_normal_form(modulus_matrix(lam))[0] if lam.spec.modulus else lam._smith[0]
+    d = smith_normal_form(modulus_matrix(lam))[0] if lam.spec.modulus else smith(lam)[0]
     return len(d) == lam.spec.rank and all(x == 1 for x in d)
 
 
 def check_forest_against_snf(lam):
-    """The graph route of a set of a[i,j] over Z against the SNF: the same
-    span verdict; one +-1 cycle in Ker(phi) per weight outside the forest,
-    1 there and otherwise on the forest only; and each of the SNF's kernel
-    columns the sum of the cycles weighted by its own entries at those
-    weights.  Returns the span verdict."""
-    assert lam.edges is not None
-    assert spans(lam) == snf_spans(lam)
+    """The graph route of a set of a[i,j] over Z, listed from its pairs,
+    against the SNF: the same span verdict; one +-1 cycle in Ker(phi) per
+    weight outside the forest, 1 there and otherwise on the forest only; and
+    each of the SNF's kernel columns the sum of the cycles weighted by its
+    own entries at those weights.  Returns the span verdict."""
+    assert lam.pairs is not None
+    d, snf_kernel = smith(lam)
+    assert spans(lam) == (len(d) == lam.spec.rank and all(x == 1 for x in d))
     cycles = kernel_generators_mod(lam)
     forest = oracles.forest_positions(lam)
     own = [k for k in range(len(lam)) if k not in forest]
@@ -479,7 +478,7 @@ def check_forest_against_snf(lam):
         assert dict(cycle)[k] == 1 and all(j == k or j in forest for j in positions)
         assert oracles.phi_image(lam, densify(cycle, len(lam))) == (0,) * lam.spec.n
     cycle_at = dict(zip(own, cycles))
-    for column in lam._smith[1]:
+    for column in snf_kernel:
         total = Counter()
         for k, x in column:
             for j, c in cycle_at.get(k, ()):
@@ -514,23 +513,41 @@ class TestForestMatchesSnf:
                 if rng.random() < 0.3:
                     weights |= set(orbit(group, standard_weight(j, i, spec), spec))
             lam = WeightSet.of(weights, spec)
-            seen["spans" if check_forest_against_snf(lam) else "does not span"] += 1
-            edges = set(lam.edges)
+            listed = as_pairs(lam)
+            assert listed == lam
+            seen["spans" if check_forest_against_snf(listed) else "does not span"] += 1
+            edges = set(listed.pairs)
             seen["both ways"] += any((j, i) in edges for i, j in edges)
-            listed = WeightSet.from_pairs(lam.edges, spec)
-            assert (spans(listed), kernel_generators_mod(listed)) == (
-                spans(lam), kernel_generators_mod(lam))
+            # the same set listed as tuples is refused
+            for check in (spans, kernel_generators_mod):
+                with pytest.raises(LatticeError, match=NOT_PAIRS):
+                    check(lam)
         assert min(seen.values()) >= 10, seen
 
     def test_other_sets_keep_the_snf(self):
+        # a set over Z listed as tuples is refused, whether or not its weights
+        # are a[i,j]; the SNF in tests/oracles.py still decides it.  A set
+        # over Z/q goes through its F_p rank
         spec = LatticeSpec(3)
         lam = WeightSet.of([standard_weight(1, 2, spec), standard_weight(2, 3, spec)], spec)
-        assert lam.edges == ((2, 3), (1, 2))
-        for other in (WeightSet.of([*lam, (2, -2, 0)], spec), WeightSet.of([(0,)], LatticeSpec(1))):
-            assert other.edges is None
-            assert kernel_generators_mod(other) == other._smith[1]
+        assert as_pairs(lam).pairs == ((2, 3), (1, 2))
+        for other in (lam, WeightSet.of([*lam, (2, -2, 0)], spec),
+                      WeightSet.of([(0,)], LatticeSpec(1))):
+            assert other.pairs is None
+            for check in (spans, kernel_generators_mod):
+                with pytest.raises(LatticeError, match=NOT_PAIRS):
+                    check(other)
+            d, kernel = smith(other)
+            assert len(kernel) == len(other) - sum(1 for x in d if x)
+            for column in kernel:
+                zero = (0,) * other.spec.n
+                assert oracles.phi_image(other, densify(column, len(other))) == zero
+        assert kernel_generators_mod(as_pairs(lam)) == smith(lam)[1] == ()
+        # a[1,2] twice less (2, -2, 0); and the zero weight of n = 1 alone
+        assert smith(WeightSet.of([*lam, (2, -2, 0)], spec))[1] == (((1, -2), (2, 1)),)
+        assert smith(WeightSet.of([(0,)], LatticeSpec(1)))[1] == (((0, 1),),)
         reduced = reduce_mod(lam, 3)
-        assert reduced.edges is None and spans(reduced) == snf_spans(reduced)
+        assert reduced.pairs is None and spans(reduced) == snf_spans(reduced)
 
 
 class TestKernelPinned:
@@ -554,7 +571,7 @@ class TestKernelPinned:
     @pytest.mark.parametrize("case,n,p,size,digest", DIGESTS)
     def test_witness_kernel_digest(self, case, n, p, size, digest):
         lam = build_plan(case, n, p).torus_weights
-        kb = [list(densify(v, len(lam))) for v in lam._smith[1]]
+        kb = [list(densify(v, len(lam))) for v in smith(lam)[1]]
         assert len(kb) == size
         text = json.dumps(kb, separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -579,7 +596,7 @@ class TestKernelPinned:
             (0, 1, 0, 0, 0, 0, 0, -1, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1, 0),
             (0, 1, 0, 0, 0, 0, 0, 0, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 1),
         )
-        assert tuple(densify(v, 27) for v in lam._smith[1]) == expected
+        assert tuple(densify(v, 27) for v in smith(lam)[1]) == expected
 
     def test_generators_mod_q(self):
         # the kernel is computed over Z only: a reduced case (c) set and a

@@ -20,8 +20,9 @@ from essdim.lattice import (
     smith_normal_form,
 )
 from essdim.permgroup import act, orbit, orbit_size, sylow_subgroup
-from oracles import (BudgetExhausted, branch_and_bound_min, dense_smith_normal_form, diagonal,
-                     diagonal_matrix, group_elements, matmul, per_orbit_greedy, phi_image)
+from oracles import (NOT_PAIRS, BudgetExhausted, as_pairs, branch_and_bound_min,
+                     dense_smith_normal_form, diagonal, diagonal_matrix, group_elements, matmul,
+                     per_orbit_greedy, phi_image, smith)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -91,7 +92,12 @@ def test_kernel_generators_map_to_zero(data):
         with pytest.raises(LatticeError, match="over Z only"):
             kernel_generators_mod(lam)
         return
-    for vec in kernel_generators_mod(lam):
+    # over Z, from a set's a[i,j] pairs only; the SNF's kernel columns stand
+    # in for any other set, which is refused
+    with pytest.raises(LatticeError, match=NOT_PAIRS):
+        kernel_generators_mod(lam)
+    listed = as_pairs(lam)
+    for vec in smith(lam)[1] if listed is None else kernel_generators_mod(listed):
         # never empty: an integer basis holds no zero vector
         assert vec
         positions = [i for i, _ in vec]
