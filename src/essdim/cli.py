@@ -30,7 +30,7 @@ from .constructions import (build_plan, case_c_length, check_plan, kernel_witnes
                             witness_size)
 from .edcalc import ed_table, ed_value
 from .genfree import certify, check_certificate
-from .lattice import MAX_WITNESS_ENTRIES, LatticeSpec
+from .lattice import LatticeSpec
 from .permgroup import act, orbit as orbit_of, sylow_subgroup
 
 EXIT_OK = 0
@@ -154,11 +154,11 @@ def cmd_verify(args) -> int:
         check_search(1, args.p, q)  # p and q, before p^r is formed
         if args.r < 1:
             raise ValueError(f"verifying the p-power bound needs --r >= 1, got {args.r}")
-        # check_search's refusals, written with p^r unexpanded; its first
-        # one, the witness bound p^(2r-1) weights of p^r entries, is read
-        # here from r, so p^r is not formed past 3r - 1 = 24 (p >= 2)
+        # check_search's refusals, written with p^r unexpanded; past
+        # 3r - 1 = 24 its first one, the witness bound p^(2r-1) weights of
+        # p^r entries, refuses any p >= 2, so p^r is not formed there
         exponent = f"({args.p}^{args.r} - 1)"
-        if 3 * args.r - 1 > 24 or args.p ** (3 * args.r - 1) > MAX_WITNESS_ENTRIES:
+        if 3 * args.r - 1 > 24:
             raise ValueError(f"search space q^(n-1) = {q}^{exponent} too large")
         n = args.p ** args.r
         check_search(n, args.p, q, exponent)

@@ -5,14 +5,15 @@ sublattice is the rank n-1 zero-sum part, coordinatized in the fixed basis
 a[1,2], a[2,3], ..., a[n-1,n].  All arithmetic is exact (Python ints).  A
 question over Z/q is answered over F_p, p the prime of q; over Z, a set is
 read off a spanning forest of its a[i,j] pairs only, and one listed as tuples
-is refused.  smith_normal_form is the tests' oracle, kept for the tracer.
+is refused.  smith_normal_form, the one Smith normal form, returns its
+certificate (both transforms); it is the tests' oracle, kept for the tracer.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -342,38 +343,37 @@ def standard_weight(i: int, j: int, spec: LatticeSpec) -> Tuple[int, ...]:
     return spec.weight(ent)
 
 
-def smith_normal_form(m: IntegerMatrix) -> Tuple[Tuple[int, ...], List[Dict[int, int]]]:
-    """Return (d, right) with left*m*right the diagonal matrix of d, left and
-    right unimodular and d1 | d2 | ... non-negative; ``d`` is the tuple of
-    the min(rows, cols) diagonal entries, ``right`` the list of its columns,
-    each a dict from row to nonzero entry, and those past the rank generate
-    the integer kernel of m.  No left is built: nothing reads it.  The rows
-    stay dense lists, but a row update runs over the source row's nonzero
-    columns only and a column update over the rows nonzero in the source
-    column.  No code path calls it: it is the tests' oracle, kept here for
-    the tracer."""
+def smith_normal_form(
+        m: IntegerMatrix) -> Tuple[Tuple[int, ...], IntegerMatrix, List[Dict[int, int]]]:
+    """Return (d, left, right) with left*m*right the diagonal matrix of d,
+    left and right unimodular and d1 | d2 | ... non-negative; ``d`` is the
+    tuple of the min(rows, cols) diagonal entries, ``left`` a square
+    IntegerMatrix and ``right`` the list of its columns, each a dict from row
+    to nonzero entry, those past the rank generating the integer kernel of
+    m.  Each row or column operation runs over the whole row or column.  No
+    code path calls it: it is the tests' oracle, kept here for the tracer."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
+    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [{j: 1} for j in range(cols)]
 
-    def support(i):  # the nonzero columns of row i
-        return list(compress(range(cols), a[i]))
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         right[i], right[j] = right[j], right[i]
 
-    def add_row(src, dst, f, src_support):  # row dst += f * row src
-        if f:
-            s, d = a[src], a[dst]
-            for k in src_support:
-                d[k] += f * s[k]
+    def add_row(src, dst, f):  # row dst += f * row src
+        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
 
-    def add_col(src, dst, f, holders):  # holders: the rows nonzero at column src
+    def add_col(src, dst, f):  # column dst += f * column src
         if not f:
             return
-        for r in holders:
+        for r in a:
             r[dst] += f * r[src]
         col = right[dst]
         for k, y in right[src].items():
@@ -388,38 +388,28 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[Tuple[int, ...], List[Dict[int,
         # pivot: the row-major first entry of least nonzero |value| in the block
         piv = None
         for i in range(t, rows):
-            # nothing beats a unit; rows t.. are 0 left of column t
-            if 1 in a[i] or -1 in a[i]:
-                piv = (1, i)
-                break
             size = min(map(abs, filter(None, a[i][t:])), default=0)
             if size and (piv is None or size < piv[0]):
                 piv = (size, i)
         if piv is None:
             break
         size, i = piv
-        a[t], a[i] = a[i], a[t]
+        swap_rows(t, i)
         swap_cols(t, next(j for j in range(t, cols) if abs(a[t][j]) == size))
         while True:
             dirty = False
-            pivot_support = support(t)
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]), pivot_support)
+                    add_row(t, i, -(a[i][t] // a[t][t]))
                     if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        pivot_support = support(t)
+                        swap_rows(t, i)
                         dirty = True
             row = a[t]
-            holders = [r for r in a if r[t]]
-            # handling column j changes row t at columns t and j only, so the
-            # columns to visit are those nonzero now
-            for j in support(t):
-                if j > t:
-                    add_col(t, j, -(row[j] // row[t]), holders)
+            for j in range(t + 1, cols):
+                if row[j]:
+                    add_col(t, j, -(row[j] // row[t]))
                     if row[j]:
                         swap_cols(t, j)
-                        holders = [r for r in a if r[t]]
                         dirty = True
             if dirty:
                 continue
@@ -431,11 +421,13 @@ def smith_normal_form(m: IntegerMatrix) -> Tuple[Tuple[int, ...], List[Dict[int,
                                  if any(map(d.__rmod__, a[i][t + 1:]))), None)
             if offender is None:
                 break
-            add_row(offender, t, 1, support(offender))
+            add_row(offender, t, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
         t += 1
-    return tuple(a[i][i] for i in range(min(rows, cols))), right
+    return (tuple(a[i][i] for i in range(min(rows, cols))),
+            IntegerMatrix(rows, rows, tuple(map(tuple, left))), right)
 
 
 def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -5,17 +5,16 @@ notation, composition, the identity, mod-q reduction, the prime of a
 modulus and the map phi), the central elements as products of block
 rotations, the witness set of case (d) in closed form (the package builds
 it as an orbit closure; case (c)'s closed form is the package's own, and
-the tests check it against the closure instead), the Smith normal form as
-the package computed it before its updates followed the matrix's support,
-with the left transform the package no longer builds, the matrix
-[A | q*I] from which the package read a mod-q span before it went through
-F_p, the coordinate matrix and Smith form of a set over Z, listed either
-way, from which the package read spans and kernels before the spanning
-forest, the reading of a[i,j] pairs off a tuple-listed set, which the
-package refuses, the center reduction over the Smith form's kernel, the
-breadth-first spanning forest of a set of a[i,j] read off its tuples,
-sympy's reduced row echelon form over GF(p), the branch-and-bound search
-the coinvariant greedy replaced, the echelon basis of IV the greedy
+the tests check it against the closure instead), the matrix [A | q*I]
+from which the package read a mod-q span before it went through F_p, the
+coordinate matrix and Smith form of a set over Z, listed either way, from
+which the package read spans and kernels before the spanning forest (the
+one Smith normal form, with its left transform, is lattice's, kept there
+for the tracer), the reading of a[i,j] pairs off a tuple-listed set,
+which the package refuses, the center reduction over the Smith form's
+kernel, the breadth-first spanning forest of a set of a[i,j] read off its
+tuples, sympy's reduced row echelon form over GF(p), the branch-and-bound
+search the coinvariant greedy replaced, the echelon basis of IV the greedy
 reduced against before its closed-form class map, the greedy as it ran
 before it stepped over runs of orbits of one class, orbit by orbit, and
 the paper's block-sum map, p-multiple test, Nakayama filter and fiber
@@ -198,11 +197,6 @@ def identity(n):
     return IntegerMatrix.of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
-def diagonal(m):
-    """The diagonal entries of an IntegerMatrix, as a tuple."""
-    return tuple(m.entries[i][i] for i in range(min(m.rows, m.cols)))
-
-
 def diagonal_matrix(d, rows, cols):
     """The rows x cols IntegerMatrix with diagonal d and zeros elsewhere."""
     return IntegerMatrix.of([[d[i] if i == j else 0 for j in range(cols)] for i in range(rows)])
@@ -337,7 +331,7 @@ def smith(lam: WeightSet) -> Tuple[Tuple[int, ...], Tuple[SparseVector, ...]]:
     form of coordinate_matrix(lam), and the columns of its right transform
     past the rank, which generate the integer kernel, as sparse vectors (the
     package's spans and kernel read them before the spanning forest)."""
-    d, right = smith_normal_form(coordinate_matrix(lam))
+    d, _, right = smith_normal_form(coordinate_matrix(lam))
     rank = sum(1 for x in d if x)
     return d, tuple(tuple(sorted(col.items())) for col in right[rank:])
 
@@ -355,100 +349,6 @@ def modulus_matrix(lam: WeightSet) -> IntegerMatrix:
     rows = tuple(row + tuple(q if j == i else 0 for j in range(m.rows))
                  for i, row in enumerate(m.entries))
     return IntegerMatrix(m.rows, m.cols + m.rows, rows)
-
-
-# The Smith normal form with whole-row and whole-column updates, as the
-# package computed it before its updates followed the matrix's support and
-# before it stopped building left: the package's must repeat its every
-# operation and return its diagonal and right.
-def dense_smith_normal_form(
-        m: IntegerMatrix) -> Tuple[IntegerMatrix, IntegerMatrix, List[Dict[int, int]]]:
-    """Return (diagonal, left, right) with left*m*right = diagonal,
-    left/right unimodular and non-negative diagonal d1 | d2 | ... ;
-    ``right`` is given as the list of its columns, each a dict from row to
-    nonzero entry."""
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [{j: 1} for j in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        right[i], right[j] = right[j], right[i]
-
-    def add_row(src, dst, f):  # row dst += f * row src
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(src, dst, f):
-        if not f:
-            return
-        for r in a:
-            r[dst] += f * r[src]
-        col = right[dst]
-        for k, y in right[src].items():
-            x = col.get(k, 0) + f * y
-            if x:
-                col[k] = x
-            else:
-                del col[k]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    t = 0
-    while t < rows and t < cols:
-        # pivot: the row-major first entry of least nonzero |value| in the block
-        piv = None
-        for i in range(t, rows):
-            size = min(map(abs, filter(None, a[i][t:])), default=0)
-            if size and (piv is None or size < piv[0]):
-                piv = (size, i)
-        if piv is None:
-            break
-        size, i = piv
-        swap_rows(t, i)
-        swap_cols(t, next(j for j in range(t, cols) if abs(a[t][j]) == size))
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            row = a[t]
-            for j in range(t + 1, cols):
-                if row[j]:
-                    add_col(t, j, -(row[j] // row[t]))
-                    if row[j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the block
-            d = a[t][t]
-            offender = None
-            if abs(d) != 1:
-                offender = next((i for i in range(t + 1, rows)
-                                 if any(map(d.__rmod__, a[i][t + 1:]))), None)
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-    return (
-        IntegerMatrix(rows, cols, tuple(map(tuple, a))),
-        IntegerMatrix(rows, rows, tuple(map(tuple, left))),
-        right,
-    )
 
 
 def sympy_rref_mod_p(vectors: Iterable[Sequence[int]], p: int,

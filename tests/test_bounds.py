@@ -195,6 +195,17 @@ class TestSearch:
             assert (min_invariant_generating_size(n, p, q).minimum
                     == naive_min_invariant_generating_size(n, p, q)[0])
 
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: lattice_elements(LatticeSpec(3)), r"^finite enumeration needs a modulus$"),
+        (lambda: naive_min_invariant_generating_size(5, 2, 4),
+         r"^naive enumeration infeasible: 54 orbits$"),
+        (lambda: naive_min_by_subsets(3, 2, 8), r"^subset enumeration infeasible$"),
+        (lambda: predicted_bound(6, 4, 4), r"^p=4 is not a prime$"),
+    ], ids=["lattice_elements", "naive_orbits", "naive_subsets", "predicted_bound"])
+    def test_refused(self, refused, message):
+        with pytest.raises(BoundsError, match=message):
+            refused()
+
     def test_monotone_in_exponent(self):
         # generating mod p^e implies generating mod p
         for n, p in [(2, 2), (3, 3), (4, 2)]:
@@ -442,7 +453,10 @@ class TestRunStepping:
         report = verify_lower_bound(n, p, q)
         assert report["minimum"] == report["bound"] and report["holds"], (n, p, q)
 
-    @pytest.mark.parametrize("n,p,q", [(64, 2, 4), (125, 5, 5), (50, 5, 5), (10 ** 6, 2, 2)])
+    # (88, 2, 4) passes the witness bound and the listing, and is refused on
+    # the runs it could step over
+    @pytest.mark.parametrize("n,p,q", [(64, 2, 4), (125, 5, 5), (50, 5, 5), (10 ** 6, 2, 2),
+                                       (88, 2, 4)])
     def test_refused_before_anything_is_listed(self, n, p, q):
         start = time.perf_counter()
         with pytest.raises(BoundsError, match=r"search space q\^\(n-1\) = .* too large"):

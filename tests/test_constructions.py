@@ -372,6 +372,7 @@ class TestCaseRule:
         ("d", 1, 2, "case (d) needs p | n and n not a p-power; got n=1, p=2"),
         ("b", 1024, 2, "case (b) needs n = p; got n=1024, p=2"),
         ("c", 1024, 2, "witness set too large"),
+        ("e", 12, 2, "unknown case tag 'e'"),
     ])
     def test_refusal_order(self, case, n, p, message):
         with pytest.raises(ConstructionError) as excinfo:

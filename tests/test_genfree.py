@@ -238,6 +238,15 @@ class TestLemma32:
         with pytest.raises(GenFreeError):
             check_lemma32(build_plan("c", 4, 2))
 
+    def test_refuses_a_case_without_a_recipe(self):
+        # only cases (a) and (b) have an extra summand, so the rule has no
+        # recipe for another case that is given one
+        from essdim.constructions import RepPlan
+        plan = build_plan("c", 4, 2)
+        plan = RepPlan("c", 4, 2, plan.torus_weights, ((1, "faithful character"),))
+        with pytest.raises(GenFreeError, match=r"^no combination-rule recipe for case 'c'$"):
+            check_lemma32(plan)
+
 
 class TestOracleAgreement:
     def test_center_reduction_matches_full_enumeration(self):

@@ -27,9 +27,8 @@ from essdim.lattice import (
 )
 from essdim.permgroup import orbit, sylow_subgroup
 import oracles
-from oracles import (NOT_PAIRS, as_pairs, coordinate_matrix, dense_smith_normal_form, diagonal,
-                     diagonal_matrix, identity, in_p_multiple, matmul, modulus_matrix, pair_set,
-                     reduce_mod, smith)
+from oracles import (NOT_PAIRS, as_pairs, coordinate_matrix, diagonal_matrix, identity,
+                     in_p_multiple, matmul, modulus_matrix, pair_set, reduce_mod, smith)
 
 
 def chain_pairs(n):
@@ -44,14 +43,11 @@ def from_columns(columns):
                              for i in range(len(columns))])
 
 
-def smith_against_dense(m):
-    """smith_normal_form(m), which must equal the whole-row oracle's
-    diagonal and right; the oracle's left must then bring m * right to the
-    diagonal matrix of d, and the columns of right past the rank must be
-    kernel vectors of m.  Returns (d, oracle left, right)."""
-    d, right = smith_normal_form(m)
-    od, left, oright = dense_smith_normal_form(m)
-    assert (d, right) == (diagonal(od), oright)
+def checked_smith(m):
+    """smith_normal_form(m) with its certificate checked: left must bring
+    m * right to the diagonal matrix of d, and the columns of right past
+    the rank must be kernel vectors of m.  Returns (d, left, right)."""
+    d, left, right = smith_normal_form(m)
     assert (matmul(matmul(left, m), from_columns(right)).entries
             == diagonal_matrix(d, m.rows, m.cols).entries)
     assert_kernel_columns(m, d, right)
@@ -166,15 +162,15 @@ class TestBasisCoordinates:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        d, _ = smith_normal_form(identity(2))
+        d, _, _ = smith_normal_form(identity(2))
         assert d == (1, 1)
 
     def test_two_three(self):
-        d, _, _ = smith_against_dense(IntegerMatrix.of([[2, 0], [0, 3]]))
+        d, _, _ = checked_smith(IntegerMatrix.of([[2, 0], [0, 3]]))
         assert d == (1, 6)
 
     def test_zero_matrix(self):
-        d, _ = smith_normal_form(IntegerMatrix.of([[0, 0, 0], [0, 0, 0]]))
+        d, _, _ = smith_normal_form(IntegerMatrix.of([[0, 0, 0], [0, 0, 0]]))
         assert d == (0, 0)
 
     def test_random_roundtrip_and_divisibility(self):
@@ -184,7 +180,7 @@ class TestSmithNormalForm:
             cols = rng.randint(1, 6)
             m = IntegerMatrix.of(
                 [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
-            d, left, right = smith_against_dense(m)
+            d, left, right = checked_smith(m)
             assert len(d) == min(m.rows, m.cols)
             assert all(x >= 0 for x in d)
             nz = [x for x in d if x]
@@ -213,7 +209,7 @@ class TestSmithNormalForm:
             grids.append([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
         for grid in grids:
             m = IntegerMatrix.of(grid)
-            d, _, right = smith_against_dense(m)
+            d, _, right = checked_smith(m)
             assert len(right) == m.cols
             for col in right:
                 assert col and all(col.values())
@@ -227,7 +223,7 @@ class TestSmithNormalFormOracle:
     def check(m):
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-        d, left, right = smith_against_dense(m)
+        d, left, right = checked_smith(m)
         ref = sympy_snf(sympy.Matrix([list(r) for r in m.entries]), domain=sympy.ZZ)
         assert d == tuple(abs(ref[i, i]) for i in range(min(m.rows, m.cols)))
         for t in (left, from_columns(right)):
@@ -247,8 +243,8 @@ class TestSmithNormalFormOracle:
 
 
 # (n, p, q) of the case (c)/(d) witness reductions below on which the entries
-# of the Smith normal form blow up: neither SNF finishes within a second, and
-# most not within 10 s, so they are left out of the comparison.
+# of the Smith normal form blow up: the SNF does not finish within a second,
+# and on most not within 10 s, so they are left out of the kernel check.
 SNF_BLOWUP = {
     *[(n, 3, 9) for n in (30, 33, 36, 39, 42, 45, 48, 51, 57, 60, 63)],
     (15, 5, 25), (20, 5, 25), (50, 5, 25),
@@ -256,18 +252,15 @@ SNF_BLOWUP = {
 }
 
 
-class TestSparseMatchesDense:
-    """The SNF whose updates follow the matrix's support repeats every
-    operation of the whole-row one in tests/oracles.py, so diag and right
-    are identical, not only equivalent; the columns of right past the rank
-    are kernel vectors.  (The oracle's left is checked on the small
-    matrices above: multiplying it out here would take minutes.)"""
+class TestKernelColumns:
+    """The columns of right past the rank are kernel vectors of the
+    coordinate matrices [A | q*I] of the witness sets, over Z and reduced
+    mod p and p^2, and of the search-min witnesses.  (left is checked on the
+    small matrices above: multiplying it out here would take minutes.)"""
 
     @staticmethod
     def check(m):
-        d, right = smith_normal_form(m)
-        od, _, oright = dense_smith_normal_form(m)
-        assert (d, right) == (diagonal(od), oright)
+        d, _, right = smith_normal_form(m)
         assert_kernel_columns(m, d, right)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -353,7 +346,7 @@ class TestSpans:
             for col, row in basis.items():
                 assert row[col] == 1
                 assert all(row[other] == 0 for other in basis if other != col)
-            diag, _ = smith_normal_form(modulus_matrix(ws))
+            diag, _, _ = smith_normal_form(modulus_matrix(ws))
             assert len(basis) == sum(1 for d in diag if d % p)
             assert rank_mod_p(ws, p) == len(basis)
             assert (len(basis) == n - 1) == spans(ws)

@@ -81,6 +81,17 @@ class TestSylowConstruction:
         assert order == p ** legendre_exponent(n, p)
         assert g.order_exponent == legendre_exponent(n, p)
 
+    @pytest.mark.parametrize("n,p,message", [
+        (6, 4, "p=4 is not a prime"),
+        (0, 1, "p=1 is not a prime"),
+        (0, 2, "n must be positive, got 0"),
+        (-3, 3, "n must be positive, got -3"),
+    ])
+    def test_refusal_order(self, n, p, message):
+        # p not a prime, then n < 1, with the plans' lines
+        with pytest.raises(PermError, match=f"^{message}$"):
+            sylow_subgroup(n, p)
+
     def test_digit_decomposition(self):
         assert p_adic_digits(6, 2) == (0, ((1, 1), (1, 2)))
         assert p_adic_digits(5, 2) == (1, ((1, 2),))

@@ -10,7 +10,7 @@ from essdim.constructions import RepPlan
 from essdim.edcalc import EdReport
 from essdim.genfree import GenFreeVerdict
 from essdim.lattice import IntegerMatrix, LatticeError, LatticeSpec, WeightSet, standard_weight
-from essdim.permgroup import Perm, PermGroupSpec
+from essdim.permgroup import Perm, PermError, PermGroupSpec
 from oracles import spec_prime
 
 
@@ -97,6 +97,15 @@ def test_perms_sort_by_images():
 def test_lattice_spec_still_validates(args):
     with pytest.raises(LatticeError):
         LatticeSpec(*args)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Perm.of([1, 1, 3]), PermError, r"^not a bijection of 1\.\.3: \(1, 1, 3\)$"),
+    (lambda: IntegerMatrix.of([[1, 2], [3]]), LatticeError, r"^ragged matrix$"),
+], ids=["Perm", "IntegerMatrix"])
+def test_of_still_validates(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 def test_lattice_spec_defaults_to_integers():
