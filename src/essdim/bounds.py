@@ -258,9 +258,6 @@ class _Points:
     def __init__(self, q: int) -> None:
         self.q = q
 
-    def __len__(self) -> int:
-        return self.q
-
     def __getitem__(self, v: int) -> Tuple[Tuple[int], int, int]:
         if not 0 <= v < self.q:
             raise IndexError(v)

@@ -10,9 +10,9 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
-from .lattice import (MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, prime_power_root,
+from .lattice import (MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, pair_key, prime_power_root,
                       standard_weight, vp)
-from .permgroup import act, orbit, sylow_subgroup
+from .permgroup import act, orbit_closure, sylow_subgroup
 
 
 class ConstructionError(ValueError):
@@ -169,15 +169,16 @@ def lambda_d(n: int, p: int) -> RepPlan:
     """Case (d), p | n, n not a p-power: union of the P_n-orbits of a[1, s]
     for s the first position of each block after the first; all a[alpha,beta]
     with alpha in the smallest block and beta outside it.  Listed from its
-    pairs, the one form spans and the kernel read over Z, each read once off
-    the sorted orbit closure, so in canonical order."""
+    pairs, the one form spans and the kernel read over Z: the orbit closures
+    are collected into one set, each weight's pair is read once, and the
+    pairs are sorted once by pair_key, so in canonical order."""
     check_plan("d", n, p)
     spec = LatticeSpec(n)
     group = sylow_subgroup(n, p)
     accum: set = set()
     for lo, _hi in group.blocks[1:]:
-        accum.update(orbit(group, standard_weight(1, lo, spec), spec))
-    pairs = ((w.index(1) + 1, w.index(-1) + 1) for w in sorted(accum))
+        accum |= orbit_closure(group, standard_weight(1, lo, spec))
+    pairs = sorted(((w.index(1) + 1, w.index(-1) + 1) for w in accum), key=pair_key)
     return RepPlan("d", n, p, WeightSet.from_pairs(pairs, spec), ())
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Tuple
 
 from .constructions import RepPlan, check_plan, witness_size
-from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_generators_mod, spans
+from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_cycles, spans
 # act is not called here: the per-layer tracer wraps it in each module
 from .permgroup import (Perm, PermError, PermGroupSpec, act, center_order_p_elements,
                         p_adic_digits, sylow_subgroup)
@@ -96,12 +96,13 @@ def kernel_action_faithful(
     lam: WeightSet, group: PermGroupSpec
 ) -> Tuple[bool, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
     """Decide whether the group acts faithfully on Ker(phi) by testing its
-    order-p central elements, returning one moved kernel generator per
-    element as witness; refused before the scan past MAX_WITNESS_ENTRIES
-    witness entries, and for a set over Z/q before any central element is
-    listed."""
+    order-p central elements, returning, per element that acts, the first
+    kernel generator in canonical order that it moves as witness; the
+    generators are built only as far as some element reads them.  Refused
+    before the scan past MAX_WITNESS_ENTRIES witness entries, and for a set
+    over Z/q before any central element is listed."""
     _check_center_scan(group.p, len(group.blocks), len(lam))
-    gens = kernel_generators_mod(lam)
+    cycles = kernel_cycles(lam)
     elements = center_order_p_elements(group)
     witnesses = []
     for g in elements:
@@ -109,7 +110,7 @@ def kernel_action_faithful(
         # is a bijection, so that is iff the support moved with its
         # coefficients differs from the support
         image = _image_position(g, lam)
-        moved = next((vec for vec in gens
+        moved = next((vec for vec in cycles
                       if sorted([(image(i), c) for i, c in vec]) != list(vec)), None)
         if moved is not None:
             dense = [0] * len(lam)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -200,12 +200,26 @@ class WeightSet:
     def from_pairs(cls, pairs: Iterable[Tuple[int, int]], spec: LatticeSpec) -> "WeightSet":
         """The weight set of the a[i,j] of Z^n for distinct pairs (i, j) of
         1..n with i != j, which the caller lists in the canonical order of
-        their weights; kept as those pairs, without sorting."""
+        their weights (pair_key); kept as those pairs, without sorting.  An
+        index outside 1..n, a pair with i = j and a repeated pair are
+        refused (LatticeError) before anything is stored."""
         if spec.modulus:
             raise LatticeError("a weight set is listed from pairs only over the integers")
+        pairs = tuple(pairs)
+        distinct = set(pairs)
+        indices = set(chain.from_iterable(distinct))
+        if indices and (min(indices) < 1 or max(indices) > spec.n):
+            bad = next(e for e in pairs if not 1 <= min(e) <= max(e) <= spec.n)
+            raise LatticeError(f"index out of range for n={spec.n}: {bad}")
+        diagonal = range(1, spec.n + 1)  # n lookups, not one per pair
+        if not distinct.isdisjoint(zip(diagonal, diagonal)):
+            raise LatticeError(f"a[i,j] requires i != j: {next(e for e in pairs if e[0] == e[1])}")
+        if len(distinct) != len(pairs):
+            seen: set = set()
+            raise LatticeError(f"repeated pair {next(e for e in pairs if e in seen or seen.add(e))}")
         ws = cls.__new__(cls)
         object.__setattr__(ws, "spec", spec)
-        object.__setattr__(ws, "pairs", tuple(pairs))
+        object.__setattr__(ws, "pairs", pairs)
         return ws
 
     @cached_property
@@ -250,12 +264,13 @@ class WeightSet:
         return self.pairs
 
     @cached_property
-    def _forest(self) -> Tuple[bool, Tuple[SparseVector, ...]]:
-        """For a set listed from pairs: whether it spans, and an integer
-        basis of its kernel, read off the graph on 1..n with an edge i -> j
-        per weight a[i,j].  The forest is grown breadth first from vertex 1,
-        then from each vertex not yet reached, in increasing order, the
-        weights at each vertex taken in the canonical order.
+    def _forest(self) -> Tuple[bool, List[int], List[Tuple[int, int]], List[bool]]:
+        """For a set listed from pairs: whether it spans, and a spanning
+        forest of the graph on 1..n with an edge i -> j per weight a[i,j],
+        as each vertex's depth, its (edge to the parent, parent) and whether
+        each weight is a forest edge.  The forest is grown breadth first
+        from vertex 1, then from each vertex not yet reached, in increasing
+        order, the weights at each vertex taken in the canonical order.
 
         Span: the set spans the zero-sum lattice iff the graph is connected.
         If it is, each e_1 - e_i is a signed sum of the weights on a tree
@@ -271,9 +286,7 @@ class WeightSet:
         forest, so 0: the cycles are an integer basis, and a kernel
         vector's coefficients are its entries at the weights outside the
         forest (the incidence matrix of a directed graph is totally
-        unimodular; Schrijver 1986, ch. 19).  The cycles come in the
-        canonical order of those weights, each a +-1 vector in increasing
-        position."""
+        unimodular; Schrijver 1986, ch. 19).  They are _cycles."""
         pairs, n = self._listed_pairs, self.spec.n
         adjacent: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
         for k, (i, j) in enumerate(pairs):
@@ -294,27 +307,74 @@ class WeightSet:
                     if depth[v] < 0:
                         depth[v], up[v], in_forest[k] = depth[u] + 1, (k, u), True
                         queue.append(v)
-        cycles = []
-        for k, (i, j) in enumerate(pairs):
-            if in_forest[k]:
-                continue
-            # a step from x to y on the path from i to j adds e_y - e_x: +1
-            # on the weight a[y, x], -1 on a[x, y]
-            cycle = {k: 1}
-            while i != j:
-                if depth[i] >= depth[j]:
-                    t, i_up = up[i]
-                    cycle[t] = 1 if pairs[t][1] == i else -1
-                    i = i_up
-                else:
-                    t, j_up = up[j]
-                    cycle[t] = 1 if pairs[t][0] == j else -1
-                    j = j_up
-            cycles.append(tuple(sorted(cycle.items())))
-        return trees == 1, tuple(cycles)
+        return trees == 1, depth, up, in_forest
+
+    @cached_property
+    def _cycles(self) -> _AsRead:
+        """The fundamental cycles of _forest, in the canonical order of
+        their weights outside the forest, each a +-1 vector in increasing
+        position, produced only as far as they are read."""
+        _, depth, up, in_forest = self._forest
+        pairs = self.pairs
+
+        def produce() -> Iterator[SparseVector]:
+            for k, (i, j) in enumerate(pairs):
+                if in_forest[k]:
+                    continue
+                # a step from x to y on the path from i to j adds e_y - e_x:
+                # +1 on the weight a[y, x], -1 on a[x, y]
+                cycle = {k: 1}
+                while i != j:
+                    if depth[i] >= depth[j]:
+                        t, i_up = up[i]
+                        cycle[t] = 1 if pairs[t][1] == i else -1
+                        i = i_up
+                    else:
+                        t, j_up = up[j]
+                        cycle[t] = 1 if pairs[t][0] == j else -1
+                        j = j_up
+                yield tuple(sorted(cycle.items()))
+
+        return _AsRead(produce())
 
     def to_json(self) -> list:
         return [list(w) for w in self.elements]
+
+
+class _AsRead:
+    """The items of an iterator, each produced the first time a reader
+    reaches it and kept: every iteration yields all of them in order, and
+    reads the iterator only past what the iterations before it read."""
+
+    __slots__ = ("made", "rest")
+
+    def __init__(self, rest: Iterator) -> None:
+        self.made: list = []
+        self.rest = rest
+
+    def __iter__(self) -> Iterator:
+        made = self.made
+        k = 0
+        while True:
+            if k == len(made):
+                item = next(self.rest, None)
+                if item is None:
+                    return
+                made.append(item)
+            yield made[k]
+            k += 1
+
+
+def pair_key(pair: Tuple[int, int]) -> Tuple[int, int, int]:
+    """The sort key of a[i,j], by its pair (i, j), that orders the a[i,j] as
+    their weight tuples sort, the canonical order.  When j < i the first
+    nonzero entry is the -1 at j, and such a weight comes before every
+    weight whose first nonzero entry is a +1: by j up, then, at equal j, by
+    i down (the larger i leaves a 0 where the other has its +1).  When
+    i < j the +1 at i leads: by i down, then by j up (the smaller j has its
+    -1 first)."""
+    i, j = pair
+    return (0, j, -i) if j < i else (1, -i, j)
 
 
 class IntegerMatrix(NamedTuple):
@@ -446,22 +506,30 @@ def spans(lam: WeightSet) -> bool:
     Over Z/q, q = p^e, by its F_p rank: the lattice is free over the local
     ring Z/q with maximal ideal p, so by Nakayama a set generates it iff its
     chart coordinates span it mod p.  Over Z, by the connectivity of its
-    graph (WeightSet._forest), the one route: a set over Z must be listed
-    from its a[i,j] pairs, and any other is refused (LatticeError)."""
+    graph (WeightSet._forest, which builds no cycle), the one route: a set
+    over Z must be listed from its a[i,j] pairs, and any other is refused
+    (LatticeError)."""
     if lam.spec.modulus:
         return rank_mod_p(lam, prime_power_root(lam.spec.modulus)) == lam.spec.rank
     return lam._forest[0]
 
 
-def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
+def kernel_cycles(lam: WeightSet) -> Iterable[SparseVector]:
     """An integer basis of {c in Z[Lambda] : sum c_i * lambda_i = 0} for a
     set over Z, each a sparse vector indexed by the canonical order of
     Lambda: the fundamental cycles of a spanning forest of its graph
-    (WeightSet._forest).  A set over Z/q is refused, and so is a set over Z
-    not listed from its a[i,j] pairs (LatticeError)."""
+    (WeightSet._forest), produced as far as they are read and kept, so it
+    can be iterated again.  A set over Z/q is refused, and so is a set over
+    Z not listed from its a[i,j] pairs (LatticeError), before any cycle is
+    built."""
     if lam.spec.modulus:
         raise LatticeError(f"the kernel is computed over Z only, not mod {lam.spec.modulus}")
-    return lam._forest[1]
+    return lam._cycles
+
+
+def kernel_generators_mod(lam: WeightSet) -> Tuple[SparseVector, ...]:
+    """kernel_cycles(lam), all of them, as a tuple."""
+    return tuple(kernel_cycles(lam))
 
 
 def echelon_mod_p(

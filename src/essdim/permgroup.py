@@ -9,8 +9,9 @@ the recursive wreath structure uses consecutive sub-blocks of size p^(r-1).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import filterfalse
 from operator import itemgetter
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Set, Tuple
 
 from .lattice import MAX_WITNESS_ENTRIES, LatticeSpec, WeightSet, prime_power_root
 
@@ -193,29 +194,36 @@ def orbit_size(group: PermGroupSpec, w: Tuple[int, ...]) -> int:
     return total
 
 
-def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> WeightSet:
-    """Closure of {w} under the generators (breadth-first), as a weight set
-    of spec, the lattice w lies in; refused before it starts when the orbit
-    has more than MAX_WITNESS_ENTRIES entries (weights times n)."""
+def orbit_closure(group: PermGroupSpec, w: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
+    """The closure of {w} under the generators, as a set, unsorted; refused
+    before it starts when w's length is not the group's degree, or when the
+    orbit has more than MAX_WITNESS_ENTRIES entries (weights times n).  The
+    degree is checked once here, so each image is one gather (act checks it
+    on every call)."""
+    n = len(w)
+    if group.n != n:
+        raise PermError(f"degree {group.n} vs lattice length {n}")
     # |orbit| divides |group|, so only a large group can pass the budget
-    if group.p ** group.order_exponent * spec.n > MAX_WITNESS_ENTRIES:
+    if group.p ** group.order_exponent * n > MAX_WITNESS_ENTRIES:
         count = orbit_size(group, w)
-        if count * spec.n > MAX_WITNESS_ENTRIES:
-            raise PermError(f"orbit too large: {count} weights of length {spec.n}, "
+        if count * n > MAX_WITNESS_ENTRIES:
+            raise PermError(f"orbit too large: {count} weights of length {n}, "
                             f"more than {MAX_WITNESS_ENTRIES} entries")
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in group.generators:
-                y = act(g, x)
-                size = len(seen)
-                seen.add(y)  # one hash per image
-                if len(seen) > size:
-                    nxt.append(y)
-        frontier = nxt
-    return WeightSet.of(seen, spec)
+    gathers = [g.gather for g in group.generators]
+    seen = frontier = {w}
+    while frontier:  # breadth first, one level at a time
+        new: Set[Tuple[int, ...]] = set()
+        for gather in gathers:  # an image already seen is dropped at once
+            new.update(filterfalse(seen.__contains__, map(gather, frontier)))
+        frontier = new
+        seen |= new
+    return seen
+
+
+def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> WeightSet:
+    """orbit_closure(group, w) as a weight set of spec, the lattice w lies
+    in."""
+    return WeightSet.of(orbit_closure(group, w), spec)
 
 
 def center_order_p_elements(group: PermGroupSpec) -> Tuple[Perm, ...]:

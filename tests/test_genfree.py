@@ -191,6 +191,29 @@ class TestLemma34:
         payload = json.loads(capsys.readouterr().out)
         assert payload["overall"] and len(payload["explicit_kernel_witness"]) == 2048
 
+    def test_kernel_built_as_far_as_read(self, monkeypatch):
+        # the center scan reads the cycles only up to the first each element
+        # moves; the kernel read afterwards is the one a fresh set gives
+        read = []
+
+        def counted(rest):
+            for cycle in rest:
+                read.append(cycle)
+                yield cycle
+
+        as_read = lattice._AsRead
+        monkeypatch.setattr(lattice, "_AsRead", lambda rest: as_read(counted(rest)))
+        for case, n, p in [("c", 64, 2), ("c", 27, 3), ("d", 24, 2), ("d", 30, 3)]:
+            lam = build_plan(case, n, p).torus_weights
+            read.clear()
+            faithful, witnesses = kernel_action_faithful(lam, sylow_subgroup(n, p))
+            assert faithful and witnesses
+            total = len(lam) - (n - 1)
+            assert 0 < len(read) < total, (case, n, p)
+            gens = kernel_generators_mod(lam)
+            assert len(read) == total
+            assert gens == kernel_generators_mod(build_plan(case, n, p).torus_weights)
+
     def test_tuple_listed_set_refused(self):
         # over Z, spans, the kernel and both certificate routes read a set's
         # pairs only: a set listed as tuples is refused with one line, even

@@ -5,6 +5,7 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from essdim import lattice
 from essdim.bounds import min_invariant_generating_size
@@ -18,6 +19,7 @@ from essdim.lattice import (
     basis_coordinates,
     echelon_mod_p,
     kernel_generators_mod,
+    pair_key,
     prime_power_root,
     rank_mod_p,
     smith_normal_form,
@@ -136,6 +138,37 @@ class TestPairListed:
     def test_integers_only(self):
         with pytest.raises(LatticeError, match="only over the integers"):
             WeightSet.from_pairs([(1, 2)], LatticeSpec(2, 3))
+
+    @pytest.mark.parametrize("pairs,line", [
+        ([(0, 2), (1, 2), (2, 3)], "index out of range for n=3: (0, 2)"),
+        ([(1, 5)], "index out of range for n=3: (1, 5)"),
+        ([(1, 1), (1, 2)], "a[i,j] requires i != j: (1, 1)"),
+        ([(1, 2), (1, 2), (2, 3)], "repeated pair (1, 2)"),
+    ])
+    def test_malformed_pairs_refused(self, pairs, line):
+        # each would be kept as a wrong weight set: index 0 read as the last
+        # coordinate, a non-zero-sum weight, a repeated weight with a zero
+        # kernel vector, an IndexError later
+        with pytest.raises(LatticeError) as excinfo:
+            WeightSet.from_pairs(pairs, LatticeSpec(3))
+        assert str(excinfo.value) == line
+
+
+@st.composite
+def distinct_pairs(draw):
+    n = draw(st.integers(2, 12))
+    index = st.integers(1, n)
+    pairs = draw(st.sets(st.tuples(index, index).filter(lambda e: e[0] != e[1]), max_size=40))
+    return n, list(pairs)
+
+
+@given(distinct_pairs())
+def test_pair_key_is_the_canonical_order(case):
+    # sorting a[i,j] by pair_key sorts them as their weight tuples sort
+    n, pairs = case
+    spec = LatticeSpec(n)
+    assert (sorted(pairs, key=pair_key)
+            == sorted(pairs, key=lambda e: standard_weight(*e, spec)))
 
 
 class TestBasisCoordinates:
@@ -433,6 +466,20 @@ class TestKernelBasis:
                 lam.add(tuple(rng.sample(range(1, n + 1), 2)))
             ws = pair_set(lam, spec)
             assert spans(ws) == (len(kernel_generators_mod(ws)) == len(ws) - (n - 1))
+
+    def test_spans_builds_no_cycle(self, monkeypatch):
+        # connectivity answers the span; the fundamental cycles are built
+        # only when the kernel is read
+        def refuse(*args):
+            raise AssertionError("a fundamental cycle was built")
+
+        for case, n, p in [("a", 6, 5), ("c", 9, 3), ("d", 12, 2)]:
+            lam = build_plan(case, n, p).torus_weights
+            with monkeypatch.context() as patched:
+                patched.setattr(lattice, "_AsRead", refuse)
+                assert spans(lam)
+            assert "_cycles" not in lam.__dict__
+            assert len(kernel_generators_mod(lam)) == len(lam) - (n - 1)
 
     def test_kernel_vectors_map_to_zero(self):
         spec = LatticeSpec(4)

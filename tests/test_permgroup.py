@@ -11,6 +11,7 @@ from essdim.permgroup import (
     center_order_p_elements,
     legendre_exponent,
     orbit,
+    orbit_closure,
     orbit_size,
     p_adic_digits,
     sylow_subgroup,
@@ -133,6 +134,18 @@ class TestAction:
 
 
 class TestOrbit:
+    @pytest.mark.parametrize("n,p,length", [(4, 2, 3), (6, 3, 7), (3, 5, 4), (1, 2, 2)])
+    def test_wrong_length_refused(self, n, p, length):
+        # the degree is checked once, before the closure, also for a group
+        # with no generators ((3, 5) and (1, 2)), which applies none
+        group = sylow_subgroup(n, p)
+        spec = LatticeSpec(length)
+        seed = standard_weight(1, length, spec)
+        for close in (lambda: orbit(group, seed, spec), lambda: orbit_closure(group, seed)):
+            with pytest.raises(PermError) as excinfo:
+                close()
+            assert str(excinfo.value) == f"degree {n} vs lattice length {length}"
+
     def test_big_block_orbit(self):
         g = sylow_subgroup(4, 2)
         spec = LatticeSpec(4)
