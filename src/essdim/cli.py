@@ -60,7 +60,9 @@ def cmd_construct(args) -> int:
 
 def _plan_n(args) -> int:
     """The n of the plan; a given --n must agree with n = p (case b) or
-    n = p^r (case c)."""
+    n = p^r (case c), and --r is given in case (c) only."""
+    if args.r is not None and args.case != "c":
+        raise ValueError(f"--r applies to case (c) only, not case ({args.case})")
     if args.case == "c":
         if args.r is None:
             raise ValueError("case (c) needs --r")
@@ -145,6 +147,8 @@ def cmd_search_min(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.prop is not None and args.lemma is not None:
+        raise ValueError("verify takes --prop or --lemma, not both")
     if args.prop is not None:
         if args.prop != "7.2":
             raise ValueError(f"unknown proposition {args.prop!r}")
@@ -161,12 +165,17 @@ def cmd_verify(args) -> int:
         if 3 * args.r - 1 > 24:
             raise ValueError(f"search space q^(n-1) = {q}^{exponent} too large")
         n = args.p ** args.r
+        if args.n is not None and args.n != n:
+            raise ValueError(f"--n {args.n} disagrees with Prop 7.2, where n = p^r = "
+                             f"{args.p}^{args.r}")
         check_search(n, args.p, q, exponent)
     elif args.lemma is not None:
         if args.lemma != "8.2":
             raise ValueError(f"unknown lemma {args.lemma!r}")
         if args.n is None:
             raise ValueError("verifying the composite-n bound needs --n")
+        if args.r is not None:
+            raise ValueError("verifying the composite-n bound takes --n, not --r")
         n = args.n
         q = args.q if args.q is not None else args.p
     else:
@@ -184,6 +193,8 @@ def cmd_verify(args) -> int:
 
 def cmd_ed(args) -> int:
     if args.table:
+        if args.n is not None:
+            raise ValueError("ed --table takes --max-n, not --n")
         rows = ed_table(args.max_n, args.p)
         if args.json:
             emit_json([r.to_json() for r in rows])

@@ -1,19 +1,19 @@
 """Zero-sum weight lattices over Z and Z/q with exact integer linear algebra.
 
 The ambient lattice is either Z^n or (Z/q)^n (q a prime power); the working
-sublattice is the rank n-1 zero-sum part, coordinatized in the fixed basis
-a[1,2], a[2,3], ..., a[n-1,n].  All arithmetic is exact (Python ints).  A
-question over Z/q is answered over F_p, p the prime of q; over Z, a set is
-read off a spanning forest of its a[i,j] pairs only, and one listed as tuples
-is refused.  smith_normal_form, the one Smith normal form, returns its
-certificate (both transforms); it is the tests' oracle, kept for the tracer.
+sublattice is the rank n-1 zero-sum part, and a weight is its n entries.
+All arithmetic is exact (Python ints).  A question over Z/q is answered
+over F_p, p the prime of q; over Z, a set is read off a spanning forest of
+its a[i,j] pairs only, and one listed as tuples is refused.
+smith_normal_form, the one Smith normal form, returns its certificate (both
+transforms); it is the tests' oracle, kept for the tracer.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
@@ -490,25 +490,15 @@ def smith_normal_form(
             IntegerMatrix(rows, rows, tuple(map(tuple, left))), right)
 
 
-def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Coordinates of a weight in the canonical chart, over Z.
-
-    The chart is the basis a[1,2], ..., a[n-1,n]; the coordinate vector is
-    the prefix-sum sequence of the entries without the last, so a mod-q
-    weight gets the coordinates of its lift that sums to zero exactly.
-    """
-    return tuple(accumulate(w[:-1]))
-
-
 def spans(lam: WeightSet) -> bool:
     """True iff Lambda generates the full (zero-sum) lattice over Z or Z/q.
 
     Over Z/q, q = p^e, by its F_p rank: the lattice is free over the local
     ring Z/q with maximal ideal p, so by Nakayama a set generates it iff its
-    chart coordinates span it mod p.  Over Z, by the connectivity of its
-    graph (WeightSet._forest, which builds no cycle), the one route: a set
-    over Z must be listed from its a[i,j] pairs, and any other is refused
-    (LatticeError)."""
+    reductions mod p span the zero-sum subspace of F_p^n, of dimension
+    n - 1.  Over Z, by the connectivity of its graph (WeightSet._forest,
+    which builds no cycle), the one route: a set over Z must be listed from
+    its a[i,j] pairs, and any other is refused (LatticeError)."""
     if lam.spec.modulus:
         return rank_mod_p(lam, prime_power_root(lam.spec.modulus)) == lam.spec.rank
     return lam._forest[0]
@@ -541,13 +531,13 @@ def echelon_mod_p(
     """Reduced row-echelon basis over F_p of the span of ``basis`` and
     ``vectors``, as a new dict from pivot column to row.
 
-    Vectors have length ``dim`` and any integer entries; rows are tuples
-    with entries below p.  ``basis`` must itself come from this function
-    and is left unchanged.  Each row is 1 at its own pivot and 0 left of
-    it and at every other pivot, so one pass over the rows, in any order,
-    reduces a vector (its entries are reduced mod p once, at the end), and
-    the rows are the unique reduced echelon basis of the span.  The vectors
-    stop being read once the rank reaches ``dim``.
+    Vectors have one length and any integer entries; rows are tuples with
+    entries below p.  ``basis`` must itself come from this function and is
+    left unchanged.  Each row is 1 at its own pivot and 0 left of it and
+    at every other pivot, so one pass over the rows, in any order, reduces
+    a vector (its entries are reduced mod p once, at the end), and the rows
+    are the unique reduced echelon basis of the span.  Reading stops once
+    the rank reaches ``dim``.
     """
     out = dict(basis) if basis else {}
     for vec in vectors:
@@ -573,6 +563,7 @@ def echelon_mod_p(
 
 
 def rank_mod_p(lam: WeightSet, p: int) -> int:
-    """F_p-rank of the chart coordinates of the weights of lam (Gaussian
-    elimination, exact)."""
-    return len(echelon_mod_p(map(basis_coordinates, lam), p, lam.spec.rank))
+    """F_p-rank of the weights of lam, each its n entries reduced mod p
+    (Gaussian elimination, exact).  Each weight sums to 0 mod p, so the
+    rank is at most n - 1, where reading stops."""
+    return len(echelon_mod_p(lam, p, lam.spec.rank))

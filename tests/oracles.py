@@ -5,12 +5,13 @@ notation, composition, the identity, mod-q reduction, the prime of a
 modulus and the map phi), the central elements as products of block
 rotations, the witness set of case (d) in closed form (the package builds
 it as an orbit closure; case (c)'s closed form is the package's own, and
-the tests check it against the closure instead), the matrix [A | q*I]
-from which the package read a mod-q span before it went through F_p, the
-coordinate matrix and Smith form of a set over Z, listed either way, from
-which the package read spans and kernels before the spanning forest (the
-one Smith normal form, with its left transform, is lattice's, kept there
-for the tracer), the reading of a[i,j] pairs off a tuple-listed set,
+the tests check it against the closure instead), the prefix-sum chart
+a[1,2], ..., a[n-1,n] in which the package took F_p ranks before it read
+the weights' own entries, the matrix [A | q*I] from which the package read
+a mod-q span before it went through F_p, the coordinate matrix and Smith
+form of a set over Z, listed either way, from which the package read spans
+and kernels before the spanning forest (the one Smith normal form, with
+its left transform, is lattice's, kept there for the tracer), the reading of a[i,j] pairs off a tuple-listed set,
 which the package refuses, the center reduction over the Smith form's
 kernel, the breadth-first spanning forest of a set of a[i,j] read off its
 tuples, sympy's reduced row echelon form over GF(p), the branch-and-bound
@@ -21,6 +22,7 @@ the paper's block-sum map, p-multiple test, Nakayama filter and fiber
 count, which the greedy's coinvariant argument supersedes."""
 
 import math
+from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from essdim.bounds import (BoundsError, _nonzero_orbits, coinvariant_class, count_orbits,
@@ -28,8 +30,8 @@ from essdim.bounds import (BoundsError, _nonzero_orbits, coinvariant_class, coun
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, SparseVector, WeightSet,
-                            basis_coordinates, echelon_mod_p, prime_power_root,
-                            smith_normal_form, spans, standard_weight)
+                            echelon_mod_p, prime_power_root, smith_normal_form, spans,
+                            standard_weight)
 from essdim.permgroup import (Perm, PermError, act, center_order_p_elements, orbit, p_adic_digits,
                               sylow_subgroup)
 
@@ -316,6 +318,15 @@ def as_pairs(lam: WeightSet):
         return None
     return WeightSet.from_pairs(((w.index(1) + 1, w.index(-1) + 1) for w in lam.elements),
                                 lam.spec)
+
+
+def basis_coordinates(w: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Coordinates of a weight in the chart a[1,2], ..., a[n-1,n], over Z:
+    the prefix sums of its entries without the last, so a mod-q weight gets
+    the coordinates of its lift that sums to zero exactly.  The package
+    took its F_p ranks in this chart before it read the weights' own
+    entries."""
+    return tuple(accumulate(w[:-1]))
 
 
 def coordinate_matrix(lam: WeightSet) -> IntegerMatrix:

@@ -27,12 +27,11 @@ from essdim.bounds import (
     verify_lower_bound,
 )
 from essdim.constructions import witness_size
-from essdim.lattice import (LatticeSpec, WeightSet, basis_coordinates, echelon_mod_p,
-                            spans, standard_weight, vp)
+from essdim.lattice import LatticeSpec, WeightSet, echelon_mod_p, spans, standard_weight, vp
 from essdim.permgroup import Perm, act, legendre_exponent, orbit, sylow_subgroup
-from oracles import (branch_and_bound_min, coinvariant_radical, fiber_check, group_elements,
-                     nakayama_filter, orbit_spans_mod_p, per_orbit_greedy, reduce_mod,
-                     sigma_map)
+from oracles import (basis_coordinates, branch_and_bound_min, coinvariant_radical, fiber_check,
+                     group_elements, nakayama_filter, orbit_spans_mod_p, per_orbit_greedy,
+                     reduce_mod, sigma_map)
 
 
 def random_mod_weight(rng, n, q):

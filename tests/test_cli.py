@@ -235,6 +235,9 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["bound"] == 8 and payload["tight"] is True
+        # an --n that agrees with n = p^r is accepted and changes nothing
+        assert run(capsys, "verify", "--prop", "7.2", "--p", "2", "--r", "2", "--n", "4",
+                   "--json") == (0, out, "")
 
     def test_lemma_mode(self, capsys):
         code, out, _ = run(capsys, "verify", "--lemma", "8.2", "--n", "6", "--p", "2", "--json")
@@ -396,6 +399,20 @@ class TestUsageErrors:
         # runs it would step over (n = 50)
         (("verify", "--prop", "7.2", "--p", "5", "--r", "3"), "5^(5^3 - 1) too large"),
         (("verify", "--lemma", "8.2", "--n", "50", "--p", "5"), "5^49 too large"),
+        # flags the command would ignore: verify answered Prop 7.2 at n = 4
+        # when also given --lemma 8.2 --n 6, and ignored --r beside --lemma
+        (("verify", "--prop", "7.2", "--lemma", "8.2", "--n", "6", "--p", "2"),
+         "--prop or --lemma, not both"),
+        (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--n", "6"),
+         "--n 6 disagrees with Prop 7.2, where n = p^r = 2^2"),
+        (("verify", "--lemma", "8.2", "--n", "4", "--p", "2", "--r", "5"), "takes --n, not --r"),
+        (("ed", "--table", "--n", "12", "--p", "2"), "takes --max-n, not --n"),
+        (("construct", "--case", "d", "--n", "12", "--p", "2", "--r", "2"),
+         "--r applies to case (c) only, not case (d)"),
+        (("construct", "--case", "b", "--p", "3", "--r", "1"),
+         "--r applies to case (c) only, not case (b)"),
+        (("check-genfree", "--case", "a", "--n", "5", "--p", "2", "--r", "1"),
+         "--r applies to case (c) only, not case (a)"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # r = 22 built a 4-million-digit integer, and r = 20 at p = 10^9 + 7
@@ -406,7 +423,8 @@ class TestUsageErrors:
         # case (c) with --r -1 --p 0 raised ZeroDivisionError from 0 ** -1;
         # a table with no rows printed nothing and exited 0 for a non-prime
         # p; orbit checked n and q before p; case (d) at n = 120, 726 and 620
-        # listed every order-p central element and ended in a traceback
+        # listed every order-p central element and ended in a traceback;
+        # a flag the command does not read was ignored
         start = time.monotonic()
         done = run_subprocess(argv)
         assert time.monotonic() - start < 10
