@@ -21,10 +21,11 @@ is one class and one count, read off the level tables of ``_level_counts``
 F_p echelon step in dim C <= #parts - 1 coordinates decides it; only a kept
 orbit's representative and elements are built, the elements listed from the
 parts' blocks (``_orbit_elements``), with no group.  On one block the exponents
-below the first orbit of nonzero class are counted by ``_class_counts`` and
-not walked at all.  No orbit past the exponent cap, the largest e with
-p^e <= witness_size(n, p), is listed or walked: the paper's Lambda bounds
-the largest orbit the greedy keeps (the proof is in
+below the first orbit of nonzero class, which ``_first_moving`` finds by one
+min-plus pass over the sub-blocks' least exponents, are counted off the
+block's table and not walked at all.  No orbit past the exponent cap, the
+largest e with p^e <= witness_size(n, p), is listed or walked: the paper's
+Lambda bounds the largest orbit the greedy keeps (the proof is in
 ``min_invariant_generating_size``).
 
 A search is refused by ``check_search``, from those counts, before anything
@@ -188,47 +189,34 @@ def _zero_sums(tables: List[Table], levels: List[int], q: int) -> int:
     return sum(n for (_, s), n in total[1].items() if not s)
 
 
-def _class_counts(sub: Table, p: int, q: int, top: int) -> Tuple[List[int], List[int]]:
-    """For a block over the sub-block table sub, its zero-sum orbits by
-    exponent, and those of nonzero class, the class sum_k k s_k mod p of
-    the sums s_k of its p sub-blocks (coinvariant_class).  On zero-sum
-    p-tuples the class is invariant under rotation, so Burnside counts the
-    tuples by (exponent, sum, class) as _level_counts does by (exponent,
-    sum), over a period raised to p, where k s_k mod p is read."""
+def _first_moving(sub: Table, p: int, q: int, top: int) -> int:
+    """The first exponent, up to top, of a zero-sum orbit of nonzero class
+    on a block over the sub-block table sub, by one min-plus pass.  The
+    block's orbits are the rotation classes of words of p sub-forms, of
+    class sum_k k s_k mod p, s_k their sums (coinvariant_class), so the pass
+    carries the least exponent of the words' prefixes by (sum, class), from
+    the least exponent of a sub-form of each sum, over a period raised to p,
+    where s_k mod p is read.  A word that is not constant has exponent 1
+    plus its letters'; a constant one (v, ..., v) has p times v's, and of
+    zero sum it has class 0 unless q = 2 and v's sum is odd."""
     g, counts = sub
     period = max(g, p)
-    scale = q // period
-    slot = [(e, t, n) for (e, s), n in counts.items() for t in range(s, period, g)]
-    tuples = {(e, t, 0): n for e, t, n in slot}
-    for k in range(1, p - 1):
-        grown: Dict[Tuple[int, int, int], int] = {}
-        for (e1, s1, c1), n1 in tuples.items():
-            for e2, s2, n2 in slot:
-                key = (min(e1 + e2, top), (s1 + s2) % period, (c1 + k * s2) % p)
-                grown[key] = grown.get(key, 0) + n1 * n2 * scale
-        tuples = grown
-    # the last slot's sum is the one that makes the tuple's sum zero
-    by_sum: Dict[int, List[Tuple[int, int]]] = {}
-    for e, t, n in slot:
-        by_sum.setdefault(t, []).append((e, n))
-    split = [[0, 0] for _ in range(top + 1)]
-    for (e1, s1, c1), n1 in tuples.items():
-        s2 = -s1 % period
-        c = (c1 + (p - 1) * s2) % p > 0
-        for e2, n2 in by_sum.get(s2, ()):
-            split[min(e1 + e2, top)][c] += n1 * n2 * scale
-    # p equal sub-orbits of zero sum s, s = k q / p, have class s p (p - 1)
-    # / 2: nonzero only at p = 2 and s = q / 2 odd, that is q = 2 and s = 1
-    const = [[0, 0] for _ in range(top + 1)]
-    for (e, s), n in counts.items():
-        for k in range(p):
-            if (k * q // p - s) % g == 0:
-                const[min(p * e, top)][q == 2 and k == 1] += n
-    out = [list(c) for c in const]
-    for e, (row, crow) in enumerate(zip(split, const)):
-        for c in (0, 1):
-            out[min(e + 1, top)][c] += (row[c] - crow[c]) // p
-    return [a + b for a, b in out], [b for _, b in out]
+    least: Dict[int, int] = {}
+    for e, s in counts:
+        for t in range(s, period, g):
+            least[t] = min(e, least.get(t, top))
+    reach = {(t, 0): e for t, e in least.items()}
+    for k in range(1, p):
+        grown: Dict[Tuple[int, int], int] = {}
+        for (s1, c1), e1 in reach.items():
+            for t, e in least.items():
+                key = ((s1 + t) % period, (c1 + k * t) % p)
+                grown[key] = min(e1 + e, grown.get(key, top))
+        reach = grown
+    first = min((e + 1 for (s, c), e in reach.items() if not s and c), default=top)
+    if q == 2 and 1 in least:
+        first = min(first, p * least[1])
+    return min(first, top)
 
 
 def _counts(p: int, q: int, levels: List[int], top: int) -> Tuple[List[Table], int]:
@@ -573,9 +561,12 @@ def coinvariant_class(
 @functools.lru_cache(maxsize=8)
 def _plan(n: int, p: int, q: int):
     """(levels, cap, needs, tables, (first, skipped), zero-sum orbits) of a
-    search, after check_search's refusals of p, n and q.  On one block,
-    first is the first exponent that holds an orbit of nonzero class, and
-    skipped counts the orbits below it; with several parts both are 0.
+    search, after check_search's refusals of p, n and q.  The tables go up
+    to the top level.  On one block, first is the first exponent that holds
+    an orbit of nonzero class (_first_moving, in closed form on a block of
+    level 1), found once the work is admitted, and skipped counts the
+    orbits below it, off the block's table at residue 0; with several parts
+    both are 0.
 
     None when the search's work passes MAX_WITNESS_ENTRIES: the witness
     bound, witness_size(n, p) weights of n entries; the entries of the
@@ -600,10 +591,8 @@ def _plan(n: int, p: int, q: int):
     levels = _levels(n, p)
     need = _needs(levels, cap)
     listed = max([levels[-1] - 1] + levels[:-1])
-    # one block of level R >= 2 is counted by class from level R - 1
-    block = levels[0] if len(levels) == 1 and levels[0] > 1 else 0
     tables = []
-    for r, (g, counts) in zip(range(max(levels) + (not block)), _level_counts(p, q, cap + 1)):
+    for r, (g, counts) in zip(range(max(levels) + 1), _level_counts(p, q, cap + 1)):
         tables.append((g, counts))
         if 1 <= r <= listed:
             work += p ** r * q // g * sum(c for (e, _), c in counts.items() if e <= need[r])
@@ -618,27 +607,21 @@ def _plan(n: int, p: int, q: int):
                 merged[e, 0] = merged.get((e, 0), 0) + q // g * count
             heads = _product((1, merged), heads, 1, cap + 1)
         work += sum(count * (cap + 1 - e) for (e, _), count in heads[1].items() if e <= cap)
-        skip, total = (0, 0), _zero_sums(tables, levels, q)
     else:  # one block: at most one nonempty run per orbit
-        if block:
-            orbits, moving = _class_counts(tables[-1], p, q, cap + 1)
-        else:
-            counts = tables[levels[0]][1]
-            orbits = [counts.get((e, 0), 0) for e in range(cap + 2)]
-            # a block of level 1: its orbits of exponent 0 are the constant
-            # blocks (v, ..., v), of class v p (p - 1) / 2, nonzero only at
-            # p = 2, v = q / 2 odd, that is q = 2; (0, ..., 0, 1, -1) has
-            # exponent 1 and class -1
-            moving = [int(q == 2), 1]
-        # dim C = 1: the greedy keeps the first orbit of nonzero class, so
-        # it starts at the first exponent that holds one
-        first = next((e for e, x in enumerate(moving[:cap + 1]) if x), cap + 1)
-        skip = first, sum(orbits[:first])
-        work += sum(orbits[:cap + 1])
-        total = sum(orbits)
+        work += sum(c for (e, s), c in tables[-1][1].items() if e <= cap and not s)
     if work > MAX_WITNESS_ENTRIES:
         return None
-    return levels, cap, need, tables, skip, total
+    skip = (0, 0)
+    if len(levels) == 1:
+        # dim C = 1: the greedy keeps the first orbit of nonzero class, so
+        # it starts at the first exponent that holds one.  On a block of
+        # level 1 its orbits of exponent 0 are the constant blocks (v, ...,
+        # v), of class v p (p - 1) / 2, nonzero only at p = 2, v = q / 2
+        # odd, that is q = 2; (0, ..., 0, 1, -1) has exponent 1 and class -1
+        r = levels[0]
+        first = _first_moving(tables[r - 1], p, q, cap + 1) if r > 1 else int(q > 2)
+        skip = first, sum(tables[r][1].get((e, 0), 0) for e in range(first))
+    return levels, cap, need, tables, skip, _zero_sums(tables, levels, q)
 
 
 def check_search(n: int, p: int, q: int, exponent: Optional[str] = None):
@@ -686,15 +669,15 @@ def min_invariant_generating_size(n: int, p: int, q: int) -> SearchResult:
     share their class, so once its first orbit is examined the rest lie in
     the span and are counted.  On one block dim C = 1 and the greedy keeps
     the first orbit of nonzero class, so the exponents below the first that
-    holds one (_class_counts, or in closed form on a block of level 1) are
-    one count, and are not walked.  Only
-    a kept orbit's representative and elements are built, the elements as
-    the product over the parts of the union over the rotations of the
-    sub-blocks' orbits (_orbit_elements), so no Sylow subgroup is built and
-    no closure is run.  Each nonzero
-    orbit still counts once in nodes_explored, as the orbit-by-orbit greedy
-    examined it.  The witness is certified once by spans, which decides a
-    mod-q set by its F_p rank, the predicate the naive oracles use.
+    holds one (_first_moving's min-plus pass, or in closed form on a block
+    of level 1) are one count, read off the block's table, and are not
+    walked.  Only a kept orbit's representative and elements are built, the
+    elements as the product over the parts of the union over the rotations
+    of the sub-blocks' orbits (_orbit_elements), so no Sylow subgroup is
+    built and no closure is run.  Each nonzero orbit still counts once in
+    nodes_explored, as the orbit-by-orbit greedy examined it.  The witness
+    is certified once by spans, which decides a mod-q set by its F_p rank,
+    the predicate the naive oracles use.
     """
     levels, cap, need, tables, (first, skipped), total = check_search(n, p, q)
     start = time.perf_counter()

@@ -4,8 +4,9 @@ Subcommands: construct, check-genfree, orbit, search-min, verify, ed,
 reproduce-all.  JSON payloads use sorted keys and integer-only values so that
 parse + re-serialize round-trips byte-identically.
 
-Exit codes: 0 success, 1 stdout closed by the reader, 2 usage error or a
-refusal before the work starts, 3 verification failure.
+Exit codes: 0 success, 1 stdout closed by the reader or not writable, 2
+usage error, a refusal before the work starts or a report that cannot be
+written, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def cmd_ed(args) -> int:
     if args.table:
         if args.n is not None:
             raise ValueError("ed --table takes --max-n, not --n")
-        rows = ed_table(args.max_n, args.p)
+        rows = ed_table(32 if args.max_n is None else args.max_n, args.p)
         if args.json:
             emit_json([r.to_json() for r in rows])
         else:
@@ -204,6 +205,8 @@ def cmd_ed(args) -> int:
             for r in rows:
                 print(f"| {r.n} | {r.case_tag} | {r.value} |")
         return EXIT_OK
+    if args.max_n is not None:
+        raise ValueError("--max-n applies to ed --table only")
     if args.n is None:
         raise ValueError("ed needs --n (or --table)")
     report = ed_value(args.n, args.p)
@@ -266,38 +269,41 @@ def cmd_reproduce_all(args) -> int:
     claims = [(command, params) for command, params in CLAIMS
               if args.profile == "full" or command != "search-min-naive-crosscheck"]
     try:  # before the run, so a bad path costs nothing
-        report = open(args.report, "w")
+        open(args.report, "w").close()
     except OSError as exc:
         raise ValueError(f"cannot write the report: {exc}")
-    with report:
-        manifests = []
-        ok = True
-        for idx, (command, params) in enumerate(claims):
-            start = time.perf_counter()
-            try:
-                passed = claim_holds(command, params)
-                error = None
-            except Exception as exc:  # report the failure, keep going
-                passed = False
-                error = f"{type(exc).__name__}: {exc}"
-            elapsed_ms = int((time.perf_counter() - start) * 1000)
-            manifest = {
-                "row": idx,
-                "command": command,
-                "parameters": params,
-                "version": __version__,
-                "elapsed_ms": elapsed_ms,
-                "result": {"passed": passed},
-                "exit_code": 0 if passed else EXIT_VERIFICATION,
-            }
-            if error:
-                manifest["result"]["error"] = error
-            manifests.append(manifest)
-            ok = ok and passed
-            status = "PASS" if passed else "FAIL"
-            print(f"[{status}] {command} {json.dumps(params, sort_keys=True)}")
-        json.dump(manifests, report, sort_keys=True, indent=2)
-        report.write("\n")
+    manifests = []
+    ok = True
+    for idx, (command, params) in enumerate(claims):
+        start = time.perf_counter()
+        try:
+            passed = claim_holds(command, params)
+            error = None
+        except Exception as exc:  # report the failure, keep going
+            passed = False
+            error = f"{type(exc).__name__}: {exc}"
+        elapsed_ms = int((time.perf_counter() - start) * 1000)
+        manifest = {
+            "row": idx,
+            "command": command,
+            "parameters": params,
+            "version": __version__,
+            "elapsed_ms": elapsed_ms,
+            "result": {"passed": passed},
+            "exit_code": 0 if passed else EXIT_VERIFICATION,
+        }
+        if error:
+            manifest["result"]["error"] = error
+        manifests.append(manifest)
+        ok = ok and passed
+        status = "PASS" if passed else "FAIL"
+        print(f"[{status}] {command} {json.dumps(params, sort_keys=True)}")
+    try:  # a full device fails only here, when the report is written out
+        with open(args.report, "w") as report:
+            json.dump(manifests, report, sort_keys=True, indent=2)
+            report.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write the report: {exc}")
     print(f"report written to {args.report}")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--table", action="store_true")
-    sp.add_argument("--max-n", type=int, default=32)
+    sp.add_argument("--max-n", type=int, default=None, help="the table's last n (default 32)")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_ed)
 
@@ -376,6 +382,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the reader stopped early; point stdout at devnull so that the
         # interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except OSError as exc:
+        # stdout cannot take the output (a full device); the same devnull
+        # keeps the final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

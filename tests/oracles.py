@@ -17,7 +17,9 @@ kernel, the breadth-first spanning forest of a set of a[i,j] read off its
 tuples, sympy's reduced row echelon form over GF(p), the branch-and-bound
 search the coinvariant greedy replaced, the echelon basis of IV the greedy
 reduced against before its closed-form class map, the greedy as it ran
-before it stepped over runs of orbits of one class, orbit by orbit, and
+before it stepped over runs of orbits of one class, orbit by orbit, the
+Burnside count refined by class from which a one-block search read its
+first exponent of nonzero class before the min-plus pass, and
 the paper's block-sum map, p-multiple test, Nakayama filter and fiber
 count, which the greedy's coinvariant argument supersedes."""
 
@@ -25,7 +27,7 @@ import math
 from itertools import accumulate
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from essdim.bounds import (BoundsError, _nonzero_orbits, coinvariant_class, count_orbits,
+from essdim.bounds import (BoundsError, Table, _nonzero_orbits, coinvariant_class, count_orbits,
                            orbit_representatives)
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
@@ -525,3 +527,46 @@ def per_orbit_greedy(n: int, p: int, q: int) -> Tuple[int, WeightSet, int, int]:
             chosen.append(orbit(group, rep, spec))
     witness = WeightSet.of([w for o in chosen for w in o.elements], spec)
     return len(witness), witness, examined, count_orbits(group, q)
+
+
+def class_counts(sub: Table, p: int, q: int, top: int) -> Tuple[List[int], List[int]]:
+    """For a block over the sub-block table sub, its zero-sum orbits by
+    exponent, and those of nonzero class, the class sum_k k s_k mod p of
+    the sums s_k of its p sub-blocks (coinvariant_class).  On zero-sum
+    p-tuples the class is invariant under rotation, so Burnside counts the
+    tuples by (exponent, sum, class) as _level_counts does by (exponent,
+    sum), over a period raised to p, where k s_k mod p is read."""
+    g, counts = sub
+    period = max(g, p)
+    scale = q // period
+    slot = [(e, t, n) for (e, s), n in counts.items() for t in range(s, period, g)]
+    tuples = {(e, t, 0): n for e, t, n in slot}
+    for k in range(1, p - 1):
+        grown: Dict[Tuple[int, int, int], int] = {}
+        for (e1, s1, c1), n1 in tuples.items():
+            for e2, s2, n2 in slot:
+                key = (min(e1 + e2, top), (s1 + s2) % period, (c1 + k * s2) % p)
+                grown[key] = grown.get(key, 0) + n1 * n2 * scale
+        tuples = grown
+    # the last slot's sum is the one that makes the tuple's sum zero
+    by_sum: Dict[int, List[Tuple[int, int]]] = {}
+    for e, t, n in slot:
+        by_sum.setdefault(t, []).append((e, n))
+    split = [[0, 0] for _ in range(top + 1)]
+    for (e1, s1, c1), n1 in tuples.items():
+        s2 = -s1 % period
+        c = (c1 + (p - 1) * s2) % p > 0
+        for e2, n2 in by_sum.get(s2, ()):
+            split[min(e1 + e2, top)][c] += n1 * n2 * scale
+    # p equal sub-orbits of zero sum s, s = k q / p, have class s p (p - 1)
+    # / 2: nonzero only at p = 2 and s = q / 2 odd, that is q = 2 and s = 1
+    const = [[0, 0] for _ in range(top + 1)]
+    for (e, s), n in counts.items():
+        for k in range(p):
+            if (k * q // p - s) % g == 0:
+                const[min(p * e, top)][q == 2 and k == 1] += n
+    out = [list(c) for c in const]
+    for e, (row, crow) in enumerate(zip(split, const)):
+        for c in (0, 1):
+            out[min(e + 1, top)][c] += (row[c] - crow[c]) // p
+    return [a + b for a, b in out], [b for _, b in out]

@@ -9,8 +9,9 @@ import pytest
 
 from essdim.bounds import (
     BoundsError,
-    _class_counts,
     _counts,
+    _exponent_cap,
+    _first_moving,
     _level_counts,
     _levels,
     check_search,
@@ -29,9 +30,9 @@ from essdim.bounds import (
 from essdim.constructions import witness_size
 from essdim.lattice import LatticeSpec, WeightSet, echelon_mod_p, spans, standard_weight, vp
 from essdim.permgroup import Perm, act, legendre_exponent, orbit, sylow_subgroup
-from oracles import (basis_coordinates, branch_and_bound_min, coinvariant_radical, fiber_check,
-                     group_elements, nakayama_filter, orbit_spans_mod_p, per_orbit_greedy,
-                     reduce_mod, sigma_map)
+from oracles import (basis_coordinates, branch_and_bound_min, class_counts, coinvariant_radical,
+                     fiber_check, group_elements, nakayama_filter, orbit_spans_mod_p,
+                     per_orbit_greedy, reduce_mod, sigma_map)
 
 
 def random_mod_weight(rng, n, q):
@@ -425,8 +426,9 @@ class TestRunStepping:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_layout_and_class_counts_match_orbit_decomposition(self, p):
-        # the zero-sum orbits of every layout, and on one block of level >= 2
-        # the orbits by exponent and those of nonzero class
+        # the zero-sum orbits of every layout, and on one block the first
+        # exponent that holds an orbit of nonzero class, where the search
+        # starts, with the orbits below it
         for e_q in range(1, 13):
             q = p ** e_q
             for n in itertools.takewhile(lambda n: q ** (n - 1) <= 2 ** 12, itertools.count(2)):
@@ -435,14 +437,33 @@ class TestRunStepping:
                 orbits = orbit_decomposition(group, LatticeSpec(n, q))
                 levels = _levels(n, p)
                 top = group.order_exponent + 1
-                tables, zero_sums = _counts(p, q, levels, top)
+                zero_sums = _counts(p, q, levels, top)[1]
                 assert zero_sums == len(orbits), (n, p, q)
-                if len(levels) == 1 and levels[0] > 1:
-                    by_exponent, moving = [0] * (top + 1), [0] * (top + 1)
-                    for o in orbits:
-                        by_exponent[vp(len(o), p)] += 1
-                        moving[vp(len(o), p)] += any(f(o.elements[0]))
-                    assert _class_counts(tables[-2], p, q, top) == (by_exponent, moving), (n, p, q)
+                if len(levels) == 1:
+                    first = min(vp(len(o), p) for o in orbits if any(f(o.elements[0])))
+                    below = sum(vp(len(o), p) < first for o in orbits)
+                    assert check_search(n, p, q)[4] == (first, below), (n, p, q)
+
+    def test_first_moving_matches_class_counts(self):
+        # past the orbit decomposition's reach, the min-plus pass against the
+        # Burnside count by class it replaced, on one block n = p^r <= 729,
+        # q <= p^8, wherever that count's words read at most 800 letters
+        # (p slots of g (cap + 2) (exponent, sum) pairs, g the sub-blocks'
+        # period); on a block of level 1 the search reads int(q > 2) instead
+        checked = 0
+        for p in (2, 3, 5, 7):
+            for r in itertools.takewhile(lambda r: p ** r <= 729, itertools.count(1)):
+                cap = _exponent_cap(witness_size(p ** r, p), p)
+                for q in (p ** e_q for e_q in range(1, 9)):
+                    if p * min(p ** (r - 1), q) * (cap + 2) > 800:
+                        continue
+                    sub = list(itertools.islice(_level_counts(p, q, cap + 1), r))[-1]
+                    moving = class_counts(sub, p, q, cap + 1)[1]
+                    first = next((e for e, x in enumerate(moving[:cap + 1]) if x), cap + 1)
+                    assert _first_moving(sub, p, q, cap + 1) == first, (p ** r, p, q)
+                    assert r > 1 or first == int(q > 2), (p, q)
+                    checked += 1
+        assert checked == 127
 
     @pytest.mark.parametrize("n,p,q", [
         (22, 2, 2), (24, 2, 2), (40, 2, 2), (100, 2, 2), (15, 3, 3), (18, 3, 3), (10, 5, 5),

@@ -413,6 +413,7 @@ class TestUsageErrors:
          "--r applies to case (c) only, not case (b)"),
         (("check-genfree", "--case", "a", "--n", "5", "--p", "2", "--r", "1"),
          "--r applies to case (c) only, not case (a)"),
+        (("ed", "--n", "12", "--p", "2", "--max-n", "5"), "--max-n applies to ed --table only"),
     ])
     def test_unusable_input_rejected(self, argv, message):
         # r = 22 built a 4-million-digit integer, and r = 20 at p = 10^9 + 7
@@ -546,6 +547,27 @@ class TestUsageErrors:
         assert done.stderr.startswith("error: cannot write the report")
         assert done.stderr.count("\n") == 1
         assert done.stdout == "" and not report.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_report_rejected(self):
+        # this ran every claim, then exited 1 with an OSError traceback when
+        # the report was closed
+        done = run_subprocess(("reproduce-all", "--report", "/dev/full"))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: cannot write the report")
+        assert done.stderr.count("\n") == 1
+        assert "report written" not in done.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_stdout_exits_quietly(self):
+        # print's final flush ended in an OSError traceback
+        with open("/dev/full", "w") as full:
+            argv = [sys.executable, "-m", "essdim.cli", "ed", "--n", "12", "--p", "2"]
+            done = subprocess.run(argv, env=cli_env(), stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: cannot write the output")
+        assert done.stderr.count("\n") == 1
 
     def test_closed_stdout_exits_quietly(self):
         # a reader that stops after 50 bytes got a BrokenPipeError traceback;
