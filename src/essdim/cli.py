@@ -30,7 +30,7 @@ from .bounds import (
 from .constructions import (build_plan, case_c_length, check_plan, kernel_witness_coefficients,
                             witness_size)
 from .edcalc import ed_table, ed_value
-from .genfree import certify, check_certificate
+from .genfree import certify
 from .lattice import LatticeSpec
 from .permgroup import act, orbit as orbit_of, sylow_subgroup
 
@@ -81,7 +81,6 @@ def _plan_n(args) -> int:
 
 def cmd_check_genfree(args) -> int:
     n = _plan_n(args)
-    check_certificate(args.case, n, args.p)  # an oversized center scan before the plan
     plan = build_plan(args.case, n, args.p)
     verdict = certify(plan)
     payload = {"case": plan.case_tag, "n": plan.n, "p": plan.p}
@@ -390,7 +389,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:  # stderr cannot take the line; the exit code still refuses
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return EXIT_USAGE
 
 

@@ -7,21 +7,20 @@ under a Sylow p-subgroup, and the combination rule (faithful extra summand
 and (b) are faithful by standard facts, stated where they are used, so no
 group is ever enumerated.
 
-For p-groups faithfulness is decided on the order-p central elements only:
-every nontrivial normal subgroup meets the center, so the kernel of the
-action on Ker(phi) is trivial iff no such central element acts trivially.
-This holds for every Sylow subgroup, with or without fixed points.
+For p-groups faithfulness is decided on the center's p-torsion, which every
+nontrivial normal subgroup meets, by counting the characters that occur in
+Ker(phi) (kernel_action_faithful), with or without fixed points.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, NamedTuple, Tuple
 
-from .constructions import RepPlan, check_plan, witness_size
-from .lattice import MAX_WITNESS_ENTRIES, WeightSet, kernel_cycles, spans
+from .constructions import RepPlan
+from .lattice import WeightSet, kernel_cycles, spans
 # act is not called here: the per-layer tracer wraps it in each module
-from .permgroup import (Perm, PermError, PermGroupSpec, act, center_order_p_elements,
-                        p_adic_digits, sylow_subgroup)
+from .permgroup import Perm, PermError, PermGroupSpec, act, sylow_subgroup
 
 
 class GenFreeError(ValueError):
@@ -53,13 +52,13 @@ def _image_position(g: Perm, lam: WeightSet) -> Callable[[int], int]:
     # position k of lam -> the position of g applied to the k-th weight,
     # KeyError when that image is not in lam: a[i,j] goes to a[g(i), g(j)],
     # looked up by its pair; a set not listed from pairs is refused
-    if g.n != lam.spec.n:
-        raise PermError(f"degree {g.n} vs lattice length {lam.spec.n}")
     positions, pairs, at = lam.edge_positions, lam.pairs, (0,) + g.images  # at[i] = g(i)
     return lambda k: positions[at[pairs[k][0]], at[pairs[k][1]]]
 
 
 def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
+    if group.n != lam.spec.n:  # once for _image_position, and for n < p with no generator
+        raise PermError(f"degree {group.n} vs lattice length {lam.spec.n}")
     for g in group.generators if len(lam) else ():
         image = _image_position(g, lam)
         for k in range(len(lam)):
@@ -71,68 +70,67 @@ def _require_invariant(lam: WeightSet, group: PermGroupSpec) -> None:
                     f"moves {lam.elements[k]} outside the set") from None
 
 
-def _check_center_scan(p: int, blocks: int, weights: int) -> None:
-    # the scan may store a dense witness of one entry per weight for each of
-    # the p^k - 1 order-p central elements of k blocks
-    elements = p ** blocks - 1
-    if elements * weights > MAX_WITNESS_ENTRIES:
-        raise GenFreeError(f"center scan too large: {elements} central elements "
-                           f"times {weights} weights, more than {MAX_WITNESS_ENTRIES} entries")
+def kernel_action_faithful(lam: WeightSet, group: PermGroupSpec) -> Tuple[bool, tuple, str]:
+    """(faithful, witnesses, count table) of the Sylow subgroup P_n on
+    Ker(phi) of lam, a P_n-invariant set of a[i,j] over Z.
 
-
-def check_certificate(case_tag: str, n: int, p: int) -> None:
-    """Refuse, before the plan is built, what certify would refuse of the
-    plan of case_tag for (n, p): check_plan's rules, then, in case (d), a
-    center scan past MAX_WITNESS_ENTRIES entries, read off (n, p): the Sylow
-    subgroup has one block per base-p digit unit of n, and the plan
-    witness_size(n, p) weights.  Case (c)'s scan, (p - 1) p^(2r-1)
-    entries, is below check_size's p^(3r-1)."""
-    if check_plan(case_tag, n, p) == "d":
-        blocks = sum(mult for mult, _ in p_adic_digits(n, p)[1])
-        _check_center_scan(p, blocks, witness_size(n, p))
-
-
-def kernel_action_faithful(
-    lam: WeightSet, group: PermGroupSpec
-) -> Tuple[bool, Tuple[Tuple[str, Tuple[int, ...]], ...]]:
-    """Decide whether the group acts faithfully on Ker(phi) by testing its
-    order-p central elements, returning, per element that acts, the first
-    kernel generator in canonical order that it moves as witness; the
-    generators are built only as far as some element reads them.  Refused
-    before the scan past MAX_WITNESS_ENTRIES witness entries, and for a set
-    over Z/q before any central element is listed."""
-    _check_center_scan(group.p, len(group.blocks), len(lam))
-    cycles = kernel_cycles(lam)
-    elements = center_order_p_elements(group)
+    E = <z_b> = (Z/p)^k, z_b rotating each p-run of block b, is the center's
+    p-torsion.  By 0 -> Ker(phi) -> Z[Lambda] -> Z^n -> H_0 -> 0 (H_0: Z on
+    the components of the graph of the a[i,j]), chi != 1 occurs in Ker(phi)
+    once per E-orbit on Lambda, plus the components, less the points, whose
+    stabilizer chi kills.  A component moved by z_b lies in one p-run (P_n
+    holds that run's rotation alone), so is a point; then no weight touches
+    b (P_n is transitive on b), b's components cancel its points, and E
+    fixes the rest.  As a[i,j]'s stabilizer kills the chi on its ends'
+    blocks, e_b^a occurs iff the E-orbits of weights with an end in b (keyed
+    by each end's p-run, or fixed point, and within one block the offset
+    difference mod p) outnumber b's p-runs, e_b^a e_b'^c (a, c != 0) iff a
+    weight joins b and b', and no other chi.  For odd p, e_b = e_b^2 e_b' /
+    (e_b e_b'): the dual is generated iff each block is in an occurring
+    singleton or pair; for p = 2, whose pairs give only even sums, iff each
+    component of the block graph holds a singleton.  Witnesses: per z_b that
+    acts, in block order, the first kernel cycle in canonical order that it
+    moves, dense.  A set over Z/q or listed as tuples is refused."""
+    cycles = kernel_cycles(lam)  # built only as far as the witnesses read
+    p, n, blocks = group.p, group.n, group.blocks
+    block, run = [-1] * (n + 1), list(range(n + 1))  # a fixed point is its own run
+    for b, (lo, hi) in enumerate(blocks):
+        block[lo:hi + 1] = [b] * (hi + 1 - lo)
+        run[lo:hi + 1] = [x - (x - lo) % p for x in range(lo, hi + 1)]  # its first point
+    orbits = {(block[i], block[j], run[i], run[j], (j - i) % p if block[i] == block[j] else 0)
+              for i, j in lam.pairs}  # one key per E-orbit of weights
+    ends = Counter(key[:2] for key in orbits)  # (block, block) -> its orbits
+    touching = [sum(c for e, c in ends.items() if b in e) for b in range(len(blocks))]
+    joined = {(min(e), max(e)) for e in ends if min(e) >= 0 and e[0] != e[1]}
+    runs = [(hi + 1 - lo) // p for lo, hi in blocks]
+    single = [t > r for t, r in zip(touching, runs)]
+    acting = sorted({b for b, s in enumerate(single) if s} | {b for e in joined for b in e})
+    covered = [b for b in acting if single[b] or p > 2]
+    for b in covered:  # p = 2: spread along the joined pairs, read as it grows
+        covered += [c for e in joined if b in e for c in e if c not in covered]
     witnesses = []
-    for g in elements:
-        # g moves vec iff permute_coefficients(g, lam, vec) != vec; the image
-        # is a bijection, so that is iff the support moved with its
-        # coefficients differs from the support
-        image = _image_position(g, lam)
-        moved = next((vec for vec in cycles
-                      if sorted([(image(i), c) for i, c in vec]) != list(vec)), None)
-        if moved is not None:
-            dense = [0] * len(lam)
-            for i, c in moved:
-                dense[i] = c
-            witnesses.append((g.cycle_string(), tuple(dense)))
-    return len(witnesses) == len(elements), tuple(witnesses)
+    for lo, hi in (blocks[b] for b in acting):  # z_b acts, so it moves a cycle of the basis
+        z = Perm((*range(1, lo), *(s + (x + 1) % p for s in range(lo, hi, p) for x in range(p)),
+                  *range(hi + 1, n + 1)))
+        image = _image_position(z, lam)  # z moves vec iff it moves its signed support
+        moved = next(v for v in cycles if sorted([(image(i), c) for i, c in v]) != list(v))
+        dense = [0] * len(lam)
+        for i, c in moved:
+            dense[i] = c
+        witnesses.append((z.cycle_string(), tuple(dense)))
+    pairs = ", ".join(f"{b + 1}-{c + 1}" for b, c in sorted(joined)) or "none"
+    table = ", ".join(f"{t}/{r}" for t, r in zip(touching, runs)) or "none"
+    return (len(covered) == len(blocks), tuple(witnesses),
+            f"weight orbits/p-runs per block under the center: {table}; blocks joined: {pairs}")
 
 
 def check_lemma34(lam: WeightSet, group: PermGroupSpec) -> GenFreeVerdict:
-    """Span + faithful kernel action; the weight set must be group-invariant,
-    and an oversized center scan is refused before the span test."""
+    """Span + faithful kernel action; the weight set must be group-invariant."""
     _require_invariant(lam, group)
-    faithful, witnesses = kernel_action_faithful(lam, group)
+    faithful, witnesses, table = kernel_action_faithful(lam, group)
     spans_ok = spans(lam)
-    return GenFreeVerdict(
-        spans_ok=spans_ok,
-        kernel_faithful=faithful,
-        method="center-reduction",
-        overall=spans_ok and faithful,
-        witnesses=witnesses,
-    )
+    return GenFreeVerdict(spans_ok=spans_ok, kernel_faithful=faithful, method="center-reduction",
+                          overall=spans_ok and faithful, witnesses=witnesses, detail=table)
 
 
 def check_lemma32(plan: RepPlan) -> GenFreeVerdict:

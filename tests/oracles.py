@@ -11,10 +11,13 @@ the weights' own entries, the matrix [A | q*I] from which the package read
 a mod-q span before it went through F_p, the coordinate matrix and Smith
 form of a set over Z, listed either way, from which the package read spans
 and kernels before the spanning forest (the one Smith normal form, with
-its left transform, is lattice's, kept there for the tracer), the reading of a[i,j] pairs off a tuple-listed set,
-which the package refuses, the center reduction over the Smith form's
-kernel, the breadth-first spanning forest of a set of a[i,j] read off its
-tuples, sympy's reduced row echelon form over GF(p), the branch-and-bound
+its left transform, is lattice's, kept there for the tracer), the reading
+of a[i,j] pairs off a tuple-listed set, which the package refuses, the
+block rotations that generate the center's p-torsion, the center scan by
+which the package decided faithfulness before it counted characters, over
+the Smith form's kernel and over the package's own cycles, the
+breadth-first spanning forest of a set of a[i,j] read off its tuples,
+sympy's reduced row echelon form over GF(p), the branch-and-bound
 search the coinvariant greedy replaced, the echelon basis of IV the greedy
 reduced against before its closed-form class map, the greedy as it ran
 before it stepped over runs of orbits of one class, orbit by orbit, the
@@ -32,8 +35,8 @@ from essdim.bounds import (BoundsError, Table, _nonzero_orbits, coinvariant_clas
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, SparseVector, WeightSet,
-                            echelon_mod_p, prime_power_root, smith_normal_form, spans,
-                            standard_weight)
+                            echelon_mod_p, kernel_generators_mod, prime_power_root,
+                            smith_normal_form, spans, standard_weight)
 from essdim.permgroup import (Perm, PermError, act, center_order_p_elements, orbit, p_adic_digits,
                               sylow_subgroup)
 
@@ -73,10 +76,10 @@ def perm_identity(n: int) -> Perm:
     return Perm(tuple(range(1, n + 1)))
 
 
-def rotation_center(group) -> Tuple[Perm, ...]:
-    """center_order_p_elements as the package built it before it wrote the
-    images from the blocks: per block, the product of the disjoint p-cycles
-    rotating each consecutive p-run, and every product of their powers."""
+def block_rotations(group) -> Tuple[Perm, ...]:
+    """Per block, in block order, the product of the disjoint p-cycles
+    rotating each consecutive p-run: the generators z_b of the center's
+    p-torsion."""
     p, n = group.p, group.n
     rotations = []
     for lo, hi in group.blocks:
@@ -85,13 +88,21 @@ def rotation_center(group) -> Tuple[Perm, ...]:
             for x in range(p):
                 images[start + x - 1] = start + (x + 1) % p
         rotations.append(Perm.of(images))
+    return tuple(rotations)
+
+
+def rotation_center(group) -> Tuple[Perm, ...]:
+    """center_order_p_elements as the package built it before it wrote the
+    images from the blocks: every product of powers of the block
+    rotations."""
+    p, n = group.p, group.n
     powers = []  # powers[b][k]: rotation b to the k
-    for rot in rotations:
+    for rot in block_rotations(group):
         powers.append([perm_identity(n)])
         for _ in range(p - 1):
             powers[-1].append(compose(powers[-1][-1], rot))
     out = []
-    for code in range(1, p ** len(rotations)):
+    for code in range(1, p ** len(powers)):
         g = perm_identity(n)
         for b, power in enumerate(powers):
             g = compose(g, power[code // p ** b % p])
@@ -263,10 +274,34 @@ def faithful_by_enumeration(lam, group):
 
 
 def faithful_on_center(lam, group):
-    """The center reduction of genfree.kernel_action_faithful over the SNF's
-    kernel columns, for a set over Z that the package refuses: every
-    order-p central element moves some generator of Ker(phi)."""
+    """The center scan by which genfree.kernel_action_faithful decided
+    faithfulness before it counted characters, over the SNF's kernel
+    columns, for any set over Z: every order-p central element moves some
+    generator of Ker(phi)."""
     return all(map(kernel_moved(lam), center_order_p_elements(group)))
+
+
+def faithful_on_center_lines(lam, group):
+    """The same scan over the package's kernel cycles of lam, a set of
+    a[i,j] listed from its pairs, with one central element per subgroup of
+    order p (its powers fix what it fixes): (p^k - 1)/(p - 1) elements for
+    k blocks, each written from its block exponents, not composed.  An
+    element moves a cycle iff it moves the cycle's signed support, each
+    a[i,j] going to a[g(i), g(j)]."""
+    p, blocks, pairs = group.p, group.blocks, lam.pairs
+    cycles, positions = kernel_generators_mod(lam), lam.edge_positions
+    for code in range(1, p ** len(blocks)):
+        exponents = [code // p ** b % p for b in range(len(blocks))]
+        if next(e for e in exponents if e) != 1:
+            continue
+        at = list(range(group.n + 1))  # at[x] = g(x)
+        for (lo, hi), e in zip(blocks, exponents):
+            for x in range(lo, hi + 1):
+                at[x] = x - (x - lo) % p + ((x - lo) % p + e) % p
+        if not any(sorted((positions[at[pairs[k][0]], at[pairs[k][1]]], c) for k, c in vec)
+                   != list(vec) for vec in cycles):
+            return False
+    return True
 
 
 def kernel_moved(lam):

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from essdim import bounds, lattice, permgroup
 from essdim.cli import CLAIMS, claim_holds, main
@@ -63,9 +64,11 @@ class TestCheckGenfree:
 # Golden corpus: argv, exit code, stdout and stderr of CLI calls over every
 # subcommand, recorded before weights became plain int tuples.  The
 # check-genfree --json payloads of cases (c) and (d) also pin the spanning
-# forest, whose fundamental cycles are the kernel generators, and the first
-# moved cycle reported for each element; they were re-recorded when the
-# certificate stopped reading the kernel off the Smith normal form.
+# forest, whose fundamental cycles are the kernel generators, the first
+# cycle each block rotation moves and the character count table; they were
+# re-recorded when the certificate stopped reading the kernel off the Smith
+# normal form, and when it came to count characters instead of scanning the
+# center.
 # Run timings (search-min's elapsed_ms, reproduce-all's per-row elapsed_ms)
 # are dropped; reproduce-all is compared through its report file.
 # `PYTHONPATH=src python tests/test_cli.py` re-records it from the current code.
@@ -146,9 +149,9 @@ PINNED_CALLS = [
     (("ed", "--n", "243", "--p", "3", "--json"),
      "ac6b250aca599e41f9fac905708c8bfe74686ab5abf4925049280dfb76780a3c"),
     (("check-genfree", "--case", "c", "--r", "6", "--p", "2", "--json"),
-     "4f2526faddebf75b74eb73fa4051b5d33c9fd8df13502c79121332ceabfdfa62"),
+     "48067987adb0a77e802d607c40493df03d7e2ec31b85e6d929a1f8e4d81f2619"),
     (("check-genfree", "--case", "d", "--n", "48", "--p", "2", "--json"),
-     "0351c3763367120c7cbbf0b0c71d69f599b8ba80ba588f69445744ca18578766"),
+     "9d6fab78f118fd31424a1d91def22baab0dc5c2d1d4d67fac229f16665dd50b4"),
     (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--q", "8", "--json"),
      "b8e8906135c4474278fefb5ed22fb08f6e418d6265eb01677c8bb926266257c0"),
     (("verify", "--prop", "7.2", "--p", "2", "--r", "2", "--json"),
@@ -336,6 +339,43 @@ def test_start_up_loads_no_dataclasses():
     assert done.stdout == "[]\n"
 
 
+# the stdout of a check-genfree row of test_unusable_input_rejected that answers
+ANSWERED = "generically free = True"
+
+
+@st.composite
+def check_genfree_argv(draw):
+    """check-genfree --case c|d: p up to 13, more often a prime; n up to
+    300, often a multiple of p; r up to 10; mostly the size flag of the case
+    (--r in case (c), --n in case (d)), sometimes another, both or none;
+    with or without --json."""
+    case = draw(st.sampled_from("cd"))
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)) | st.integers(-1, 13))
+    step = max(p, 1)
+    n = draw(st.integers(-2, 300) | st.integers(1, 300 // step).map(lambda k: k * step))
+    r = draw(st.integers(-1, 10))
+    usual = ("--r", r) if case == "c" else ("--n", n)
+    sizes = draw(st.sampled_from((usual, usual, ("--n", n), ("--n", n, "--r", r), ())))
+    return ["check-genfree", "--case", case, "--p", str(p), *map(str, sizes),
+            *["--json"] * draw(st.booleans())]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(argv=check_genfree_argv())
+def test_check_genfree_grammar(argv):
+    # an answer, a refusal in one error line with nothing on stdout, or a
+    # failed verification, each within 5 s, and never an exception
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 5, argv
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("error:") == 1, argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
 class TestUsageErrors:
     def test_missing_case_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -380,11 +420,11 @@ class TestUsageErrors:
         (("check-genfree", "--case", "b", "--p", "2", "--n", "9"), "disagrees"),
         (("construct", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
         (("check-genfree", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
-        # (p^k - 1) |Lambda| witness entries: 390,624 x 575, 59,048 x 2,169
-        # and 244,140,624 x 3,075
-        (("check-genfree", "--case", "d", "--n", "120", "--p", "5"), "center scan too large"),
-        (("check-genfree", "--case", "d", "--n", "726", "--p", "3"), "center scan too large"),
-        (("check-genfree", "--case", "d", "--n", "620", "--p", "5"), "center scan too large"),
+        # these three rows answer: the center scan over p^k - 1 elements that
+        # refused them is gone, and the character count takes milliseconds
+        (("check-genfree", "--case", "d", "--n", "120", "--p", "5"), ANSWERED),
+        (("check-genfree", "--case", "d", "--n", "726", "--p", "3"), ANSWERED),
+        (("check-genfree", "--case", "d", "--n", "620", "--p", "5"), ANSWERED),
         # the form of r = 20 above, where p^r - 1 was written out in full
         (("verify", "--prop", "7.2", "--p", "1000000007", "--r", "21"),
          "1000000007^(1000000007^21 - 1) too large"),
@@ -429,6 +469,9 @@ class TestUsageErrors:
         start = time.monotonic()
         done = run_subprocess(argv)
         assert time.monotonic() - start < 10
+        if message == ANSWERED:
+            assert (done.returncode, done.stderr) == (0, "") and message in done.stdout
+            return
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: ") and message in done.stderr
         assert done.stderr.count("\n") == 1 and len(done.stderr) < 200
@@ -568,6 +611,17 @@ class TestUsageErrors:
         assert done.returncode == 1
         assert done.stderr.startswith("error: cannot write the output")
         assert done.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_stderr_keeps_the_refusal(self):
+        # the refusal's error line raised OSError in print, which ended in a
+        # traceback and exit 1
+        with open("/dev/full", "w") as full:
+            argv = [sys.executable, "-m", "essdim.cli", "ed", "--n", "12", "--p", "2",
+                    "--max-n", "5"]
+            done = subprocess.run(argv, env=cli_env(), stdout=subprocess.PIPE, stderr=full,
+                                  text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
 
     def test_closed_stdout_exits_quietly(self):
         # a reader that stops after 50 bytes got a BrokenPipeError traceback;

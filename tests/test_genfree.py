@@ -9,23 +9,23 @@ from essdim.constructions import (
     kernel_witness,
     lambda_a,
     lambda_b,
+    lambda_c,
     permute_coefficients,
 )
-from essdim import constructions, genfree, lattice
+from essdim import genfree, lattice
 from essdim.genfree import (
     GenFreeError,
     _require_invariant,
     certify,
-    check_certificate,
     check_lemma32,
     check_lemma34,
     kernel_action_faithful,
 )
 from essdim.lattice import (LatticeError, LatticeSpec, WeightSet, kernel_generators_mod, spans,
-                            standard_weight)
-from essdim.permgroup import (PermError, act, center_order_p_elements, orbit,
-                              sylow_subgroup)
-from oracles import (NOT_PAIRS, as_pairs, faithful_by_enumeration, faithful_on_center,
+                            standard_weight, vp)
+from essdim.permgroup import PermError, act, center_order_p_elements, orbit, sylow_subgroup
+from oracles import (NOT_PAIRS, as_pairs, block_rotations, closed_lambda_d,
+                     faithful_by_enumeration, faithful_on_center, faithful_on_center_lines,
                      pair_set)
 
 
@@ -129,58 +129,18 @@ class TestLemma34:
                                           f"{g.cycle_string()} moves {w} outside the set")
 
     def test_degree_mismatch_refused(self):
+        # P_3 at p = 5 has no generator: such a group was not checked, and
+        # the set was certified against it
         lam = build_plan("c", 4, 2).torus_weights
         for ws in (lam, WeightSet.of(lam.elements, lam.spec)):
-            with pytest.raises(PermError) as excinfo:
-                check_lemma34(ws, sylow_subgroup(8, 2))
-            assert str(excinfo.value) == "degree 8 vs lattice length 4"
-
-    def test_center_scan_budget(self, monkeypatch):
-        # case (d) at n = 12, p = 2: blocks of 8 and 4, so 2^2 - 1 central
-        # elements times 32 weights; one entry fewer is refused before the
-        # span test and before any central element is listed
-        lam, group = build_plan("d", 12, 2).torus_weights, sylow_subgroup(12, 2)
-        monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", 3 * 32)
-        assert check_lemma34(lam, group).overall
-        monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", 3 * 32 - 1)
-        monkeypatch.setattr(genfree, "spans", None)
-        monkeypatch.setattr(genfree, "center_order_p_elements", None)
-        for check in (check_lemma34, kernel_action_faithful):
-            with pytest.raises(GenFreeError) as excinfo:
-                check(lam, group)
-            assert str(excinfo.value) == ("center scan too large: 3 central elements "
-                                          "times 32 weights, more than 95 entries")
-
-    @pytest.mark.parametrize("n, p, elements, weights", [
-        (120, 5, 390624, 575), (726, 3, 59048, 2169), (620, 5, 244140624, 3075)])
-    def test_center_scan_refused_before_the_plan(self, monkeypatch, capsys, n, p, elements,
-                                                 weights):
-        # the count of central elements and weights is read off (n, p)
-        def refuse(*args):
-            raise AssertionError("the plan was built")
-
-        monkeypatch.setattr(constructions, "lambda_d", refuse)
-        assert main(["check-genfree", "--case", "d", "--n", str(n), "--p", str(p)]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == (f"error: center scan too large: {elements} central elements times "
-                           f"{weights} weights, more than 16777216 entries\n")
-
-    def test_center_scan_refusal_matches_the_plan(self, monkeypatch):
-        # the count read off (n, p) is the one the built case (d) plan gives
-        for n, p in [(12, 2), (48, 2), (24, 3), (10, 5), (20, 2), (45, 3)]:
-            plan = build_plan("d", n, p)
-            group = sylow_subgroup(n, p)
-            limit = (p ** len(group.blocks) - 1) * len(plan.torus_weights)
-            monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", limit)
-            check_certificate("d", n, p)
-            monkeypatch.setattr(genfree, "MAX_WITNESS_ENTRIES", limit - 1)
-            with pytest.raises(GenFreeError, match="center scan too large"):
-                check_certificate("d", n, p)
+            for n, p in [(8, 2), (3, 5)]:
+                with pytest.raises(PermError) as excinfo:
+                    check_lemma34(ws, sylow_subgroup(n, p))
+                assert str(excinfo.value) == f"degree {n} vs lattice length 4"
 
     def test_case_c_certified_without_tuples_or_snf(self, monkeypatch, capsys):
-        # invariance, span, kernel, center scan and explicit witness all read
-        # the index pairs of Lambda_c
+        # invariance, span, kernel, character count, witnesses and explicit
+        # witness all read the index pairs of Lambda_c
         def refuse(*args):
             raise AssertionError("a weight tuple or the SNF was built")
 
@@ -192,8 +152,9 @@ class TestLemma34:
         assert payload["overall"] and len(payload["explicit_kernel_witness"]) == 2048
 
     def test_kernel_built_as_far_as_read(self, monkeypatch):
-        # the center scan reads the cycles only up to the first each element
-        # moves; the kernel read afterwards is the one a fresh set gives
+        # the witnesses read the cycles only up to the first each block
+        # rotation moves; the kernel read afterwards is the one a fresh set
+        # gives
         read = []
 
         def counted(rest):
@@ -206,7 +167,7 @@ class TestLemma34:
         for case, n, p in [("c", 64, 2), ("c", 27, 3), ("d", 24, 2), ("d", 30, 3)]:
             lam = build_plan(case, n, p).torus_weights
             read.clear()
-            faithful, witnesses = kernel_action_faithful(lam, sylow_subgroup(n, p))
+            faithful, witnesses, _ = kernel_action_faithful(lam, sylow_subgroup(n, p))
             assert faithful and witnesses
             total = len(lam) - (n - 1)
             assert 0 < len(read) < total, (case, n, p)
@@ -236,6 +197,25 @@ class TestLemma34:
         elt, vec = verdict.witnesses[0]
         assert elt == "(1 2)(3 4)"
         assert any(vec)
+        # 8 weights in E-orbits of 2 against the block's 2 runs of 2 points
+        assert verdict.detail == ("weight orbits/p-runs per block under the center: 4/2; "
+                                  "blocks joined: none")
+        verdict = check_lemma34(build_plan("d", 12, 2).torus_weights, sylow_subgroup(12, 2))
+        assert [elt for elt, _ in verdict.witnesses] == ["(1 2)(3 4)", "(5 6)(7 8)(9 10)(11 12)"]
+        assert verdict.detail == ("weight orbits/p-runs per block under the center: 8/2, 8/4; "
+                                  "blocks joined: 1-2")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_plans_below_150_faithful(self, p):
+        # every case (c) and (d) plan with n < 150, case (d)'s in closed form
+        # (its orbit closure is checked against it in test_constructions):
+        # faithful, with one witness per block rotation
+        plans = [lambda_c(p, r).torus_weights for r in range(2, 8) if p ** r < 150]
+        plans += [closed_lambda_d(n, p) for n in range(2 * p, 150, p) if n != p ** vp(n, p)]
+        for lam in plans:
+            group = sylow_subgroup(lam.spec.n, p)
+            faithful, witnesses, _ = kernel_action_faithful(lam, group)
+            assert faithful and len(witnesses) == len(group.blocks), lam.spec.n
 
 
 class TestLemma32:
@@ -292,32 +272,54 @@ class TestOracleAgreement:
                     kernel_action_faithful(lam, group)
                 faithful = faithful_on_center(lam, group)
             else:
-                faithful, _ = kernel_action_faithful(listed, group)
+                faithful = kernel_action_faithful(listed, group)[0]
             assert faithful == faithful_by_enumeration(lam, group), (n, p, lam.to_json())
             lam = random_invariant_pairs(rng, group)
-            faithful, _ = kernel_action_faithful(lam, group)
+            faithful = kernel_action_faithful(lam, group)[0]
             assert faithful == faithful_by_enumeration(lam, group), (n, p, lam.pairs)
             seen.add(faithful)
             checked += 1
         assert seen == {True, False}
 
+    def test_count_rule_matches_center_scan(self):
+        # P_n-invariant unions of orbits of a[i,j], n <= 48, with fixed
+        # points, up to 6 blocks (p = 7, n >= 42) and non-spanning sets: the
+        # count rule against the center scan over the package's cycles, and
+        # over the SNF's kernel where that stays small
+        rng = random.Random(20261021)
+        verdicts, spanned, six_blocks = set(), set(), set()
+        for _ in range(300):
+            p, n = rng.choice((2, 3, 5, 7)), rng.randint(2, 48)
+            group = sylow_subgroup(n, p)
+            lam = random_invariant_pairs(rng, group, max_orbits=len(group.blocks) + 3)
+            faithful = kernel_action_faithful(lam, group)[0]
+            assert faithful == faithful_on_center_lines(lam, group), (n, p, lam.pairs)
+            if len(lam) <= 40 and p ** len(group.blocks) <= 125:
+                tuples = WeightSet.of(lam.elements, lam.spec)
+                assert faithful == faithful_on_center(tuples, group), (n, p, lam.pairs)
+            verdicts.add(faithful)
+            spanned.add(spans(lam))
+            if len(group.blocks) == 6:
+                six_blocks.add(faithful)
+        assert verdicts == spanned == six_blocks == {True, False}
+
     def test_witnesses_match_per_vector_definition(self, monkeypatch):
-        # the first kernel generator g moves, by permute_coefficients, for
-        # each central element of order p, over Z, on a set listed from its
-        # pairs; a set over Z/q, or over Z listed as tuples, is refused
-        # before any central element is listed
+        # per block rotation z_b, in block order, the first kernel generator
+        # z_b moves by permute_coefficients, over Z, on a set listed from its
+        # pairs; a set over Z/q, or over Z listed as tuples, is refused before
+        # any rotation is built
         def refuse(*args):
-            raise AssertionError("a central element was listed")
+            raise AssertionError("a block rotation was built")
 
         rng = random.Random(20240819)
         cases = [(4, 2, 0), (6, 2, 0), (3, 3, 0), (6, 3, 0), (4, 2, 4), (6, 2, 2), (3, 3, 9),
-                 (5, 2, 0), (7, 3, 3)]
-        for _ in range(40):
+                 (5, 2, 0), (7, 3, 3), (14, 2, 0), (15, 3, 0), (11, 5, 0)]
+        for _ in range(60):
             n, p, q = rng.choice(cases)
             group = sylow_subgroup(n, p)
             lam = random_invariant_set(rng, group, LatticeSpec(n, q))
             with monkeypatch.context() as patched:
-                patched.setattr(genfree, "center_order_p_elements", refuse)
+                patched.setattr(genfree, "Perm", refuse)
                 refusal = "over Z only" if q else NOT_PAIRS
                 with pytest.raises(LatticeError, match=refusal):
                     kernel_generators_mod(lam)
@@ -327,13 +329,13 @@ class TestOracleAgreement:
                 continue
             lam = random_invariant_pairs(rng, group)
             gens = [dense(v, len(lam)) for v in kernel_generators_mod(lam)]
-            elements = center_order_p_elements(group)
-            moved = [next((v for v in gens if permute_coefficients(g, lam, v) != v), None)
-                     for g in elements]
-            expected = tuple((g.cycle_string(), v)
-                             for g, v in zip(elements, moved) if v is not None)
-            faithful, witnesses = kernel_action_faithful(lam, group)
-            assert faithful == (None not in moved)
+            rotations = block_rotations(group)
+            moved = [next((v for v in gens if permute_coefficients(z, lam, v) != v), None)
+                     for z in rotations]
+            expected = tuple((z.cycle_string(), v)
+                             for z, v in zip(rotations, moved) if v is not None)
+            faithful, witnesses, _ = kernel_action_faithful(lam, group)
+            assert faithful == faithful_on_center(lam, group)
             assert witnesses == expected, (n, p, q, lam.pairs)
 
     def test_explicit_witness_consistent_with_verdict(self):
