@@ -421,10 +421,14 @@ class TestUsageErrors:
         (("construct", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
         (("check-genfree", "--case", "c", "--p", "2", "--r", "2", "--n", "99"), "disagrees"),
         # these three rows answer: the center scan over p^k - 1 elements that
-        # refused them is gone, and the character count takes milliseconds
-        (("check-genfree", "--case", "d", "--n", "120", "--p", "5"), ANSWERED),
-        (("check-genfree", "--case", "d", "--n", "726", "--p", "3"), ANSWERED),
-        (("check-genfree", "--case", "d", "--n", "620", "--p", "5"), ANSWERED),
+        # refused them is gone, and the character count takes milliseconds;
+        # their ids keep the refusal they gave
+        pytest.param(("check-genfree", "--case", "d", "--n", "120", "--p", "5"), ANSWERED,
+                     id="argv13-center scan too large"),
+        pytest.param(("check-genfree", "--case", "d", "--n", "726", "--p", "3"), ANSWERED,
+                     id="argv14-center scan too large"),
+        pytest.param(("check-genfree", "--case", "d", "--n", "620", "--p", "5"), ANSWERED,
+                     id="argv15-center scan too large"),
         # the form of r = 20 above, where p^r - 1 was written out in full
         (("verify", "--prop", "7.2", "--p", "1000000007", "--r", "21"),
          "1000000007^(1000000007^21 - 1) too large"),

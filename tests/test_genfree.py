@@ -12,7 +12,7 @@ from essdim.constructions import (
     lambda_c,
     permute_coefficients,
 )
-from essdim import genfree, lattice
+from essdim import genfree, lattice, permgroup
 from essdim.genfree import (
     GenFreeError,
     _require_invariant,
@@ -137,6 +137,26 @@ class TestLemma34:
                 with pytest.raises(PermError) as excinfo:
                     check_lemma34(ws, sylow_subgroup(n, p))
                 assert str(excinfo.value) == f"degree {n} vs lattice length 4"
+
+    @pytest.mark.parametrize("n, p, elements, weights", [
+        (120, 5, 390624, 575), (726, 3, 59048, 2169), (620, 5, 244140624, 3075)])
+    def test_center_scan_refused_before_the_plan(self, monkeypatch, capsys, n, p, elements,
+                                                 weights):
+        # these calls were refused before the plan was built, since scanning
+        # the p^k - 1 = elements order-p central elements against |Lambda| =
+        # weights weights was too large; no central element is listed now,
+        # and the call answers with one witness per block
+        def refuse(*args):
+            raise AssertionError("the center was scanned")
+
+        monkeypatch.setattr(permgroup, "center_order_p_elements", refuse)
+        assert main(["check-genfree", "--case", "d", "--n", str(n), "--p", str(p),
+                     "--json"]) == 0
+        out = capsys.readouterr()
+        payload = json.loads(out.out)
+        assert out.err == "" and payload["overall"] and payload["kernel_faithful"]
+        assert p ** len(payload["witnesses"]) - 1 == elements
+        assert len(payload["explicit_kernel_witness"]) == weights
 
     def test_case_c_certified_without_tuples_or_snf(self, monkeypatch, capsys):
         # invariance, span, kernel, character count, witnesses and explicit
