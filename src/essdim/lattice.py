@@ -411,81 +411,75 @@ def smith_normal_form(
     IntegerMatrix and ``right`` the list of its columns, each a dict from row
     to nonzero entry, those past the rank generating the integer kernel of
     m.  Each row or column operation runs over the whole row or column.  No
-    code path calls it: it is the tests' oracle, kept here for the tracer."""
+    code path calls it: it is the tests' oracle, kept here for the tracer.
+    It eliminates by 2x2 unimodular Bezout steps (Cohen, 1993, 2.4): a step
+    on an entry the pivot divides clears it, any other makes the pivot the
+    gcd of the two, strictly smaller, so each pivot's loop ends.  A last
+    pass turns each diagonal pair (a, b) into (gcd, lcm)."""
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
     left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     right = [{j: 1} for j in range(cols)]
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
+    def step(p, b):
+        # (x, y, u, v), xv - yu = 1, taking (p, b) to (p, 0) if p | b, else
+        # to (g, 0) with g = +-gcd(p, b), positive when p and b are
+        if not b % p:
+            return 1, 0, -(b // p), 1
+        g, r, x, x1, y, y1 = p, b, 1, 0, 0, 1
+        while r:
+            f = g // r
+            g, r, x, x1, y, y1 = r, g - f * r, x1, x - f * x1, y1, y - f * y1
+        return x, y, -b // g, p // g
 
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        right[i], right[j] = right[j], right[i]
+    def mix(s, r, x, y):  # x * s + y * r over sparse columns, no zero stored
+        return {k: z for k in s.keys() | r.keys() if (z := x * s.get(k, 0) + y * r.get(k, 0))}
 
-    def add_row(src, dst, f):  # row dst += f * row src
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + f * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(src, dst, f):  # column dst += f * column src
-        if not f:
-            return
-        for r in a:
-            r[dst] += f * r[src]
-        col = right[dst]
-        for k, y in right[src].items():
-            x = col.get(k, 0) + f * y
-            if x:
-                col[k] = x
-            else:
-                del col[k]
-
-    t = 0
-    while t < rows and t < cols:
-        # pivot: the row-major first entry of least nonzero |value| in the block
-        piv = None
-        for i in range(t, rows):
-            size = min(map(abs, filter(None, a[i][t:])), default=0)
-            if size and (piv is None or size < piv[0]):
-                piv = (size, i)
-        if piv is None:
-            break
-        size, i = piv
-        swap_rows(t, i)
-        swap_cols(t, next(j for j in range(t, cols) if abs(a[t][j]) == size))
+    def clear(t):
+        # zero row t and column t past the pivot a[t][t], which is nonzero
         while True:
-            dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            row = a[t]
+                    x, y, u, v = step(a[t][t], a[i][t])
+                    for mat in (a, left):
+                        s, r = mat[t], mat[i]
+                        if y:
+                            mat[t] = [x * e + y * f for e, f in zip(s, r)]
+                        mat[i] = [u * e + v * f for e, f in zip(s, r)]
             for j in range(t + 1, cols):
-                if row[j]:
-                    add_col(t, j, -(row[j] // row[t]))
-                    if row[j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the block
-            d = a[t][t]
-            offender = None
-            if abs(d) != 1:
-                offender = next((i for i in range(t + 1, rows)
-                                 if any(map(d.__rmod__, a[i][t + 1:]))), None)
-            if offender is None:
-                break
-            add_row(offender, t, 1)
+                if a[t][j]:
+                    x, y, u, v = step(a[t][t], a[t][j])
+                    for r in a:
+                        r[t], r[j] = x * r[t] + y * r[j], u * r[t] + v * r[j]
+                    s, r = right[t], right[j]
+                    right[t], right[j] = mix(s, r, x, y), mix(s, r, u, v)
+            if not any(a[i][t] for i in range(t + 1, rows)):
+                return
+
+    t = 0
+    while t < min(rows, cols):
+        # pivot: the row-major first nonzero entry of the block
+        at = next(((i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]), None)
+        if at is None:
+            break
+        i, j = at
+        a[t], a[i], left[t], left[i] = a[i], a[t], left[i], left[t]
+        for r in a:
+            r[t], r[j] = r[j], r[t]
+        right[t], right[j] = right[j], right[t]
+        clear(t)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             left[t] = [-x for x in left[t]]
         t += 1
+    # (a, b) -> (gcd, lcm): row i += row j puts b beside a, and clear(i) ends
+    # with the gcd at (i, i) and ab/gcd at (j, j), both positive as a and b are
+    for i in range(t):
+        for j in range(i + 1, t):
+            if a[j][j] % a[i][i]:
+                a[i] = [e + f for e, f in zip(a[i], a[j])]
+                left[i] = [e + f for e, f in zip(left[i], left[j])]
+                clear(i)
     return (tuple(a[i][i] for i in range(min(rows, cols))),
             IntegerMatrix(rows, rows, tuple(map(tuple, left))), right)
 

@@ -376,6 +376,79 @@ def test_check_genfree_grammar(argv):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
 
 
+PRIMES_TO_101 = tuple(k for k in range(2, 102) if all(k % d for d in range(2, k)))
+# the fuzz's largest n: admitted calls take seconds from about n = 20 on
+# (orbit --n 22 --p 2 of a weight with distinct entries builds 2^19 weights
+# in about 8 s), so a larger bound would cost the suite more than its few
+# seconds; r reaches 10, where n = p^r is refused by the size budgets
+FUZZ_MAX_N = 18
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of one of the seven commands: p up to 101, mostly a prime and
+    often one below 10; q up to p^4, often a power of p; r up to 10; n up to
+    FUZZ_MAX_N, often a multiple of p; mostly the flags the command reads,
+    sometimes others or too few; with or without --json."""
+    small = st.sampled_from((2, 3, 5, 7))
+    p = draw(st.one_of(small, small, st.sampled_from(PRIMES_TO_101), st.integers(-1, 101)))
+    base = max(p, 2)
+    q = draw(st.sampled_from([base ** e for e in range(1, 5)]) | st.integers(-1, base ** 4))
+    r = draw(st.integers(2, 10) | st.integers(-1, 10))
+    n = draw(st.integers(1, max(FUZZ_MAX_N // base, 1)).map(lambda k: k * base)
+             | st.integers(-1, FUZZ_MAX_N))
+
+    def pick(usual, *others):
+        # the usual choice twice as often as each other one
+        return draw(st.sampled_from((usual, usual, *others)))
+
+    command = draw(st.sampled_from(("construct", "check-genfree", "orbit", "search-min",
+                                    "verify", "ed", "reproduce-all")))
+    if command in ("construct", "check-genfree"):
+        case = draw(st.sampled_from("abcd"))
+        usual = ("--r", r) if case == "c" else () if case == "b" else ("--n", n)
+        rest = ("--case", case, "--p", p, *pick(usual, ("--n", n), ("--n", n, "--r", r), ()))
+    elif command == "orbit":
+        # weights of length n, mostly zero-sum, so the orbit is often built
+        size = max(n, 1) - 1
+        body = draw(st.lists(st.integers(-abs(q), abs(q)), min_size=size, max_size=size))
+        entries = body + pick([-sum(body)], [1 - sum(body)])
+        rest = ("--n", n, "--p", p, *pick((), ("--q", q)),
+                "--weight=" + ",".join(map(str, entries)))
+    elif command == "search-min":
+        rest = ("--n", n, "--p", p, "--q", q)
+    elif command == "verify":
+        rest = ("--p", p, *pick(("--prop", "7.2", "--r", r), ("--lemma", "8.2", "--n", n),
+                                ("--lemma", "8.2", "--n", n), ("--prop", "7.2", "--r", r, "--n", n),
+                                ("--prop", "7.3", "--r", r), ("--lemma", "8.2", "--r", r),
+                                ("--prop", "7.2", "--lemma", "8.2"), ()),
+                *pick((), ("--q", q)))
+    elif command == "ed":
+        rest = ("--p", p, *pick(("--n", n), ("--table", "--max-n", n), ("--table",),
+                                ("--table", "--n", n), ("--max-n", n), ()))
+    else:
+        return ["reproduce-all", "--profile", pick("quick", "full", "bogus"),
+                "--report", os.devnull]
+    return [command, *map(str, rest), *pick((), ("--json",))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argv=cli_argv())
+def test_every_command_exits_cleanly(argv):
+    # an answer, a refusal or a failed verification, and never a traceback;
+    # how long an admitted call may take is not bounded yet
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's refusal of the grammar
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert "error: " in err.getvalue(), argv
+
+
 class TestUsageErrors:
     def test_missing_case_argument(self, capsys):
         with pytest.raises(SystemExit) as exc:

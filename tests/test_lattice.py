@@ -1,8 +1,10 @@
 import hashlib
 import json
 import random
+import signal
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +56,22 @@ def checked_smith(m):
             == diagonal_matrix(d, m.rows, m.cols).entries)
     assert_kernel_columns(m, d, right)
     return d, left, right
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError, rather than hang, once it has run
+    for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_kernel_columns(m, d, right):
@@ -227,17 +245,14 @@ class TestSmithNormalForm:
                         assert normal.entries[i][j] == 0
 
     def test_right_columns_hold_no_zeros(self):
-        # the first matrix reaches a column update with factor 0 (a smaller
-        # entry of the pivot's sign, so floor division gives 0), the next two
-        # need the divisibility fix-up; that update must neither store a 0
-        # nor fail
+        # no column of right stores a zero, also after a Bezout step with a
+        # factor 0 (x = 0 when the entry being cleared divides the pivot)
         grids = [[[-3, 2, 4], [2, -4, 1], [3, -4, -1]],
                  [[-4, 0, -2], [-1, -4, 0], [-3, -3, 0]],
                  [[2, 0], [0, 3]]]
         rng = random.Random(20261018)
         for _ in range(300):
             rows, cols = rng.randint(1, 5), rng.randint(1, 6)
-            # entries from few divisors, so the fix-up is frequent
             values = rng.choice([range(-9, 10), (0, 2, -2, 3, -3, 4, 6, -6)])
             grids.append([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
         for grid in grids:
@@ -269,6 +284,18 @@ class TestSmithNormalFormOracle:
             self.check(IntegerMatrix.of(
                 [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]))
 
+    def test_former_blowup_matrix(self):
+        # the former SNF did not finish on this matrix in 20 s: its fix-up
+        # pass, adding an offending row to the pivot's, tripled the entries'
+        # bit length at each round
+        m = IntegerMatrix.of([[-3, 1, -1, -1, 9, 4, -1, -12], [1, 0, 9, 1, -12, 2, -3, 0],
+                              [-12, -3, 0, -1, -3, 0, 0, 2], [-12, 9, 4, 6, -12, 2, -3, 6],
+                              [4, 1, -1, -12, 6, 0, 0, 1], [0, -12, 2, -3, 9, 0, -3, 4]])
+        with time_limit(5):
+            d, _, _ = checked_smith(m)
+        assert d == (1, 1, 1, 1, 1, 2)
+        self.check(m)
+
     def test_witness_coordinate_matrices(self):
         for case, n, p in [("c", 4, 2), ("c", 9, 3), ("c", 8, 2),
                            ("d", 6, 2), ("d", 12, 2), ("d", 12, 3)]:
@@ -276,8 +303,10 @@ class TestSmithNormalFormOracle:
 
 
 # (n, p, q) of the case (c)/(d) witness reductions below on which the entries
-# of the Smith normal form blow up: the SNF does not finish within a second,
-# and on most not within 10 s, so they are left out of the kernel check.
+# of the former Smith normal form, the one that added an offending row to
+# the pivot's until the pivot divided its block, blew up: it did not finish
+# within a second, and on most not within 10 s.  The Bezout SNF finishes
+# each in well under a second, so the kernel check takes them all.
 SNF_BLOWUP = {
     *[(n, 3, 9) for n in (30, 33, 36, 39, 42, 45, 48, 51, 57, 60, 63)],
     (15, 5, 25), (20, 5, 25), (50, 5, 25),
@@ -303,8 +332,7 @@ class TestKernelColumns:
             if case in ("c", "d"):
                 lam = build_plan(case, n, p).torus_weights
                 for q in (0, p, p * p):
-                    if (n, p, q) not in SNF_BLOWUP:
-                        self.check(modulus_matrix(reduce_mod(lam, q) if q else lam))
+                    self.check(modulus_matrix(reduce_mod(lam, q) if q else lam))
 
     def test_search_min_witnesses(self):
         for command, params in CLAIMS:
@@ -370,8 +398,8 @@ class TestSpans:
         # (the oracle's prefix sums), so the two ranks agree only because a
         # weight sums to 0 mod p.  Half the sets hold dense weights, half
         # multiples c * a[i,j] (c a p-multiple included, which vanishes mod
-        # p), as the search's witnesses do.  The SNF is sympy's: lattice's
-        # does not finish on some dense sets at q = p^3 (its blow-up)
+        # p), as the search's witnesses do.  lattice's SNF and sympy's must
+        # give the same invariants
         sympy = pytest.importorskip("sympy")
         from sympy.matrices.normalforms import invariant_factors
         rng = random.Random(11)
@@ -400,6 +428,7 @@ class TestSpans:
                 assert all(row[other] == 0 for other in basis if other != col)
             m = modulus_matrix(ws)
             diag = invariant_factors(sympy.Matrix([list(r) for r in m.entries]), domain=sympy.ZZ)
+            assert [x for x in smith_normal_form(m)[0] if x] == [abs(int(x)) for x in diag if x]
             assert len(basis) == sum(1 for d in diag if d % p)
             assert rank_mod_p(ws, p) == len(basis)
             assert (len(basis) == n - 1) == spans(ws)
@@ -408,8 +437,9 @@ class TestSpans:
         assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
     def test_snf_blowup_sets_span_without_the_snf(self, monkeypatch):
-        # the reductions whose Smith normal form blows up are decided by
-        # their F_p rank; each reduces a witness set that spans over Z
+        # the reductions on which the former Smith normal form blew up are
+        # decided by their F_p rank; each reduces a witness set that spans
+        # over Z
         def refuse(*args):
             raise AssertionError("spans built a Smith normal form")
 
