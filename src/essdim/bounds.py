@@ -1,12 +1,11 @@
 """Lower-bound machinery: the exact minimum of an invariant generating set of
-the zero-sum lattice mod q, its orbit representatives and counts, and naive
-oracles.
+the zero-sum lattice mod q, and naive oracles.
 
 The minimum rests on one lemma.  P_n is a p-group, so F_p[P_n] is local with
 maximal ideal its augmentation ideal I, and by Nakayama a union of orbits
 generates X_n / q iff its orbit representatives span the coinvariants
-C = V / IV, V = X_n / p X_n.  ``coinvariant_class`` reads the class of a
-vector in C off its part sums, in closed form.  The minimum is then a
+C = V / IV, V = X_n / p X_n.  ``_class_fold`` reads the class of a vector in
+C off its part sums, in closed form.  The minimum is then a
 minimum-weight basis of a linear matroid, which the greedy in ascending
 orbit order finds exactly (Edmonds 1971).
 
@@ -20,10 +19,11 @@ is one class and one count, read off the level tables of ``_level_counts``
 (Burnside by exponent and entry sum) or off the length of its tail, and one
 F_p echelon step in dim C <= #parts - 1 coordinates decides it; only a kept
 orbit's representative and elements are built, the elements listed from the
-parts' blocks (``_orbit_elements``), with no group.  On one block the exponents
-below the first orbit of nonzero class, which ``_first_moving`` finds by one
-min-plus pass over the sub-blocks' least exponents, are counted off the
-block's table and not walked at all.  No orbit past the exponent cap, the
+parts' blocks by permgroup's wreath recursion (``orbit_parts``), with no
+group.  On one block the exponents below the first orbit of nonzero class,
+which ``_first_moving`` finds by one min-plus pass over the sub-blocks'
+least exponents, are counted off the block's table and not walked at all.
+No orbit past the exponent cap, the
 largest e with p^e <= witness_size(n, p), is listed or walked: the paper's
 Lambda bounds the largest orbit the greedy keeps (the proof is in
 ``min_invariant_generating_size``).
@@ -55,7 +55,8 @@ from .lattice import (
     vp,
 )
 from .constructions import case_of, witness_size
-from .permgroup import PermGroupSpec, act, orbit, p_adic_digits, sylow_subgroup
+from .permgroup import (PermGroupSpec, act, orbit, orbit_elements, orbit_parts, part_levels,
+                        sylow_subgroup)
 
 
 class BoundsError(ValueError):
@@ -106,14 +107,6 @@ def _nonzero_orbits(spec: LatticeSpec, p: int) -> List[WeightSet]:
     """The P_n-orbits of the finite lattice, without the zero orbit."""
     return [o for o in orbit_decomposition(sylow_subgroup(spec.n, p), spec)
             if not (len(o) == 1 and not any(o.elements[0]))]
-
-
-def _levels(n: int, p: int) -> List[int]:
-    """The layout of P_n as parts, in position order: 0 for each of the
-    n mod p fixed points, then r for each block of size p^r, smallest
-    first."""
-    fixed, digits = p_adic_digits(n, p)
-    return [0] * fixed + [e for mult, e in digits for _ in range(mult)]
 
 
 def _exponent_cap(size: int, p: int) -> int:
@@ -193,7 +186,7 @@ def _first_moving(sub: Table, p: int, q: int, top: int) -> int:
     """The first exponent, up to top, of a zero-sum orbit of nonzero class
     on a block over the sub-block table sub, by one min-plus pass.  The
     block's orbits are the rotation classes of words of p sub-forms, of
-    class sum_k k s_k mod p, s_k their sums (coinvariant_class), so the pass
+    class sum_k k s_k mod p, s_k their sums (_class_fold), so the pass
     carries the least exponent of the words' prefixes by (sum, class), from
     the least exponent of a sub-form of each sum, over a period raised to p,
     where s_k mod p is read.  A word that is not constant has exponent 1
@@ -217,12 +210,6 @@ def _first_moving(sub: Table, p: int, q: int, top: int) -> int:
     if q == 2 and 1 in least:
         first = min(first, p * least[1])
     return min(first, top)
-
-
-def _counts(p: int, q: int, levels: List[int], top: int) -> Tuple[List[Table], int]:
-    """(tables, zero-sum orbits) of the layout, exponents up to top."""
-    tables = list(itertools.islice(_level_counts(p, q, top), max(levels) + 1))
-    return tables, _zero_sums(tables, levels, q)
 
 
 def _least_letter(t: Tuple[int, ...]) -> Optional[int]:
@@ -255,15 +242,16 @@ class _Points:
         return [key[1]] if key[0] == 0 else default
 
 
-def _needs(levels: List[int], cap: int) -> Dict[int, int]:
+def _needs(levels: List[int], cap: int, p: int) -> Dict[int, int]:
     """The largest exponent of a level-r form in an orbit of exponent at
     most cap, for each level r: a level-r form lies at depth k - r in a
-    part of level k >= r, and each level above it adds at least 1."""
+    part of level k >= r, and each level above it adds at least 1; and no
+    level-r form has more than a block's, v_p(p^r!) = (p^r - 1) / (p - 1)."""
     need, k = {}, 0
     for r in range(levels[-1] + 1):  # levels go up
         while levels[k] < r:
             k += 1
-        need[r] = cap - (levels[k] - r)
+        need[r] = min(cap - (levels[k] - r), (p ** r - 1) // (p - 1))
     return need
 
 
@@ -272,7 +260,7 @@ class _Stream:
     zero-sum lattice mod q, of exponent at most cap, in (size,
     representative) order, without listing the lattice, as runs of
     consecutive orbits whose representatives share the sums that
-    coinvariant_class reads.
+    _class_fold reads.
 
     On a block of size p^r, the wreath product of P_{p^(r-1)} with the
     rotation of its p sub-blocks, an orbit's least element is the least
@@ -300,36 +288,28 @@ class _Stream:
             ((p ** r - 1) // (p - 1) for r in reversed(levels)), initial=0))[::-1]
         self.listed: Dict[int, list] = {0: _Points(q)}
         self.keyed: Dict[int, dict] = {0: self.listed[0]}
-        self.by_exponent: Dict[int, List[List[int]]] = {}
         self.windows: Dict[Tuple[int, int, int], list] = {}
-
-    def most(self, r: int) -> int:
-        """The largest exponent in listing(r): need[r], or that of a block,
-        v_p(p^r!) = (p^r - 1) / (p - 1)."""
-        return min(self.need[r], (self.p ** r - 1) // (self.p - 1))
 
     def listing(self, r: int) -> list:
         """(form, exponent, residue) of the level-r forms of exponent at
         most need[r], in lexicographic order; its indices are kept by
-        exponent and by (exponent, residue), each list going up."""
+        (exponent, residue), each list going up."""
         if r not in self.listed:
             self.listed[r] = forms = list(self.forms(r))
-            self.by_exponent[r] = by_exponent = [[] for _ in range(self.most(r) + 1)]
             self.keyed[r] = keyed = {}
             for i, (_, e, s) in enumerate(forms):
-                by_exponent[e].append(i)
                 keyed.setdefault((e, s), []).append(i)
         return self.listed[r]
 
     def window(self, r: int, lo: int, hi: int) -> Sequence[int]:
         """The indices into listing(r) of the forms of exponent lo..hi, up."""
-        lo, hi = max(lo, 0), min(hi, self.most(r))
+        lo, hi = max(lo, 0), min(hi, self.need[r])
         if r == 0:
             return range(self.q if lo <= 0 <= hi else 0)
         if (r, lo, hi) not in self.windows:
             self.listing(r)
             self.windows[r, lo, hi] = sorted(itertools.chain.from_iterable(
-                self.by_exponent[r][lo:hi + 1]))
+                idx for (e, _), idx in self.keyed[r].items() if lo <= e <= hi))
         return self.windows[r, lo, hi]
 
     def necklaces(self, r: int, want: Optional[Tuple[int, int]] = None):
@@ -341,7 +321,7 @@ class _Stream:
         the one form of p equal sub-forms, prefix + tail = (i0,) * p."""
         p, q = self.p, self.q
         sub = self.listing(r - 1)
-        most = self.most(r - 1)
+        most = self.need[r - 1]
         if want is None:
             lo, hi = 0, self.need[r] - 1
         else:
@@ -411,7 +391,7 @@ class _Stream:
 
     def runs(self, e: int):
         """(count, sums, reps) of the runs of exponent e in order: how many
-        orbits, the sums their class reads (coinvariant_class: the part
+        orbits, the sums their class reads (_class_fold: the part
         sums but the last, or on one block the sub-block sums), and a
         callable that lists their representatives."""
         p, q, levels = self.p, self.q, self.levels
@@ -438,11 +418,7 @@ class _Stream:
         """The representatives head + f, head the forms idx of the parts
         but the last, f the last part's forms with (exponent, residue) = want."""
         head = tuple(x for k, i in enumerate(idx) for x in self.listed[self.levels[k]][i][0])
-        last = self.levels[-1]
-        if not last:
-            yield head + (want[1],)
-            return
-        for f, _, _ in self.forms(last, want):
+        for f, _, _ in self.forms(self.levels[-1], want):
             yield head + f
 
     def word_reps(self, prefix: Tuple[int, ...], tail: Sequence[int], start: int):
@@ -454,76 +430,19 @@ class _Stream:
             yield head + sub[i][0]
 
 
-def _block_orbit(block: Tuple[int, ...], p: int) -> List[Tuple[int, ...]]:
-    """The orbit of a block of size p^r under P_(p^r), the wreath product
-    of P_(p^(r-1)) with the rotation of the p sub-blocks: the union over
-    the rotations of the product of the sub-blocks' orbits (the recursion
-    permgroup.orbit_size counts)."""
-    if len(block) == 1:
-        return [block]
-    m = len(block) // p
-    subs = [_block_orbit(block[t * m:(t + 1) * m], p) for t in range(p)]
-    return list({sum(words, ()) for k in range(p)
-                 for words in itertools.product(*(subs[k:] + subs[:k]))})
-
-
-def _orbit_elements(rep: Tuple[int, ...], levels: List[int], p: int) -> List[Tuple[int, ...]]:
-    """The P_n-orbit of rep, n = len(rep), listed from its parts, no group
-    built: P_n is the product of its parts' groups, so the orbit is the
-    product of the parts' orbits."""
-    parts, pos = [], 0
-    for r in levels:
-        parts.append(_block_orbit(rep[pos:pos + p ** r], p))
-        pos += p ** r
-    return [sum(words, ()) for words in itertools.product(*parts)]
-
-
-def orbit_representatives(group: PermGroupSpec, q: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """(size, least element) of each nonzero orbit of group, a Sylow
-    subgroup, on the zero-sum lattice mod q, in (size, representative)
-    order, without listing the lattice: the runs of _Stream, unrolled."""
-    p, cap = group.p, group.order_exponent
-    levels = _levels(group.n, p)
-    stream = _Stream(p, q, levels, _needs(levels, cap), _counts(p, q, levels, cap + 1)[0])
-    for e in range(cap + 1):
-        for _, _, reps in stream.runs(e):
-            for rep in reps():
-                if e or any(rep):
-                    yield p ** e, rep
-
-
-def count_orbits(group: PermGroupSpec, q: int) -> int:
-    """The number of nonzero orbits of group, a Sylow subgroup, on the
-    zero-sum lattice mod q, a power of p, without listing them: the layout
-    table of _counts with one exponent row, at residue 0, less the zero
-    orbit."""
-    levels = _levels(group.n, group.p)
-    return _counts(group.p, q, levels, 0)[1] - 1
-
-
 def _class_fold(p: int, levels: List[int]) -> Tuple[Callable[[Sequence[int]], Tuple[int, ...]],
                                                      int]:
-    """(fold, dim C): the class of coinvariant_class as a function of the
-    sums it reads, the p sub-block sums of one block, or else the part sums
-    of every part but the last."""
-    if len(levels) == 1 and levels[0]:
-        return (lambda sums: (sum(map(mul, range(p), sums)) % p,)), 1
-    return (lambda sums: tuple([s % p for s in sums])), len(levels) - 1
-
-
-def coinvariant_class(
-    group: PermGroupSpec,
-) -> Tuple[Callable[[Sequence[int]], Tuple[int, ...]], int]:
-    """(f, dim C): the linear map f from V = X_n / p X_n onto the
+    """(fold, dim C): the class of a vector v of V = X_n / p X_n in the
     coinvariants C = V / IV = F_p^(dim C), I the augmentation ideal of
-    F_p[P_n], P_n = group, read off the entries of any lift of a vector of V.
+    F_p[P_n], as a function of the sums of any lift of v that it reads.
 
     The parts of the layout are the fixed points (the leading n mod p
-    positions) and the blocks.  With two or more parts, f(v) is the part
-    sums mod p of every part but the last; with one block, n = p^r, it is
-    sum_t t S_t(v) mod p, S_t the sum over the t-th sub-block of size
-    p^(r-1); at n = 1, V = 0 and f(v) = ().  f reads v only through those
-    sums (_class_fold), and the search reads the same sums off the forms.
+    positions) and the blocks.  With two or more parts, the class f(v) is
+    the part sums mod p of every part but the last, and fold reads those
+    sums; with one block, n = p^r, it is sum_t t S_t(v) mod p, S_t the sum
+    over the t-th sub-block of size p^(r-1), and fold reads the p sums S_t;
+    at n = 1, V = 0 and f(v) = ().  The search reads the same sums off the
+    forms.
 
     IV lies in ker f.  Every g in P_n maps each part onto itself, so it
     fixes every part sum.  On one block, g permutes the p sub-blocks by a
@@ -547,15 +466,9 @@ def coinvariant_class(
     e_x - e_y, x in some part and y in the last, is a unit vector of the
     image, and on one block f(a[1, 1 + p^(r-1)]) = -1.
     """
-    p, n = group.p, group.n
-    levels = _levels(n, p)
-    fold, dim = _class_fold(p, levels)
     if len(levels) == 1 and levels[0]:
-        cuts = [(t * n // p, (t + 1) * n // p) for t in range(p)]
-    else:
-        ends = list(itertools.accumulate((p ** r for r in levels), initial=0))
-        cuts = list(zip(ends, ends[1:]))[:-1]
-    return (lambda v: fold([sum(v[lo:hi]) for lo, hi in cuts])), dim
+        return (lambda sums: (sum(map(mul, range(p), sums)) % p,)), 1
+    return (lambda sums: tuple([s % p for s in sums])), len(levels) - 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -588,8 +501,8 @@ def _plan(n: int, p: int, q: int):
     if work > MAX_WITNESS_ENTRIES:  # before anything is sized by n
         return None
     cap = _exponent_cap(size, p)
-    levels = _levels(n, p)
-    need = _needs(levels, cap)
+    levels = part_levels(n, p)
+    need = _needs(levels, cap, p)
     listed = max([levels[-1] - 1] + levels[:-1])
     tables = []
     for r, (g, counts) in zip(range(max(levels) + 1), _level_counts(p, q, cap + 1)):
@@ -650,7 +563,7 @@ def min_invariant_generating_size(n: int, p: int, q: int) -> SearchResult:
     optimal unions its sorted orbit indices are lexicographically least: it
     is the first optimal union in canonical inclusion order.  An orbit's
     image in C is that of its first element, since g v - v lies in IV, so
-    its class (coinvariant_class) decides it.
+    its class (_class_fold) decides it.
 
     The greedy takes no orbit of exponent past cap, the largest e with p^e
     <= witness_size(n, p).  The paper's Lambda (constructions.build_plan)
@@ -673,8 +586,8 @@ def min_invariant_generating_size(n: int, p: int, q: int) -> SearchResult:
     of level 1) are one count, read off the block's table, and are not
     walked.  Only a kept orbit's representative and elements are built, the
     elements as the product over the parts of the union over the rotations
-    of the sub-blocks' orbits (_orbit_elements), so no Sylow subgroup is
-    built and no closure is run.  Each nonzero orbit still counts once in
+    of the sub-blocks' orbits (permgroup.orbit_parts), so no Sylow subgroup
+    is built and no closure is run.  Each nonzero orbit still counts once in
     nodes_explored, as the orbit-by-orbit greedy examined it.  The witness
     is certified once by spans, which decides a mod-q set by its F_p rank,
     the predicate the naive oracles use.
@@ -696,7 +609,7 @@ def min_invariant_generating_size(n: int, p: int, q: int) -> SearchResult:
             grown = echelon_mod_p([image], p, target, basis)
             if len(grown) > len(basis):
                 basis = grown
-                chosen.append(_orbit_elements(next(reps()), levels, p))
+                chosen.append(orbit_elements(orbit_parts(next(reps()), levels, p)))
                 if len(basis) == target:
                     examined += 1
                     break

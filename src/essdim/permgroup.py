@@ -9,7 +9,8 @@ the recursive wreath structure uses consecutive sub-blocks of size p^(r-1).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import filterfalse
+from itertools import filterfalse, product
+from math import prod
 from operator import itemgetter
 from typing import Callable, List, NamedTuple, Sequence, Set, Tuple
 
@@ -115,6 +116,14 @@ def legendre_exponent(n: int, p: int) -> int:
     return total
 
 
+def part_levels(n: int, p: int) -> List[int]:
+    """The layout of P_n as parts, in position order: 0 for each of the
+    n mod p fixed points, then r for each block of size p^r, smallest
+    first."""
+    fixed, digits = p_adic_digits(n, p)
+    return [0] * fixed + [e for mult, e in digits for _ in range(mult)]
+
+
 def _wreath_generators(offset: int, r: int, p: int, n: int) -> List[Perm]:
     """Generators of the Sylow subgroup on the block [offset+1, offset+p^r]."""
     if r == 0:
@@ -136,17 +145,14 @@ def sylow_subgroup(n: int, p: int) -> PermGroupSpec:
         raise PermError(f"p={p} is not a prime")
     if n < 1:
         raise PermError(f"n must be positive, got {n}")
-    fixed, digits = p_adic_digits(n, p)
     blocks: List[Tuple[int, int]] = []
-    pos = fixed
     gens: List[Perm] = []
-    for mult, e in digits:
-        size = p ** e
-        for _ in range(mult):
-            blocks.append((pos + 1, pos + size))
-            gens.extend(_wreath_generators(pos, e, p, n))
-            pos += size
-    assert pos == n
+    pos = 0
+    for r in part_levels(n, p):
+        if r:
+            blocks.append((pos + 1, pos + p ** r))
+            gens.extend(_wreath_generators(pos, r, p, n))
+        pos += p ** r
     return PermGroupSpec(
         generators=tuple(gens),
         order_exponent=legendre_exponent(n, p),
@@ -163,35 +169,69 @@ def act(g: Perm, w: Tuple[int, ...]) -> Tuple[int, ...]:
     return g.gather(w)  # a permuted valid weight is valid
 
 
+def _wreath(block: Tuple[int, ...], p: int) -> Tuple[Tuple[int, ...], int, Callable[[], list]]:
+    """(least form, orbit size, elements) of block, of size p^r, under
+    P_(p^r), elements a callable that lists the orbit.
+
+    P_(p^r) is the wreath product of P_(p^(r-1)) with the rotation of the
+    p sub-blocks, so the orbit is the union over the rotations of the
+    product of the sub-blocks' orbits, and two rotations give the same
+    product, when they give the same word of sub-forms, or disjoint ones.
+    So its size is the number of distinct rotations of the sub-forms times
+    the product of their orbit sizes, and its least form is the least
+    rotation, concatenated."""
+    if len(block) == 1:
+        return block, 1, lambda: [block]
+    m = len(block) // p
+    subs = [_wreath(block[t * m:(t + 1) * m], p) for t in range(p)]
+    forms = [f for f, _, _ in subs]
+    shifts = {tuple(forms[k:] + forms[:k]): k for k in range(p)}  # one shift per rotation
+
+    def elements() -> list:
+        orbits = [listed() for _, _, listed in subs]
+        return [sum(words, ()) for k in shifts.values()
+                for words in product(*orbits[k:], *orbits[:k])]
+
+    return sum(min(shifts), ()), len(shifts) * prod(size for _, size, _ in subs), elements
+
+
+def orbit_parts(w: Tuple[int, ...], levels: Sequence[int], p: int) -> list:
+    """(least form, orbit size, elements) of each part of w under P_n, n =
+    len(w), laid out as levels (part_levels(n, p)), by _wreath; no group is
+    built.  P_n is the product of its parts' groups, so the orbit of w is
+    the product of the parts' orbits (orbit_elements)."""
+    parts, lo = [], 0
+    for r in levels:
+        parts.append(_wreath(w[lo:lo + p ** r], p))
+        lo += p ** r
+    return parts
+
+
+def orbit_elements(parts: list) -> List[Tuple[int, ...]]:
+    """The orbit whose parts are parts (orbit_parts), listed, unsorted."""
+    return [sum(words, ()) for words in product(*(listed() for _, _, listed in parts))]
+
+
+def _group_parts(group: PermGroupSpec, w: Tuple[int, ...]) -> list:
+    """orbit_parts of w under group, a Sylow subgroup, once w's length is
+    checked against the group's degree."""
+    if group.n != len(w):
+        raise PermError(f"degree {group.n} vs lattice length {len(w)}")
+    return orbit_parts(w, part_levels(group.n, group.p), group.p)
+
+
 def orbit_size(group: PermGroupSpec, w: Tuple[int, ...]) -> int:
-    """|orbit of w| under group, a Sylow subgroup, without closing it.
+    """|orbit of w| under group, a Sylow subgroup, without listing it: the
+    product of its parts' sizes."""
+    return prod(size for _, size, _ in _group_parts(group, w))
 
-    On a block of size p^r, the wreath product of P_{p^(r-1)} with the
-    rotation of its p sub-blocks, the orbit is the union over the rotations
-    of the product of the sub-blocks' orbits; two rotations give the same
-    product or disjoint ones.  So its size is the number of distinct
-    rotations of the p sub-blocks' least forms times the product of their
-    orbit sizes, and its least form is the least rotation, concatenated.
-    Across the fixed points and blocks the orbit is a product."""
-    p = group.p
 
-    def form(lo: int, size: int) -> Tuple[Tuple[int, ...], int]:
-        # (least form, orbit size) of w[lo:lo+size], a block of the wreath tower
-        if size == 1:
-            return w[lo:lo + 1], 1
-        sub = size // p
-        parts = [form(lo + t * sub, sub) for t in range(p)]
-        forms = [f for f, _ in parts]
-        rotations = {tuple(forms[k:] + forms[:k]) for k in range(p)}
-        count = len(rotations)
-        for _, s in parts:
-            count *= s
-        return sum(min(rotations), ()), count
-
-    total = 1
-    for lo, hi in group.blocks:
-        total *= form(lo - 1, hi - lo + 1)[1]
-    return total
+def _check_orbit(count: int, n: int) -> None:
+    """Refuse an orbit of count weights of length n past MAX_WITNESS_ENTRIES
+    entries."""
+    if count * n > MAX_WITNESS_ENTRIES:
+        raise PermError(f"orbit too large: {count} weights of length {n}, "
+                        f"more than {MAX_WITNESS_ENTRIES} entries")
 
 
 def orbit_closure(group: PermGroupSpec, w: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
@@ -199,16 +239,14 @@ def orbit_closure(group: PermGroupSpec, w: Tuple[int, ...]) -> Set[Tuple[int, ..
     before it starts when w's length is not the group's degree, or when the
     orbit has more than MAX_WITNESS_ENTRIES entries (weights times n).  The
     degree is checked once here, so each image is one gather (act checks it
-    on every call)."""
+    on every call).  Only constructions.lambda_d closes an orbit; every
+    other one is listed by orbit_parts, which the tests check against this."""
     n = len(w)
     if group.n != n:
         raise PermError(f"degree {group.n} vs lattice length {n}")
     # |orbit| divides |group|, so only a large group can pass the budget
     if group.p ** group.order_exponent * n > MAX_WITNESS_ENTRIES:
-        count = orbit_size(group, w)
-        if count * n > MAX_WITNESS_ENTRIES:
-            raise PermError(f"orbit too large: {count} weights of length {n}, "
-                            f"more than {MAX_WITNESS_ENTRIES} entries")
+        _check_orbit(orbit_size(group, w), n)
     gathers = [g.gather for g in group.generators]
     seen = frontier = {w}
     while frontier:  # breadth first, one level at a time
@@ -221,9 +259,13 @@ def orbit_closure(group: PermGroupSpec, w: Tuple[int, ...]) -> Set[Tuple[int, ..
 
 
 def orbit(group: PermGroupSpec, w: Tuple[int, ...], spec: LatticeSpec) -> WeightSet:
-    """orbit_closure(group, w) as a weight set of spec, the lattice w lies
-    in."""
-    return WeightSet.of(orbit_closure(group, w), spec)
+    """The orbit of w under group, a Sylow subgroup, as a weight set of
+    spec, the lattice w lies in, listed from its parts (orbit_parts):
+    refused, before anything is listed, when w's length is not the group's
+    degree, or when the orbit has more than MAX_WITNESS_ENTRIES entries."""
+    parts = _group_parts(group, w)
+    _check_orbit(prod(size for _, size, _ in parts), len(w))
+    return WeightSet.of(orbit_elements(parts), spec)
 
 
 def center_order_p_elements(group: PermGroupSpec) -> Tuple[Perm, ...]:

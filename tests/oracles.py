@@ -22,23 +22,25 @@ search the coinvariant greedy replaced, the echelon basis of IV the greedy
 reduced against before its closed-form class map, the greedy as it ran
 before it stepped over runs of orbits of one class, orbit by orbit, the
 Burnside count refined by class from which a one-block search read its
-first exponent of nonzero class before the min-plus pass, and
-the paper's block-sum map, p-multiple test, Nakayama filter and fiber
-count, which the greedy's coinvariant argument supersedes."""
+first exponent of nonzero class before the min-plus pass, the paper's
+block-sum map, p-multiple test, Nakayama filter and fiber count, which the
+greedy's coinvariant argument supersedes, and views of the search's own
+parts that only the tests read: its class map applied to a vector, its
+orbit counts and its stream of orbit representatives, unrolled."""
 
 import math
-from itertools import accumulate
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import accumulate, islice
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from essdim.bounds import (BoundsError, Table, _nonzero_orbits, coinvariant_class, count_orbits,
-                           orbit_representatives)
+from essdim.bounds import (BoundsError, Table, _class_fold, _level_counts, _needs, _nonzero_orbits,
+                           _Stream, _zero_sums)
 from essdim.constructions import permute_coefficients
 from essdim.edcalc import EdError
 from essdim.lattice import (IntegerMatrix, LatticeError, LatticeSpec, SparseVector, WeightSet,
                             echelon_mod_p, kernel_generators_mod, prime_power_root,
                             smith_normal_form, spans, standard_weight)
-from essdim.permgroup import (Perm, PermError, act, center_order_p_elements, orbit, p_adic_digits,
-                              sylow_subgroup)
+from essdim.permgroup import (Perm, PermError, PermGroupSpec, act, center_order_p_elements, orbit,
+                              p_adic_digits, part_levels, sylow_subgroup)
 
 
 # the one line the package refuses a set over Z with that is not listed from
@@ -605,3 +607,50 @@ def class_counts(sub: Table, p: int, q: int, top: int) -> Tuple[List[int], List[
         for c in (0, 1):
             out[min(e + 1, top)][c] += (row[c] - crow[c]) // p
     return [a + b for a, b in out], [b for _, b in out]
+
+
+def coinvariant_class(
+    group: PermGroupSpec,
+) -> Tuple[Callable[[Sequence[int]], Tuple[int, ...]], int]:
+    """(f, dim C): the search's class map (bounds._class_fold, where the
+    proof is) applied to a vector v of V = X_n / p X_n, P_n = group: f(v)
+    folds the part sums of v but the last, or on one block its p sub-block
+    sums."""
+    p, n = group.p, group.n
+    levels = part_levels(n, p)
+    fold, dim = _class_fold(p, levels)
+    if len(levels) == 1 and levels[0]:
+        cuts = [(t * n // p, (t + 1) * n // p) for t in range(p)]
+    else:
+        ends = list(accumulate((p ** r for r in levels), initial=0))
+        cuts = list(zip(ends, ends[1:]))[:-1]
+    return (lambda v: fold([sum(v[lo:hi]) for lo, hi in cuts])), dim
+
+
+def layout_counts(p: int, q: int, levels: List[int], top: int) -> Tuple[List[Table], int]:
+    """(tables, zero-sum orbits) of the layout levels, exponents up to top:
+    bounds._level_counts up to the top level, and bounds._zero_sums."""
+    tables = list(islice(_level_counts(p, q, top), max(levels) + 1))
+    return tables, _zero_sums(tables, levels, q)
+
+
+def count_orbits(group: PermGroupSpec, q: int) -> int:
+    """The number of nonzero orbits of group, a Sylow subgroup, on the
+    zero-sum lattice mod q, a power of p, without listing them: the layout
+    table with one exponent row, at residue 0, less the zero orbit."""
+    return layout_counts(group.p, q, part_levels(group.n, group.p), 0)[1] - 1
+
+
+def orbit_representatives(group: PermGroupSpec, q: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """(size, least element) of each nonzero orbit of group, a Sylow
+    subgroup, on the zero-sum lattice mod q, in (size, representative)
+    order, without listing the lattice: the runs of bounds._Stream,
+    unrolled, up to the group's own order."""
+    p, cap = group.p, group.order_exponent
+    levels = part_levels(group.n, p)
+    stream = _Stream(p, q, levels, _needs(levels, cap, p), layout_counts(p, q, levels, cap + 1)[0])
+    for e in range(cap + 1):
+        for _, _, reps in stream.runs(e):
+            for rep in reps():
+                if e or any(rep):
+                    yield p ** e, rep

@@ -9,29 +9,25 @@ import pytest
 
 from essdim.bounds import (
     BoundsError,
-    _counts,
     _exponent_cap,
     _first_moving,
     _level_counts,
-    _levels,
     check_search,
-    coinvariant_class,
-    count_orbits,
     lattice_elements,
     min_invariant_generating_size,
     naive_min_by_subsets,
     _nonzero_orbits,
     naive_min_invariant_generating_size,
     orbit_decomposition,
-    orbit_representatives,
     predicted_bound,
     verify_lower_bound,
 )
 from essdim.constructions import witness_size
 from essdim.lattice import LatticeSpec, WeightSet, echelon_mod_p, spans, standard_weight, vp
-from essdim.permgroup import Perm, act, legendre_exponent, orbit, sylow_subgroup
-from oracles import (basis_coordinates, branch_and_bound_min, class_counts, coinvariant_radical,
-                     fiber_check, group_elements, nakayama_filter, orbit_spans_mod_p,
+from essdim.permgroup import Perm, act, legendre_exponent, orbit, part_levels, sylow_subgroup
+from oracles import (basis_coordinates, branch_and_bound_min, class_counts, coinvariant_class,
+                     coinvariant_radical, count_orbits, fiber_check, group_elements,
+                     layout_counts, nakayama_filter, orbit_representatives, orbit_spans_mod_p,
                      per_orbit_greedy, reduce_mod, sigma_map)
 
 
@@ -435,9 +431,9 @@ class TestRunStepping:
                 group = sylow_subgroup(n, p)
                 f, _ = coinvariant_class(group)
                 orbits = orbit_decomposition(group, LatticeSpec(n, q))
-                levels = _levels(n, p)
+                levels = part_levels(n, p)
                 top = group.order_exponent + 1
-                zero_sums = _counts(p, q, levels, top)[1]
+                zero_sums = layout_counts(p, q, levels, top)[1]
                 assert zero_sums == len(orbits), (n, p, q)
                 if len(levels) == 1:
                     first = min(vp(len(o), p) for o in orbits if any(f(o.elements[0])))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from essdim import bounds, lattice, permgroup
+from essdim import bounds, cli, constructions, genfree, lattice, permgroup
 from essdim.cli import CLAIMS, claim_holds, main
 from essdim.constructions import witness_size
 
@@ -172,6 +172,58 @@ def test_benchmarked_call_pinned(capsys, args, digest):
     code, out, err = run(capsys, *args)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The sha256 of the stdout of orbit calls past the corpus, which stops at n
+# = 6: two blocks mod 4, a fixed point and two blocks over Z at p = 3, one
+# block of 27 mod 9, and a weight of distinct entries, whose orbit is all
+# 2^15 elements of P_16.
+PINNED_ORBITS = [
+    (("orbit", "--n", "12", "--p", "2", "--q", "4", "--weight", "1,2,3,0,0,1,2,3,3,2,1,2",
+      "--json"), "632252e1625509452a69e5d440f21c0117f05fb0c24ad1d6fbd83a8e4440a432"),
+    (("orbit", "--n", "13", "--p", "3", "--weight", "2,-1,0,1,0,0,-3,0,1,0,0,0,0", "--json"),
+     "b1f493d192fcbdc7a6a742783b3f69e6099bc58222e75d4b0df48bc6e7652a10"),
+    (("orbit", "--n", "27", "--p", "3", "--q", "9", "--weight", "1,0,0,2," + "0," * 22 + "6",
+      "--json"), "5ba959008308c66cee7bc3032eaa08d665c196b9784866c89fe41ba22c68b779"),
+    (("orbit", "--n", "16", "--p", "2", "--weight", ",".join(map(str, range(1, 16))) + ",-120",
+      "--json"), "d55b3eedc5f82761eb8df302cc5a340d8548536c6c95a2cbce74737ab3b2d98f"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_ORBITS, ids=[a[2] for a, _ in PINNED_ORBITS])
+def test_orbit_pinned(capsys, args, digest):
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_only_lambda_d_closes_an_orbit(monkeypatch, capsys):
+    # orbit, the search and the naive oracles list an orbit by the wreath
+    # recursion; only case (d)'s witness set closes one under the
+    # generators.  The search and verify build no Sylow subgroup at all.
+    def refuse(*args):
+        raise AssertionError("refused")
+
+    def patch(name):
+        for module in (permgroup, bounds, constructions, cli, genfree):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+    searches = [("search-min", "--n", "27", "--p", "3", "--q", "3"),  # one block
+                ("search-min", "--n", "22", "--p", "2", "--q", "2"),  # three blocks
+                ("verify", "--prop", "7.2", "--p", "2", "--r", "3"),
+                ("verify", "--lemma", "8.2", "--n", "12", "--p", "3")]
+    calls = [PINNED_ORBITS[1][0]] + searches
+    answers = [run(capsys, *argv) for argv in calls]
+    naive = bounds.naive_min_invariant_generating_size(6, 2, 2)
+    assert all(code == 0 and not err for code, _, err in answers)
+    patch("orbit_closure")
+    assert [run(capsys, *argv) for argv in calls] == answers
+    assert bounds.naive_min_invariant_generating_size(6, 2, 2) == naive
+    with pytest.raises(AssertionError, match="refused"):
+        constructions.lambda_d(12, 2)
+    patch("sylow_subgroup")
+    assert [run(capsys, *argv) for argv in searches] == answers[1:]
 
 
 def test_searches_build_no_snf(monkeypatch, capsys):

@@ -9,8 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, reject, settings, strategies as st
 
-from essdim.bounds import (_nonzero_orbits, coinvariant_class, count_orbits,
-                           min_invariant_generating_size, orbit_representatives)
+from essdim import permgroup
+from essdim.bounds import _nonzero_orbits, min_invariant_generating_size
 from essdim.lattice import (
     IntegerMatrix,
     LatticeError,
@@ -19,9 +19,10 @@ from essdim.lattice import (
     kernel_generators_mod,
     smith_normal_form,
 )
-from essdim.permgroup import act, orbit, orbit_size, sylow_subgroup
+from essdim.permgroup import PermError, act, orbit, orbit_closure, orbit_size, sylow_subgroup
 from oracles import (NOT_PAIRS, BudgetExhausted, as_pairs, branch_and_bound_min,
-                     diagonal_matrix, group_elements, matmul, per_orbit_greedy, phi_image, smith)
+                     coinvariant_class, count_orbits, diagonal_matrix, group_elements, matmul,
+                     orbit_representatives, per_orbit_greedy, phi_image, smith)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -120,6 +121,40 @@ def test_orbit_stabilizer(data):
     stabilizer = [g for g in group_elements(group) if act(g, w) == w]
     assert len(orbit(group, w, spec)) * len(stabilizer) == p ** group.order_exponent
     assert orbit_size(group, w) * len(stabilizer) == p ** group.order_exponent
+
+
+def refusal(call) -> str:
+    with pytest.raises(PermError) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+@FIXED
+@given(st.data())
+def test_wreath_recursion_matches_the_closure(data):
+    # the orbit listed by the wreath recursion, and its size, against the
+    # closure under the generators; both refuse a weight of another degree
+    # and an orbit past the entry budget with the same line
+    n = data.draw(st.integers(1, 16))
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    q = data.draw(st.sampled_from([0, p, p * p]))
+    entries = st.integers(0, q - 1) if q else st.integers(-3, 3)
+    prefix = data.draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    spec = LatticeSpec(n, q)
+    w = spec.weight(prefix + [-sum(prefix) % q if q else -sum(prefix)])
+    group = sylow_subgroup(n, p)
+    closure = orbit_closure(group, w)
+    assert orbit(group, w, spec).elements == tuple(sorted(closure))
+    assert orbit_size(group, w) == len(closure)
+    other = sylow_subgroup(data.draw(st.integers(1, 17).filter(lambda m: m != n)), p)
+    assert (refusal(lambda: orbit(other, w, spec)) == refusal(lambda: orbit_closure(other, w))
+            == f"degree {other.n} vs lattice length {n}")
+    cap = len(closure) * n - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permgroup, "MAX_WITNESS_ENTRIES", cap)
+        assert (refusal(lambda: orbit(group, w, spec)) == refusal(lambda: orbit_closure(group, w))
+                == f"orbit too large: {len(closure)} weights of length {n}, "
+                   f"more than {cap} entries")
 
 
 class_points = st.tuples(st.integers(1, 40), st.sampled_from([2, 3, 5, 7])).flatmap(
